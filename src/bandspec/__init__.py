@@ -19,7 +19,6 @@ from .band_matrix import (
     wyner,
 )
 from .closed_forms import (
-    ExtremeSnrParams,
     exp_integral,
     high_snr_params,
     limiting_moments,
@@ -33,13 +32,7 @@ from .closed_forms import (
     wyner_capacity_large_k,
     wyner_capacity_nonfading,
 )
-from .eig import (
-    RealTridiagonal,
-    eigenvalues,
-    reduce_to_tridiagonal,
-    sturm_count,
-    tridiag_eigenvalues,
-)
+from .eig import eigenvalues
 from .fading import (
     DETERMINISTIC,
     RAYLEIGH,
@@ -63,10 +56,7 @@ from .harness import (
 )
 from .narula_chain import (
     ChainRun,
-    ChainState,
-    chain_start,
     chain_vs_ldl,
-    narula_step,
     simulate_chain,
     simulate_chain_ensemble,
 )

@@ -206,21 +206,6 @@ class BandedHermitian:
             total += 2.0 * float(np.sum(np.abs(arr) ** 2))
         return total
 
-    def diagonal_entries(self, offset: int) -> np.ndarray:
-        """Row-indexed diagonal ``g[i] = A[i, i + offset]``, zero outside."""
-        n = self.n
-        g = np.zeros(n, dtype=complex)
-        k = abs(offset)
-        if k > self.bandwidth:
-            return g
-        if offset == 0:
-            g[:] = self.diag
-        elif offset < 0:
-            g[k:] = self.sub[k - 1]
-        else:
-            g[: n - k] = np.conj(self.sub[k - 1])
-        return g
-
     def to_dense(self) -> np.ndarray:
         out = np.diag(self.diag.astype(complex))
         for k, arr in enumerate(self.sub, start=1):
@@ -253,18 +238,23 @@ class BandedHermitian:
 
     @classmethod
     def load(cls, path) -> "BandedHermitian":
+        """Read a dump written by :meth:`save`; a truncated file raises
+        ``ValueError``."""
         with open(path, "rb") as fh:
-            magic, version, n, bandwidth = struct.unpack("<4sIQI", fh.read(20))
+            header = fh.read(20)
+            if len(header) < 20:
+                raise ValueError("truncated band dump header")
+            magic, version, n, bandwidth = struct.unpack("<4sIQI", header)
             if magic != cls._MAGIC:
                 raise ValueError("not a banded-Hermitian dump")
             if version != cls._VERSION:
                 raise ValueError(f"unsupported dump version {version}")
-            diag = np.fromfile(fh, dtype="<c16", count=n).real.astype(float)
-            sub = tuple(
-                np.fromfile(fh, dtype="<c16", count=n - k).astype(complex)
-                for k in range(1, bandwidth + 1)
-            )
-        return cls(diag, sub)
+            sizes = [n] + [n - k for k in range(1, bandwidth + 1)]
+            body = np.fromfile(fh, dtype="<c16", count=sum(sizes))
+        if len(body) < sum(sizes):
+            raise ValueError(f"band dump holds {len(body)} of {sum(sizes)} values")
+        diag, *sub = np.split(body, np.cumsum(sizes)[:-1])
+        return cls(diag.real.astype(float), tuple(arr.astype(complex) for arr in sub))
 
 
 def gram(channel: BlockBandedChannel) -> BandedHermitian:
@@ -303,8 +293,8 @@ def ldl_shifted(a: BandedHermitian, rho: float) -> np.ndarray:
 
     ``sum(log(d))`` is the log-determinant of the shifted matrix.  Runs in
     O(n * bandwidth^2) time via a banded Cholesky factorization; a pivot
-    below ``PIVOT_FLOOR`` (analytically they are all >= 1 for PSD ``A`` and
-    ``rho >= 0``) raises :class:`PivotError`.
+    that is not finite or lies below ``PIVOT_FLOOR`` (analytically they are
+    all >= 1 for PSD ``A`` and ``rho >= 0``) raises :class:`PivotError`.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
@@ -315,6 +305,9 @@ def ldl_shifted(a: BandedHermitian, rho: float) -> np.ndarray:
     except LinAlgError as exc:
         raise PivotError(f"shifted matrix lost positive definiteness: {exc}") from exc
     d = factor[0].real ** 2
-    if d.min() < PIVOT_FLOOR:
-        raise PivotError(f"pivot {d.min():g} below {PIVOT_FLOOR:g}")
+    bad = ~np.isfinite(d) | (d < PIVOT_FLOOR)
+    if bad.any():
+        raise PivotError(
+            f"{bad.sum()} pivots non-finite or below {PIVOT_FLOOR:g} (first {d[bad][0]:g})"
+        )
     return d

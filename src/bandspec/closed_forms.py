@@ -9,15 +9,12 @@ need ``exp(x) * E1(x)`` at arguments where E1 itself underflows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 
 from .fading import FadingSpec
 
 __all__ = [
-    "ExtremeSnrParams",
     "wyner_capacity_nonfading",
     "wyner_capacity_large_k",
     "limiting_moments",
@@ -34,28 +31,6 @@ __all__ = [
 
 _EULER_GAMMA = float(np.euler_gamma)
 _QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-12, limit=10_000)
-
-
-@dataclass(frozen=True)
-class ExtremeSnrParams:
-    """Extreme-SNR capacity expansion parameters.
-
-    ``eb_n0_min`` is the minimum transmit energy-per-bit over noise for
-    reliable communication, ``s0`` the low-SNR spectral-efficiency slope,
-    ``s_inf`` the high-SNR slope (bits per 3 dB), and ``l_inf`` the high-SNR
-    power offset in 3-dB units.
-    """
-
-    eb_n0_min: float
-    s0: float
-    s_inf: float
-    l_inf: float
-
-    def __post_init__(self):
-        if self.eb_n0_min <= 0:
-            raise ValueError("eb_n0_min must be positive")
-        if self.s0 <= 0:
-            raise ValueError("s0 must be positive")
 
 
 # ---------------------------------------------------------------------------

@@ -1,203 +1,21 @@
 """Eigenvalues of Hermitian band matrices without densification.
 
-The pipeline is the classic two-stage one: a similarity built from unitary
-plane rotations pushes the band in to tridiagonal form (chasing the one
-bulge each rotation creates back off the band), then a Sturm-sequence
-bisection solver extracts the spectrum of the real symmetric tridiagonal
-matrix.
-
-``reduce_to_tridiagonal`` is the reference rotation-by-rotation
-implementation and is exact for any bandwidth.  For bandwidth >= 2 the
-``eigenvalues`` entry point defaults to LAPACK's compiled implementation of
-the same reduce-then-solve pipeline (``scipy.linalg.eigvals_banded``), which
-is what makes repeated full spectra at N ~ 10^4..10^5 practical; the two
-routes are held to agree to 1e-10 in the test suite.
+LAPACK's band eigensolver (``scipy.linalg.eigvals_banded``) reduces the band
+to real tridiagonal form by unitary rotations with bulge chasing and then
+solves the tridiagonal problem; it handles every bandwidth, including the
+diagonal (0) and tridiagonal (1) cases, and works on the band storage
+directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-from scipy.linalg import eigvals_banded, eigvalsh_tridiagonal
+from scipy.linalg import eigvals_banded
 
 from .band_matrix import BandedHermitian
 from .spectral import EmpiricalSpectrum
 
-__all__ = [
-    "RealTridiagonal",
-    "reduce_to_tridiagonal",
-    "tridiag_eigenvalues",
-    "eigenvalues",
-    "sturm_count",
-]
+__all__ = ["eigenvalues"]
 
 
-@dataclass(frozen=True)
-class RealTridiagonal:
-    """Real symmetric tridiagonal matrix with nonnegative off-diagonal.
-
-    Off-diagonal phases are absorbed by a diagonal unitary similarity, which
-    leaves the spectrum untouched.
-    """
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        if len(self.offdiag) != max(len(self.diag) - 1, 0):
-            raise ValueError("offdiag must have length n - 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-
-def reduce_to_tridiagonal(a: BandedHermitian) -> RealTridiagonal:
-    """Unitary band reduction to real symmetric tridiagonal form.
-
-    Sub-diagonals are annihilated outermost first; each plane rotation at
-    coordinates (p-1, p) spawns at most one bulge at distance bandwidth+1,
-    which is chased off the bottom of the band before the next entry is
-    eliminated.  Already-tridiagonal input is returned unchanged up to the
-    sign normalization of the off-diagonal.
-    """
-    n = a.n
-    if n == 1:
-        return RealTridiagonal(a.diag.astype(float).copy(), np.zeros(0))
-    w = a.lower_band()
-    for m in range(a.bandwidth, 1, -1):
-        _eliminate_diagonal(w, m, n)
-    diag = w[0].real.copy()
-    offdiag = np.abs(w[1, : n - 1]) if a.bandwidth >= 1 else np.zeros(n - 1)
-    return RealTridiagonal(diag, offdiag)
-
-
-def _eliminate_diagonal(w: np.ndarray, m: int, n: int) -> None:
-    """Zero the m-th sub-diagonal of the band ``w`` in place.
-
-    Columns are processed left to right so the rotation at (p-1, p) never
-    meets a nonzero entry at distance m+1 other than the tracked bulge.
-    """
-    for j0 in range(n - m):
-        g = w[m, j0]
-        if g == 0:
-            continue
-        w[m, j0] = 0.0
-        p = j0 + m
-        jcol = j0
-        while True:
-            q = p - 1
-            f = w[q - jcol, jcol]
-            c, s, r = _givens(f, g)
-            w[q - jcol, jcol] = r
-
-            # remaining row pairs (A[q, j], A[p, j]) inside the band
-            for j in range(max(0, p - m), q):
-                if j == jcol:
-                    continue
-                aq = w[q - j, j]
-                ap = w[p - j, j]
-                w[q - j, j] = c * aq + s * ap
-                w[p - j, j] = -np.conj(s) * aq + c * ap
-
-            # the rotated 2x2 diagonal block
-            aqq = w[0, q].real
-            apq = w[1, q]
-            app = w[0, p].real
-            cross = 2.0 * c * (s * apq).real
-            w[0, q] = c * c * aqq + abs(s) ** 2 * app + cross
-            w[0, p] = abs(s) ** 2 * aqq + c * c * app - cross
-            w[1, q] = (
-                c * c * apq
-                - np.conj(s) ** 2 * np.conj(apq)
-                + c * np.conj(s) * (app - aqq)
-            )
-
-            # column pairs (A[i, q], A[i, p]) below the block
-            for i in range(p + 1, min(p + m - 1, n - 1) + 1):
-                aq = w[i - q, q]
-                ap = w[i - p, p]
-                w[i - q, q] = c * aq + np.conj(s) * ap
-                w[i - p, p] = -s * aq + c * ap
-
-            if p + m > n - 1:
-                break
-            # fill at (p+m, q) from mixing column p into column q
-            tail = w[m, p]
-            bulge = np.conj(s) * tail
-            w[m, p] = c * tail
-            if bulge == 0:
-                break
-            g = bulge
-            jcol = p - 1
-            p = p + m
-
-
-def _givens(f: complex, g: complex):
-    """Unitary rotation [[c, s], [-conj(s), c]] sending (f, g) to (r, 0)."""
-    if g == 0:
-        return 1.0, 0.0 + 0.0j, f
-    absf = abs(f)
-    if absf == 0:
-        return 0.0, np.conj(g) / abs(g), complex(abs(g))
-    h = np.hypot(absf, abs(g))
-    sign_f = f / absf
-    return absf / h, sign_f * np.conj(g) / h, sign_f * h
-
-
-def tridiag_eigenvalues(t: RealTridiagonal) -> np.ndarray:
-    """All eigenvalues in nondecreasing order via Sturm bisection (LAPACK
-    stebz), with per-eigenvalue absolute accuracy on the order of
-    ``1e-13 * spectral radius``."""
-    if t.n == 1:
-        return t.diag.astype(float).copy()
-    if not t.offdiag.any():
-        return np.sort(t.diag)
-    return eigvalsh_tridiagonal(
-        t.diag, t.offdiag, lapack_driver="stebz", check_finite=False
-    )
-
-
-def eigenvalues(a: BandedHermitian, method: str = "auto") -> EmpiricalSpectrum:
-    """Full spectrum of a Hermitian band matrix as an EmpiricalSpectrum.
-
-    method:
-        ``"givens"``  reference reduction + Sturm bisection (any bandwidth);
-        ``"lapack"``  compiled band solver (``eigvals_banded``);
-        ``"auto"``    givens for bandwidth <= 1 (the reduction is then a
-                      phase normalization), lapack otherwise.
-    """
-    if method == "auto":
-        method = "givens" if a.bandwidth <= 1 else "lapack"
-    if method == "givens":
-        vals = tridiag_eigenvalues(reduce_to_tridiagonal(a))
-    elif method == "lapack":
-        vals = eigvals_banded(a.lower_band(), lower=True, check_finite=False)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return EmpiricalSpectrum(np.sort(np.asarray(vals, dtype=float)))
-
-
-def sturm_count(t: RealTridiagonal, x) -> np.ndarray | int:
-    """Number of eigenvalues strictly below each probe value ``x``.
-
-    Runs the shifted LDL sign-count recurrence; vanishing pivots get a tiny
-    negative substitute and intermediate overflow is allowed to saturate,
-    which keeps the count exact in IEEE arithmetic.
-    """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    d = t.diag
-    e2 = t.offdiag**2
-    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max()) if len(e2) else 1.0)
-    q = d[0] - xs
-    q[q == 0] = -pivmin
-    count = (q < 0).astype(int)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(1, t.n):
-            q = d[k] - xs - e2[k - 1] / q
-            q[np.isnan(q)] = -pivmin  # inf - inf; treat as vanished pivot
-            q[q == 0] = -pivmin
-            count += q < 0
-    if np.isscalar(x):
-        return int(count[0])
-    return count
+def eigenvalues(a: BandedHermitian) -> EmpiricalSpectrum:
+    """Full spectrum of a Hermitian band matrix as an EmpiricalSpectrum."""
+    return EmpiricalSpectrum(eigvals_banded(a.lower_band(), lower=True, check_finite=False))

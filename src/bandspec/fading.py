@@ -148,9 +148,14 @@ class FadingSpec:
 
     @property
     def tag(self) -> str:
-        """Stable string tag used by experiment configs."""
+        """Stable string tag used by experiment configs; ``parse_spec_tag``
+        reads it back to an equal spec."""
         if self.kind == "rician":
-            return f"rician:nu={float(self.nu.real if isinstance(self.nu, complex) else self.nu):g},s2={self.s2:g}"
+            nu = _tag_number(self.nu.real)
+            if self.nu.imag != 0:
+                imag = _tag_number(self.nu.imag)
+                nu += f"{'' if imag.startswith('-') else '+'}{imag}j"
+            return f"rician:nu={nu},s2={_tag_number(self.s2)}"
         return self.kind
 
 
@@ -166,7 +171,7 @@ def rician(nu: float | complex, s2: float) -> FadingSpec:
 
 def parse_spec_tag(tag: str) -> FadingSpec:
     """Parse a config tag: ``deterministic``, ``rayleigh``, ``uniform-phase``,
-    or ``rician:nu=<float>,s2=<float>``."""
+    or ``rician:nu=<complex>,s2=<float>``."""
     tag = tag.strip()
     if tag in ("deterministic", "rayleigh", "uniform-phase"):
         return FadingSpec(tag)
@@ -174,12 +179,19 @@ def parse_spec_tag(tag: str) -> FadingSpec:
         fields = {}
         for part in tag[len("rician:"):].split(","):
             key, _, value = part.partition("=")
-            fields[key.strip()] = float(value)
+            fields[key.strip()] = value.strip()
         try:
-            return rician(fields["nu"], fields["s2"])
+            return rician(complex(fields["nu"]), float(fields["s2"]))
         except KeyError as exc:
             raise ValueError(f"rician tag missing field {exc}") from exc
     raise ValueError(f"unrecognized fading tag {tag!r}")
+
+
+def _tag_number(x: float) -> str:
+    """Decimal that reads back as exactly ``x``: the ``:g`` form when that is
+    exact (so short values keep their tags and config hashes), else ``repr``."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 def _standard_complex_normal(rng: np.random.Generator, size):

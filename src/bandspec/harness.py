@@ -4,15 +4,13 @@ Reruns are byte-reproducible: replicate ``r`` always draws from a Philox
 stream keyed by ``(master seed, index)``, results are reduced in replicate
 order regardless of completion order, floats are printed with a fixed
 17-significant-digit format, and every output file carries the config hash
-and master seed in comment lines.  Wall-clock timings stay in the in-memory
-results and never enter the files.
+and master seed in comment lines.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,7 +56,7 @@ KINDS = (
     "power_profile",
 )
 
-_NUMERICAL_FAILURES = (PivotError, FloatingPointError, np.linalg.LinAlgError)
+_NUMERICAL_FAILURES = (PivotError, np.linalg.LinAlgError)
 
 
 class ConfigError(ValueError):
@@ -245,7 +243,6 @@ class ExperimentResult:
     std_err: float
     n_used: int
     reference: float
-    wall_clock: float
 
 
 @dataclass(frozen=True)
@@ -271,15 +268,11 @@ def run_experiment(
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runner = _RUNNERS[config.kind]
-    started = time.perf_counter()
-    results, files = runner(config, out_dir, jobs, emit_gnuplot)
-    elapsed = time.perf_counter() - started
-    results = tuple(
-        ExperimentResult(r.grid_value, r.estimate, r.std_err, r.n_used, r.reference, elapsed)
-        for r in results
-    )
-    return ExperimentOutput(results, tuple(files))
+    runner, n_plotted = _RUNNERS[config.kind]
+    results, files = runner(config, out_dir, jobs)
+    if emit_gnuplot:
+        files += _gnuplot_scripts(files[:n_plotted])
+    return ExperimentOutput(tuple(results), tuple(files))
 
 
 def _replicate_map(config: ExperimentConfig, group: int, jobs: int, worker):
@@ -306,6 +299,22 @@ def _replicate_map(config: ExperimentConfig, group: int, jobs: int, worker):
     return ok
 
 
+def _gram_replicates(config, params: ChannelParams, group: int, jobs: int, stat):
+    """``stat(gram(generate_channel(params, rng)))`` for each surviving replicate."""
+    return _replicate_map(
+        config, group, jobs, lambda rng: stat(gram(generate_channel(params, rng)))
+    )
+
+
+def _transforms(spec: EmpiricalSpectrum, rhos) -> np.ndarray:
+    return np.array([spec.shannon_transform(r) for r in rhos])
+
+
+def _shannon(rhos):
+    """Replicate statistic: Shannon transforms of the spectrum at each rho."""
+    return lambda a: _transforms(eigenvalues(a), rhos)
+
+
 def _mean_se(rows: list[np.ndarray]):
     stacked = np.stack(rows)
     mean = stacked.mean(axis=0)
@@ -316,123 +325,87 @@ def _mean_se(rows: list[np.ndarray]):
     return mean, se
 
 
+def _estimate_rows(grid, replicates, refs):
+    """One table row per grid point: replicate mean, standard error, count
+    and reference of the statistic at that position."""
+    mean, se = _mean_se(replicates)
+    return [(g, mean[i], se[i], len(replicates), refs[i]) for i, g in enumerate(grid)]
+
+
+def _capacity_rows(params: ChannelParams, p_grid, transforms):
+    refs = [_capacity_reference(params, p) for p in p_grid]
+    return _estimate_rows(p_grid, transforms, refs)
+
+
+def _table(path: Path, grid_name: str, rows, config):
+    """Write a ``grid,estimate,std_err,n_used,reference`` table."""
+    columns = (grid_name, "estimate", "std_err", "n_used", "reference")
+    _write_csv(path, columns, rows, _meta(config))
+    return [ExperimentResult(*row) for row in rows], [path]
+
+
 # -- per-kind runners --------------------------------------------------------
 
-def _run_spectrum(config, out_dir, jobs, emit_gnuplot):
+def _run_spectrum(config, out_dir, jobs):
     params = config.channel
     rhos = [p / params.users_per_cell for p in config.p_grid]
 
-    def worker(rng):
-        spec = eigenvalues(gram(generate_channel(params, rng)))
-        trans = np.array([spec.shannon_transform(r) for r in rhos])
-        return spec.eigenvalues, trans
+    def stat(a):
+        spec = eigenvalues(a)
+        return spec.eigenvalues, _transforms(spec, rhos)
 
-    replicates = _replicate_map(config, 0, jobs, worker)
-    n_used = len(replicates)
+    replicates = _gram_replicates(config, params, 0, jobs, stat)
     pooled = np.sort(np.concatenate([eigs for eigs, _ in replicates]))
     meta = _meta(config)
-    files = []
-
-    files.append(_write_csv(
-        out_dir / "spectrum.csv", ("index", "eigenvalue"),
-        [(i + 1, v) for i, v in enumerate(pooled)], meta,
-    ))
-    files.append(_write_csv(
-        out_dir / "ecdf.csv", ("bin_left", "bin_right", "count", "cum_fraction"),
-        _histogram_rows(pooled, config.histogram_bins), meta,
-    ))
-
+    files = [
+        _write_csv(
+            out_dir / "spectrum.csv", ("index", "eigenvalue"),
+            [(i + 1, v) for i, v in enumerate(pooled)], meta,
+        ),
+        _write_csv(
+            out_dir / "ecdf.csv", ("bin_left", "bin_right", "count", "cum_fraction"),
+            _histogram_rows(pooled, config.histogram_bins), meta,
+        ),
+    ]
     results = []
     if rhos:
-        mean, se = _mean_se([t for _, t in replicates])
-        rows = []
-        for i, p in enumerate(config.p_grid):
-            ref = _capacity_reference(params, p)
-            rows.append((p, mean[i], se[i], n_used, ref))
-            results.append(ExperimentResult(p, mean[i], se[i], n_used, ref, 0.0))
-        files.append(_write_csv(
-            out_dir / "shannon.csv",
-            ("P", "estimate", "std_err", "n_used", "reference"), rows, meta,
-        ))
-    if emit_gnuplot:
-        files.extend(_gnuplot_scripts(files))
+        rows = _capacity_rows(params, config.p_grid, [t for _, t in replicates])
+        results, table = _table(out_dir / "shannon.csv", "P", rows, config)
+        files += table
     return results, files
 
 
-def _run_capacity_vs_p(config, out_dir, jobs, emit_gnuplot):
+def _run_capacity_vs_p(config, out_dir, jobs):
     params = config.channel
     rhos = [p / params.users_per_cell for p in config.p_grid]
-
-    def worker(rng):
-        spec = eigenvalues(gram(generate_channel(params, rng)))
-        return np.array([spec.shannon_transform(r) for r in rhos])
-
-    replicates = _replicate_map(config, 0, jobs, worker)
-    mean, se = _mean_se(replicates)
-    rows, results = [], []
-    for i, p in enumerate(config.p_grid):
-        ref = _capacity_reference(params, p)
-        rows.append((p, mean[i], se[i], len(replicates), ref))
-        results.append(ExperimentResult(p, mean[i], se[i], len(replicates), ref, 0.0))
-    files = [_write_csv(
-        out_dir / "capacity_vs_P.csv",
-        ("P", "estimate", "std_err", "n_used", "reference"), rows, _meta(config),
-    )]
-    if emit_gnuplot:
-        files.extend(_gnuplot_scripts(files))
-    return results, files
+    replicates = _gram_replicates(config, params, 0, jobs, _shannon(rhos))
+    rows = _capacity_rows(params, config.p_grid, replicates)
+    return _table(out_dir / "capacity_vs_P.csv", "P", rows, config)
 
 
-def _run_capacity_vs_n(config, out_dir, jobs, emit_gnuplot):
+def _run_capacity_vs_n(config, out_dir, jobs):
     base = config.channel
-    rho = base.power / base.users_per_cell
-    rows, results = [], []
+    stat = _shannon([base.rho])
+    ref = _capacity_reference(base, base.power)
+    rows = []
     for gi, n in enumerate(config.n_grid):
-        params = base.with_size(n)
-
-        def worker(rng, params=params):
-            spec = eigenvalues(gram(generate_channel(params, rng)))
-            return np.array([spec.shannon_transform(rho)])
-
-        replicates = _replicate_map(config, gi, jobs, worker)
-        mean, se = _mean_se(replicates)
-        ref = _capacity_reference(base, base.power)
-        rows.append((n, mean[0], se[0], len(replicates), ref))
-        results.append(ExperimentResult(n, mean[0], se[0], len(replicates), ref, 0.0))
-    files = [_write_csv(
-        out_dir / "capacity_vs_N.csv",
-        ("N", "estimate", "std_err", "n_used", "reference"), rows, _meta(config),
-    )]
-    if emit_gnuplot:
-        files.extend(_gnuplot_scripts(files))
-    return results, files
+        replicates = _gram_replicates(config, base.with_size(n), gi, jobs, stat)
+        rows += _estimate_rows([n], replicates, [ref])
+    return _table(out_dir / "capacity_vs_N.csv", "N", rows, config)
 
 
-def _run_moments(config, out_dir, jobs, emit_gnuplot):
+def _run_moments(config, out_dir, jobs):
     params = config.channel
-
-    def worker(rng):
-        a = gram(generate_channel(params, rng))
-        return np.array([trace_moment(a, p) for p in (1, 2, 3)])
-
-    replicates = _replicate_map(config, 0, jobs, worker)
-    mean, se = _mean_se(replicates)
-    refs = _moment_reference(params)
-    rows, results = [], []
-    for i, p in enumerate((1, 2, 3)):
-        ref = refs[i] if refs is not None else float("nan")
-        rows.append((p, mean[i], se[i], len(replicates), ref))
-        results.append(ExperimentResult(p, mean[i], se[i], len(replicates), ref, 0.0))
-    files = [_write_csv(
-        out_dir / "moments.csv",
-        ("p", "estimate", "std_err", "n_used", "reference"), rows, _meta(config),
-    )]
-    if emit_gnuplot:
-        files.extend(_gnuplot_scripts(files))
-    return results, files
+    orders = (1, 2, 3)
+    replicates = _gram_replicates(
+        config, params, 0, jobs, lambda a: np.array([trace_moment(a, p) for p in orders])
+    )
+    refs = _moment_reference(params) or (float("nan"),) * len(orders)
+    rows = _estimate_rows(orders, replicates, refs)
+    return _table(out_dir / "moments.csv", "p", rows, config)
 
 
-def _run_narula(config, out_dir, jobs, emit_gnuplot):
+def _run_narula(config, out_dir, jobs):
     meta = _meta(config)
     rows, results, files = [], [], []
     for i, p in enumerate(config.p_grid):
@@ -441,8 +414,7 @@ def _run_narula(config, out_dir, jobs, emit_gnuplot):
         rows.append((p, run.ergodic_log_mean, run.log_mean_stderr, config.n_steps))
         ref = closed_forms.narula_capacity(p)
         results.append(ExperimentResult(
-            p, run.ergodic_log_mean, run.log_mean_stderr,
-            len(run.samples), ref, 0.0,
+            p, run.ergodic_log_mean, run.log_mean_stderr, len(run.samples), ref,
         ))
         steps = np.arange(config.burn_in + 1, config.n_steps + 1)
         files.append(_write_csv(
@@ -453,22 +425,14 @@ def _run_narula(config, out_dir, jobs, emit_gnuplot):
         out_dir / "narula_summary.csv",
         ("P", "capacity_estimate", "std_err", "n_steps"), rows, meta,
     ))
-    if emit_gnuplot:
-        files.extend(_gnuplot_scripts(files[:1]))
     return results, files
 
 
-def _run_extreme_snr(config, out_dir, jobs, emit_gnuplot):
+def _run_extreme_snr(config, out_dir, jobs):
     params = config.channel
     k = params.users_per_cell
-    p_all = tuple(config.low_p) + tuple(config.high_p)
-    rhos = [p / k for p in p_all]
-
-    def worker(rng):
-        spec = eigenvalues(gram(generate_channel(params, rng)))
-        return np.array([spec.shannon_transform(r) for r in rhos])
-
-    replicates = _replicate_map(config, 0, jobs, worker)
+    rhos = [p / k for p in tuple(config.low_p) + tuple(config.high_p)]
+    replicates = _gram_replicates(config, params, 0, jobs, _shannon(rhos))
     mean, _ = _mean_se(replicates)
     n_low = len(config.low_p)
     eb_est, s0_est = fit_low_snr_params(config.low_p[:2], mean[:2])
@@ -484,19 +448,18 @@ def _run_extreme_snr(config, out_dir, jobs, emit_gnuplot):
         ("l_inf", l_inf_est, refs[3]),
         ("l_inf_extrapolated", l_inf_ext, refs[3]),
     ]
-    rows = [(name, est, ref) for name, est, ref in quantities]
     results = [
-        ExperimentResult(name, est, float("nan"), len(replicates), ref, 0.0)
+        ExperimentResult(name, est, float("nan"), len(replicates), ref)
         for name, est, ref in quantities
     ]
     files = [_write_csv(
         out_dir / "extreme_snr.csv", ("quantity", "estimate", "reference"),
-        rows, _meta(config),
+        quantities, _meta(config),
     )]
     return results, files
 
 
-def _run_mp_compare(config, out_dir, jobs, emit_gnuplot):
+def _run_mp_compare(config, out_dir, jobs):
     base = config.channel
     k = base.users_per_cell
     center = _diagonal_gain_spec(base, 0)[1]
@@ -505,18 +468,15 @@ def _run_mp_compare(config, out_dir, jobs, emit_gnuplot):
     for gi, alpha in enumerate(config.alphas):
         params = wyner(base.n_cells, k, alpha, alpha, center, base.power)
         scale = 1.0 / (k * (1.0 + 2.0 * alpha**2))
-
-        def worker(rng, params=params):
-            spec = eigenvalues(gram(generate_channel(params, rng)))
-            return spec.eigenvalues
-
-        replicates = _replicate_map(config, gi, jobs, worker)
+        replicates = _gram_replicates(
+            config, params, gi, jobs, lambda a: eigenvalues(a).eigenvalues
+        )
         pooled = EmpiricalSpectrum(np.concatenate(replicates) * scale)
         ks = pooled.ks_distance(
             lambda x: closed_forms.marchenko_pastur_cdf(x, k, m2)
         )
         rows.append((alpha, k, ks, pooled.n))
-        results.append(ExperimentResult(alpha, ks, float("nan"), len(replicates), float("nan"), 0.0))
+        results.append(ExperimentResult(alpha, ks, float("nan"), len(replicates), float("nan")))
     files = [_write_csv(
         out_dir / "mp_compare.csv", ("alpha", "K", "ks_distance", "n_eigenvalues"),
         rows, _meta(config),
@@ -524,13 +484,13 @@ def _run_mp_compare(config, out_dir, jobs, emit_gnuplot):
     return results, files
 
 
-def _run_power_profile(config, out_dir, jobs, emit_gnuplot):
+def _run_power_profile(config, out_dir, jobs):
     base = config.channel
     rows, results = [], []
     for n in config.n_grid:
         diff = power_profile_sup_diff(base.with_size(n), base.with_size(2 * n))
         rows.append((n, diff))
-        results.append(ExperimentResult(n, diff, 0.0, 1, float("nan"), 0.0))
+        results.append(ExperimentResult(n, diff, 0.0, 1, float("nan")))
     meta = _meta(config)
     files = [_write_csv(
         out_dir / "power_profile.csv", ("N", "sup_cell_diff_to_2N"), rows, meta,
@@ -548,15 +508,16 @@ def _run_power_profile(config, out_dir, jobs, emit_gnuplot):
     return results, files
 
 
+# kind -> (runner, how many of its leading files get a gnuplot script; None = all)
 _RUNNERS = {
-    "spectrum": _run_spectrum,
-    "capacity_vs_P": _run_capacity_vs_p,
-    "capacity_vs_N": _run_capacity_vs_n,
-    "moments": _run_moments,
-    "narula": _run_narula,
-    "extreme_snr": _run_extreme_snr,
-    "mp_compare": _run_mp_compare,
-    "power_profile": _run_power_profile,
+    "spectrum": (_run_spectrum, None),
+    "capacity_vs_P": (_run_capacity_vs_p, None),
+    "capacity_vs_N": (_run_capacity_vs_n, None),
+    "moments": (_run_moments, None),
+    "narula": (_run_narula, 1),
+    "extreme_snr": (_run_extreme_snr, 0),
+    "mp_compare": (_run_mp_compare, 0),
+    "power_profile": (_run_power_profile, 0),
 }
 
 
@@ -706,8 +667,11 @@ def _write_csv(path: Path, columns, rows, meta: dict) -> Path:
 
 
 def _histogram_rows(values: np.ndarray, n_bins: int):
+    # bins start at 0 unless round-off put eigenvalues below it, so every
+    # value lands in a bin and the last cum_fraction is exactly 1
+    lo = min(0.0, float(values.min())) if len(values) else 0.0
     hi = float(values.max()) if len(values) and values.max() > 0 else 1.0
-    counts, edges = np.histogram(values, bins=n_bins, range=(0.0, hi))
+    counts, edges = np.histogram(values, bins=n_bins, range=(lo, hi))
     cum = np.cumsum(counts) / max(len(values), 1)
     return [
         (edges[i], edges[i + 1], int(counts[i]), cum[i])

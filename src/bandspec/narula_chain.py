@@ -5,15 +5,15 @@ factorization form a Markov chain
 
     d_n = 1 + P |a_n|^2 + P |b_n|^2 (1 - P |a_{n-1}|^2 / d_{n-1})
 
-whose state is the pair ``(d, |a|^2)`` of the previous step; carrying the
-previous-row draw explicitly in the state is what keeps the recursion free
-of off-by-one mistakes.  The chain has a unique ergodic stationary law, so
-the running mean of ``log d_n`` estimates the channel's per-symbol rate.
+driven by the current taps and the previous row's ``|a|^2``.  ``_pivots``
+writes the recursion once for the single-chain simulation and the LDL
+cross-check; the ensemble runner advances many chains in lockstep.  The
+chain has a unique ergodic stationary law, so the running mean of
+``log d_n`` estimates the channel's per-symbol rate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,36 +21,24 @@ from .band_matrix import generate_channel, gram, ldl_shifted, wyner
 from .fading import RAYLEIGH
 
 __all__ = [
-    "ChainState",
     "ChainRun",
-    "chain_start",
-    "narula_step",
     "simulate_chain",
     "simulate_chain_ensemble",
     "chain_vs_ldl",
 ]
 
 
-class ChainState(NamedTuple):
-    """Two-slot chain state: current pivot and current ``|a|^2`` draw."""
+def _pivots(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Pivot sequence for per-row tap powers ``pa = P|a|^2``, ``pb = P|b|^2``.
 
-    d: float
-    abs_a_sq: float
-
-
-def chain_start(a: complex, b: complex, power: float) -> ChainState:
-    """Initial pivot ``d_1 = 1 + P |a_1|^2 + P |b_1|^2``."""
-    abs_a_sq = abs(a) ** 2
-    return ChainState(1.0 + power * abs_a_sq + power * abs(b) ** 2, abs_a_sq)
-
-
-def narula_step(state: ChainState, a: complex, b: complex, power: float) -> ChainState:
-    """One chain transition; the correction term uses the previous row's a."""
-    abs_a_sq = abs(a) ** 2
-    d = 1.0 + power * abs_a_sq + power * abs(b) ** 2 * (
-        1.0 - power * state.abs_a_sq / state.d
-    )
-    return ChainState(d, abs_a_sq)
+    ``d_0 = 1 + pa_0 + pb_0`` and ``d_i = 1 + pa_i + pb_i (1 - pa_{i-1} / d_{i-1})``.
+    """
+    d = np.empty(len(pa))
+    d_prev = d[0] = 1.0 + pa[0] + pb[0]
+    for i in range(1, len(pa)):
+        d_prev = 1.0 + pa[i] + pb[i] * (1.0 - pa[i - 1] / d_prev)
+        d[i] = d_prev
+    return d
 
 
 @dataclass(frozen=True)
@@ -88,13 +76,7 @@ def simulate_chain(
         raise ValueError("need 0 <= burn_in < n_steps")
     pa = power * np.abs(RAYLEIGH.sample(rng, n_steps)) ** 2
     pb = power * np.abs(RAYLEIGH.sample(rng, n_steps)) ** 2
-    d = np.empty(n_steps)
-    d[0] = 1.0 + pa[0] + pb[0]
-    d_prev = d[0]
-    for i in range(1, n_steps):
-        d_prev = 1.0 + pa[i] + pb[i] * (1.0 - pa[i - 1] / d_prev)
-        d[i] = d_prev
-    samples = d[burn_in:]
+    samples = _pivots(pa, pb)[burn_in:]
     logs = np.log(samples)
     mean = float(logs.mean())
     stderr = _batch_means_stderr(logs, n_batches)
@@ -159,9 +141,6 @@ def chain_vs_ldl(n: int, power: float, rng: np.random.Generator) -> float:
     channel = generate_channel(params, rng)
     pa = power * np.abs(channel.blocks[0][:, 0]) ** 2
     pb = power * np.abs(channel.blocks[-1][:, 0]) ** 2  # pb[0] == 0 structurally
-    d_rec = np.empty(n)
-    d_rec[0] = 1.0 + pa[0] + pb[0]
-    for i in range(1, n):
-        d_rec[i] = 1.0 + pa[i] + pb[i] * (1.0 - pa[i - 1] / d_rec[i - 1])
+    d_rec = _pivots(pa, pb)
     d_ldl = ldl_shifted(gram(channel), power)
     return float(np.abs(d_ldl - d_rec).max())

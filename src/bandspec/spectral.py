@@ -90,30 +90,27 @@ def trace_moment(a: BandedHermitian, p: int) -> float:
         return a.frobenius_sq() / n
     if p == 3:
         b = a.bandwidth
-        diags = {d: a.diagonal_entries(d) for d in range(-b, b + 1)}
+        # row b + u holds the diagonal g_u[i] = A[i, i + u] padded by b zeros
+        # on both sides, so g_u shifted by s (out[i] = g_u[i + s]) is a slice
+        g = np.zeros((2 * b + 1, n + 2 * b), dtype=complex)
+        g[b, b : b + n] = a.diag
+        for k, arr in enumerate(a.sub, start=1):
+            g[b - k, b + k : b + n] = arr
+            g[b + k, b : b + n - k] = np.conj(arr)
+
+        def shifted(u, s):
+            return g[b + u, b + s : b + s + n]
+
         total = 0.0
         for u in range(-b, b + 1):
-            gu = diags[u]
             for v in range(-b, b + 1):
                 w = -(u + v)
                 if abs(w) > b:
                     continue
-                term = gu * _shift(diags[v], u) * _shift(diags[w], u + v)
+                term = shifted(u, 0) * shifted(v, u) * shifted(w, u + v)
                 total += term.sum().real
         return total / n
     raise ValueError("trace_moment supports p in {1, 2, 3}")
-
-
-def _shift(g: np.ndarray, s: int) -> np.ndarray:
-    """out[i] = g[i + s], zero outside the index range."""
-    if s == 0:
-        return g
-    out = np.zeros_like(g)
-    if s > 0:
-        out[:-s] = g[s:]
-    else:
-        out[-s:] = g[:s]
-    return out
 
 
 def power_profile(

@@ -165,6 +165,18 @@ def test_ldl_rejects_indefinite_input():
         ldl_shifted(a, -1.0)
 
 
+def test_ldl_rejects_non_finite_pivots(rng):
+    a = random_banded(64, 2, rng)
+    psd = BandedHermitian(a.diag + 20.0, a.sub)
+    assert np.isfinite(ldl_shifted(psd, 1.0)).all()
+    poisoned = psd.diag.copy()
+    poisoned[10] = np.nan
+    with pytest.raises(PivotError):
+        ldl_shifted(BandedHermitian(poisoned, psd.sub), 1.0)
+    with pytest.raises(PivotError), np.errstate(invalid="ignore"):
+        ldl_shifted(psd, np.inf)
+
+
 def test_channel_params_validation():
     with pytest.raises(ValueError):
         wyner(2, 1, 0.5, 0.5, RAYLEIGH)  # too small for offsets +-1
@@ -189,3 +201,27 @@ def test_band_dump_round_trip(tmp_path, rng):
     for got, want in zip(loaded.sub, a.sub):
         assert np.array_equal(got, want)
     assert len(raw) == 20 + 16 * (9 + 8 + 7)
+
+
+@pytest.mark.parametrize(
+    "n,bandwidth,cut_bytes",
+    [
+        (8, 0, 16 * 3),  # diagonal short by three values
+        (9, 2, 16 * 1),  # last sub-diagonal short by one value
+        (9, 2, 16 * 9),  # second sub-diagonal missing entirely
+    ],
+)
+def test_band_dump_truncated_body_raises(tmp_path, rng, n, bandwidth, cut_bytes):
+    path = tmp_path / "matrix.bndh"
+    random_banded(n, bandwidth, rng).save(path)
+    path.write_bytes(path.read_bytes()[:-cut_bytes])
+    with pytest.raises(ValueError):
+        BandedHermitian.load(path)
+
+
+def test_band_dump_truncated_header_raises(tmp_path, rng):
+    path = tmp_path / "matrix.bndh"
+    random_banded(4, 1, rng).save(path)
+    path.write_bytes(path.read_bytes()[:12])
+    with pytest.raises(ValueError):
+        BandedHermitian.load(path)

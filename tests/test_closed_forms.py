@@ -5,7 +5,6 @@ from scipy.integrate import quad
 
 from bandspec import (
     DETERMINISTIC,
-    ExtremeSnrParams,
     RAYLEIGH,
     UNIFORM_PHASE,
     exp_integral,
@@ -254,11 +253,3 @@ class TestMarchenkoPastur:
         assert np.all(np.diff(f) >= -1e-12)
         assert f.min() == 0.0 and f.max() == 1.0
 
-
-def test_extreme_snr_params_validation():
-    p = ExtremeSnrParams(np.log(2.0), 2.0, 1.0, 0.0)
-    assert p.s_inf == 1.0
-    with pytest.raises(ValueError):
-        ExtremeSnrParams(-1.0, 2.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        ExtremeSnrParams(1.0, 0.0, 1.0, 0.0)

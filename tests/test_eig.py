@@ -5,13 +5,9 @@ from bandspec import (
     BandedHermitian,
     DETERMINISTIC,
     RAYLEIGH,
-    RealTridiagonal,
     eigenvalues,
     generate_channel,
     gram,
-    reduce_to_tridiagonal,
-    sturm_count,
-    tridiag_eigenvalues,
     wyner,
 )
 
@@ -23,81 +19,33 @@ def toeplitz_tridiag_eigs(n, alpha):
     return np.sort(1 + 2 * alpha * np.cos(k * np.pi / (n + 1)))
 
 
-def test_reduce_tridiagonal_input_unchanged(rng):
-    a = random_banded(10, 1, rng)
-    t = reduce_to_tridiagonal(a)
-    assert np.allclose(t.diag, a.diag)
-    assert np.allclose(t.offdiag, np.abs(a.sub[0]))
-    assert np.all(t.offdiag >= 0)
-
-
-def test_reduce_diagonal_input(rng):
-    a = BandedHermitian(rng.standard_normal(6), ())
-    t = reduce_to_tridiagonal(a)
-    assert np.array_equal(t.diag, a.diag)
-    assert np.all(t.offdiag == 0)
-
-
-@pytest.mark.parametrize("bandwidth", [2, 3, 4])
-def test_reduction_preserves_spectrum_small(bandwidth, rng):
-    a = random_banded(12, bandwidth, rng)
-    t = reduce_to_tridiagonal(a)
-    got = tridiag_eigenvalues(t)
-    want = dense_eigenvalues(a)
-    assert np.abs(got - want).max() < 1e-10
-    # similarity preserves trace and Frobenius norm
-    assert t.diag.sum() == pytest.approx(a.trace(), rel=1e-12)
-    frob_t = np.sum(t.diag**2) + 2 * np.sum(t.offdiag**2)
-    assert frob_t == pytest.approx(a.frobenius_sq(), rel=1e-12)
-
-
-def test_reduction_at_scale_matches_closed_form():
-    # pentadiagonal Gram of the deterministic symmetric channel: exact spectrum
-    alpha = 0.4
-    params = wyner(512, 1, alpha, alpha, DETERMINISTIC)
-    a = gram(generate_channel(params, np.random.default_rng(0)))
-    got = tridiag_eigenvalues(reduce_to_tridiagonal(a))
-    want = np.sort(toeplitz_tridiag_eigs(512, alpha) ** 2)
-    assert np.abs(got - want).max() < 1e-9
-
-
 def test_tridiag_single_entry():
-    t = RealTridiagonal(np.array([4.2]), np.zeros(0))
-    assert tridiag_eigenvalues(t) == pytest.approx([4.2])
+    a = BandedHermitian(np.array([4.2]), ())
+    assert eigenvalues(a).eigenvalues == pytest.approx([4.2])
 
 
 def test_tridiag_two_by_two_quadratic():
     a, c, b = 1.3, -0.4, 0.9
-    t = RealTridiagonal(np.array([a, c]), np.array([b]))
+    t = BandedHermitian(np.array([a, c]), (np.array([b * np.exp(0.7j)]),))
     disc = np.sqrt((a - c) ** 2 + 4 * b**2)
     want = np.sort([(a + c - disc) / 2, (a + c + disc) / 2])
-    assert np.allclose(tridiag_eigenvalues(t), want, atol=1e-14)
+    assert np.allclose(eigenvalues(t).eigenvalues, want, atol=1e-14)
 
 
 def test_tridiag_toeplitz_closed_form():
     n, alpha = 512, 0.37
-    t = RealTridiagonal(np.ones(n), np.full(n - 1, alpha))
-    got = tridiag_eigenvalues(t)
+    t = BandedHermitian(np.ones(n), (np.full(n - 1, alpha, dtype=complex),))
+    got = eigenvalues(t).eigenvalues
     assert np.abs(got - toeplitz_tridiag_eigs(n, alpha)).max() < 1e-12
 
 
-@pytest.mark.parametrize("method", ["givens", "lapack"])
 @pytest.mark.parametrize("alpha", [0.3, 0.9])
-def test_full_pipeline_deterministic_wyner(method, alpha):
+def test_full_pipeline_deterministic_wyner(alpha):
     params = wyner(512, 1, alpha, alpha, DETERMINISTIC)
     a = gram(generate_channel(params, np.random.default_rng(0)))
-    got = eigenvalues(a, method=method).eigenvalues
+    got = eigenvalues(a).eigenvalues
     want = np.sort(toeplitz_tridiag_eigs(512, alpha) ** 2)
     assert np.abs(got - want).max() < 1e-9
-
-
-def test_methods_agree_on_random_instances(rng):
-    for bandwidth in (2, 3):
-        a = random_banded(40, bandwidth, rng)
-        via_givens = eigenvalues(a, method="givens").eigenvalues
-        via_lapack = eigenvalues(a, method="lapack").eigenvalues
-        scale = max(np.abs(via_lapack).max(), 1.0)
-        assert np.abs(via_givens - via_lapack).max() < 1e-10 * scale
 
 
 def test_diagonal_matrix_eigenvalues(rng):
@@ -115,30 +63,15 @@ def test_conservation_laws(rng):
 
 
 def test_dense_oracle_equivalence_small(rng):
-    for n in (1, 2, 3, 5, 8, 16):
-        bandwidth = min(n - 1, 3)
-        a = random_banded(n, bandwidth, rng)
-        want = dense_eigenvalues(a)
-        for method in ("givens", "lapack"):
-            got = eigenvalues(a, method=method).eigenvalues
-            assert np.abs(got - want).max() < 1e-10
+    # every bandwidth the band solver sees: diagonal, tridiagonal and wider
+    for n in range(1, 17):
+        for bandwidth in range(min(n - 1, 3) + 1):
+            a = random_banded(n, bandwidth, rng)
+            got = eigenvalues(a).eigenvalues
+            assert np.abs(got - dense_eigenvalues(a)).max() < 1e-10
 
 
 def test_gram_eigenvalues_nonnegative(rng):
     params = wyner(100, 2, 0.9, 0.7, RAYLEIGH)
     a = gram(generate_channel(params, rng))
     assert eigenvalues(a).eigenvalues.min() > -1e-10
-
-
-@pytest.mark.parametrize("n,bandwidth", [(50, 2), (37, 1), (64, 3)])
-def test_sturm_count_matches_eigenvalue_ranks(n, bandwidth, rng):
-    a = random_banded(n, bandwidth, rng)
-    t = reduce_to_tridiagonal(a)
-    lam = tridiag_eigenvalues(t)
-    lo, hi = lam.min() - 1, lam.max() + 1
-    probes = rng.uniform(lo, hi, 100)
-    counts = sturm_count(t, probes)
-    expected = np.searchsorted(lam, probes, side="left")
-    assert np.array_equal(counts, expected)
-    assert sturm_count(t, lo) == 0
-    assert sturm_count(t, hi) == n

@@ -115,6 +115,35 @@ def test_tag_round_trip():
         parse_spec_tag("rician:nu=0.8")
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["deterministic", "rayleigh", "uniform-phase", "rician"]),
+    nu_re=finite,
+    nu_im=finite,
+    s2=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+def test_tag_round_trip_is_lossless(kind, nu_re, nu_im, s2):
+    if kind == "rician":
+        if nu_re == nu_im == s2 == 0:
+            s2 = 1.0
+        spec = rician(complex(nu_re, nu_im), s2)
+    else:
+        spec = FadingSpec(kind)
+    assert parse_spec_tag(spec.tag) == spec
+
+
+def test_tag_keeps_phase_and_digits():
+    assert rician(0.3 + 0.4j, 0.5).tag != rician(0.3, 0.5).tag
+    assert rician(0.3 - 0.4j, 0.5).tag == "rician:nu=0.3-0.4j,s2=0.5"
+    assert rician(0.123456789, 0.5).tag == "rician:nu=0.123456789,s2=0.5"
+    # short decimals keep their historical tags
+    assert rician(0.8, 0.36).tag == "rician:nu=0.8,s2=0.36"
+    assert rician(2.0, 1.0).tag == "rician:nu=2,s2=1"
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         FadingSpec("lognormal")

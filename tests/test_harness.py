@@ -86,6 +86,17 @@ class TestConfig:
         assert sugar.channel == explicit.channel
         assert sugar.sha256() == explicit.sha256()
 
+    def test_hash_distinguishes_rician_phase(self, tmp_path):
+        def rician_config(nu):
+            return ExperimentConfig.from_dict(spectrum_config(
+                tmp_path,
+                channel={"n_cells": 32, "alpha": 0.5, "fading": f"rician:nu={nu},s2=0.5"},
+            ))
+
+        with_phase = rician_config("0.3+0.4j")
+        assert with_phase.sha256() != rician_config("0.3").sha256()
+        assert ExperimentConfig.from_dict(with_phase.to_dict()).sha256() == with_phase.sha256()
+
     @pytest.mark.parametrize(
         "patch",
         [
@@ -265,6 +276,14 @@ class TestRunExperiment:
         })
         output = run_experiment(config)
         assert all(r.estimate >= 0.5 for r in output.results)
+
+    def test_histogram_bins_hold_negative_roundoff(self):
+        rows = harness._histogram_rows(np.array([-1e-17, 0.5, 1.0]), 4)
+        assert rows[0][0] == -1e-17
+        assert sum(count for _, _, count, _ in rows) == 3
+        assert rows[-1][3] == 1.0
+        # nonnegative spectra keep bins anchored at zero
+        assert harness._histogram_rows(np.array([0.5, 1.0]), 4)[0][0] == 0.0
 
     def test_all_replicates_failing_raises(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from bandspec import (
-    ChainState,
-    chain_start,
     chain_vs_ldl,
     narula_capacity,
     narula_stationary_cdf,
-    narula_step,
     simulate_chain,
     simulate_chain_ensemble,
 )
+from bandspec.narula_chain import _pivots
 from bandspec.spectral import EmpiricalSpectrum
 
 
@@ -20,26 +18,23 @@ def fixed_point(power):
 
 
 def test_step_degenerate_cases():
-    state = ChainState(2.0, 1.0)
-    assert narula_step(state, 1.0, 1.0, 0.0).d == 1.0
-    assert narula_step(state, 2.0, 0.0, 3.0).d == pytest.approx(1 + 3 * 4)
+    # zero power pins every pivot at 1; a zero b tap forgets the history
+    assert np.array_equal(_pivots(np.zeros(3), np.zeros(3)), np.ones(3))
+    assert _pivots(np.array([3.0, 3.0 * 4]), np.array([5.0, 0.0]))[1] == 1 + 3 * 4
 
 
 def test_step_worked_example():
     # d_prev=2, |a_prev|=1, |b|=1, |a|=1, P=1 -> 1 + 1 + (1 - 1/2)
-    state = ChainState(2.0, 1.0)
-    new = narula_step(state, 1.0, 1.0, 1.0)
-    assert new.d == pytest.approx(2.5)
-    assert new.abs_a_sq == 1.0
+    d = _pivots(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
+    assert d[0] == 2.0
+    assert d[1] == pytest.approx(2.5)
 
 
 @pytest.mark.parametrize("power", [0.5, 1.0, 10.0])
 def test_deterministic_taps_reach_fixed_point(power):
-    state = chain_start(1.0, 1.0, power)
-    for _ in range(1000):
-        state = narula_step(state, 1.0, 1.0, power)
+    d = _pivots(np.full(1001, power), np.full(1001, power))
     want = fixed_point(power)
-    assert abs(np.log(state.d) - np.log(want)) < 1e-9
+    assert abs(np.log(d[-1]) - np.log(want)) < 1e-9
 
 
 def test_chain_samples_respect_bounds(rng):
