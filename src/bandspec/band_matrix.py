@@ -295,9 +295,10 @@ def ldl_shifted(a: BandedHermitian, rho: float) -> np.ndarray:
     O(n * bandwidth^2) time via a banded Cholesky factorization; a pivot
     that is not finite or lies below ``PIVOT_FLOOR`` (analytically they are
     all >= 1 for PSD ``A`` and ``rho >= 0``) raises :class:`PivotError`.
+    A negative or non-finite ``rho`` raises ``ValueError``.
     """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not (np.isfinite(rho) and rho >= 0):
+        raise ValueError("rho must be finite and nonnegative")
     ab = a.lower_band() * rho
     ab[0] += 1.0
     try:

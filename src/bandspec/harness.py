@@ -4,11 +4,13 @@ Reruns are byte-reproducible: replicate ``r`` always draws from a Philox
 stream keyed by ``(master seed, index)``, results are reduced in replicate
 order regardless of completion order, floats are printed with a fixed
 17-significant-digit format, and every output file carries the config hash
-and master seed in comment lines.
+and master seed in comment lines.  CSV rows are streamed in fixed-size
+blocks, each formatted with one ``%`` format built from its column types.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -157,6 +159,10 @@ class ExperimentConfig:
                            ("low_p", self.low_p), ("high_p", self.high_p)):
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
+        for name, powers in (("p_grid", self.p_grid), ("low_p", self.low_p),
+                             ("high_p", self.high_p)):
+            if not all(math.isfinite(p) and p >= 0 for p in powers):
+                raise ConfigError(f"{name} must hold finite nonnegative powers")
         needs_channel = self.kind != "narula"
         if needs_channel and self.channel is None:
             raise ConfigError(f"{self.kind} experiment needs a channel section")
@@ -648,12 +654,28 @@ def _meta(config: ExperimentConfig) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+# rows formatted and written per block: one write per block, and memory that
+# stays flat however many rows a file has
+_BLOCK_ROWS = 1024
+
+
+def _spec(t: type) -> str:
+    """``%`` spec for values of type ``t``: integers in full, floats to 17
+    significant digits, anything else as ``str``."""
+    if issubclass(t, (int, np.integer)):
+        return "%d"
+    if issubclass(t, (float, np.floating)):
+        return "%.17g"
+    return "%s"
+
+
+def _format_block(block: list) -> str:
+    specs = [{_spec(t) for t in set(map(type, column))} for column in zip(*block)]
+    if all(len(column) == 1 for column in specs):
+        fmt = ",".join(spec for (spec,) in specs) + "\n"
+        return "".join([fmt % tuple(row) for row in block])
+    # some column mixes kinds of value (say an int and a float): one spec per value
+    return "".join(",".join(_spec(type(v)) % (v,) for v in row) + "\n" for row in block)
 
 
 def _write_csv(path: Path, columns, rows, meta: dict) -> Path:
@@ -661,8 +683,9 @@ def _write_csv(path: Path, columns, rows, meta: dict) -> Path:
         for key, value in meta.items():
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        rows = iter(rows)
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            fh.write(_format_block(block))
     return path
 
 

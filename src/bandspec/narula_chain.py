@@ -5,19 +5,22 @@ factorization form a Markov chain
 
     d_n = 1 + P |a_n|^2 + P |b_n|^2 (1 - P |a_{n-1}|^2 / d_{n-1})
 
-driven by the current taps and the previous row's ``|a|^2``.  ``_pivots``
-writes the recursion once for the single-chain simulation and the LDL
-cross-check; the ensemble runner advances many chains in lockstep.  The
-chain has a unique ergodic stationary law, so the running mean of
-``log d_n`` estimates the channel's per-symbol rate.
+driven by the current taps and the previous row's ``|a|^2``.  These are the
+LDL^T pivots of the real SPD tridiagonal with diagonal ``1 + pa_i + pb_i`` and
+off-diagonal ``sqrt(pb_i pa_{i-1})`` (``pa = P|a|^2``, ``pb = P|b|^2``), so
+``_pivots`` is one LAPACK ``dpttrf`` call, shared by the single-chain
+simulation and the LDL cross-check; the ensemble runner advances many chains
+in lockstep.  The chain has a unique ergodic stationary law, so the running
+mean of ``log d_n`` estimates the channel's per-symbol rate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf
 
-from .band_matrix import generate_channel, gram, ldl_shifted, wyner
+from .band_matrix import PivotError, generate_channel, gram, ldl_shifted, wyner
 from .fading import RAYLEIGH
 
 __all__ = [
@@ -31,13 +34,20 @@ __all__ = [
 def _pivots(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Pivot sequence for per-row tap powers ``pa = P|a|^2``, ``pb = P|b|^2``.
 
-    ``d_0 = 1 + pa_0 + pb_0`` and ``d_i = 1 + pa_i + pb_i (1 - pa_{i-1} / d_{i-1})``.
+    ``d_0 = 1 + pa_0 + pb_0`` and ``d_i = 1 + pa_i + pb_i (1 - pa_{i-1} / d_{i-1})``:
+    the LDL^T pivots of the SPD tridiagonal with diagonal ``1 + pa + pb`` and
+    off-diagonal ``sqrt(pb_i pa_{i-1})``, factorized by LAPACK ``dpttrf``.
+    Raises :class:`PivotError` if a pivot is non-finite or not positive.
     """
-    d = np.empty(len(pa))
-    d_prev = d[0] = 1.0 + pa[0] + pb[0]
-    for i in range(1, len(pa)):
-        d_prev = 1.0 + pa[i] + pb[i] * (1.0 - pa[i - 1] / d_prev)
-        d[i] = d_prev
+    n = len(pa)
+    d = 1.0 + pa + pb
+    # the wrapper wants a nonempty e even for n = 1, where LAPACK never reads it
+    e = np.zeros(max(n - 1, 1))
+    np.multiply(pb[1:], pa[:-1], out=e[:n - 1])
+    np.sqrt(e, out=e)
+    d, _, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
+    if info != 0 or not np.isfinite(d).all():
+        raise PivotError(f"pivot chain broke down (dpttrf info={info})")
     return d
 
 
@@ -74,6 +84,7 @@ def simulate_chain(
     """
     if not 0 <= burn_in < n_steps:
         raise ValueError("need 0 <= burn_in < n_steps")
+    _check_power(power)
     pa = power * np.abs(RAYLEIGH.sample(rng, n_steps)) ** 2
     pb = power * np.abs(RAYLEIGH.sample(rng, n_steps)) ** 2
     samples = _pivots(pa, pb)[burn_in:]
@@ -81,6 +92,11 @@ def simulate_chain(
     mean = float(logs.mean())
     stderr = _batch_means_stderr(logs, n_batches)
     return ChainRun(power, n_steps, burn_in, samples, mean, stderr)
+
+
+def _check_power(power: float) -> None:
+    if not (np.isfinite(power) and power >= 0):
+        raise ValueError("power must be finite and nonnegative")
 
 
 def _batch_means_stderr(values: np.ndarray, n_batches: int) -> float:
@@ -107,6 +123,7 @@ def simulate_chain_ensemble(
     """
     if not 0 <= burn_in < n_steps:
         raise ValueError("need 0 <= burn_in < n_steps")
+    _check_power(power)
     d = np.empty(n_chains)
     pa_prev = np.empty(n_chains)
     sums = np.zeros(n_chains)

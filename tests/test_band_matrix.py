@@ -173,8 +173,9 @@ def test_ldl_rejects_non_finite_pivots(rng):
     poisoned[10] = np.nan
     with pytest.raises(PivotError):
         ldl_shifted(BandedHermitian(poisoned, psd.sub), 1.0)
-    with pytest.raises(PivotError), np.errstate(invalid="ignore"):
-        ldl_shifted(psd, np.inf)
+    for rho in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ldl_shifted(psd, rho)
 
 
 def test_channel_params_validation():

@@ -115,6 +115,68 @@ class TestConfig:
             ExperimentConfig.from_dict(data)
 
 
+    @pytest.mark.parametrize("field", ["p_grid", "low_p", "high_p"])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_bad_powers_rejected(self, tmp_path, field, bad):
+        data = spectrum_config(tmp_path, kind="extreme_snr")
+        data[field] = [bad, 1e7]
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_chain_power_exits_2(self, tmp_path, capsys, bad):
+        # NaN and inf used to run through to a nan capacity_estimate
+        path = tmp_path / "narula.json"
+        out = tmp_path / "out"
+        path.write_text(json.dumps({"kind": "narula", "p_grid": [bad], "n_steps": 200,
+                                    "burn_in": 10, "out_dir": str(out)}))
+        assert main(["narula", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCsvWriter:
+    """``_write_csv`` writes the bytes of the per-value rule below."""
+
+    @staticmethod
+    def expected(columns, rows, meta):
+        def fmt(value):
+            if isinstance(value, (int, np.integer)):
+                return str(int(value))
+            if isinstance(value, (float, np.floating)):
+                return format(float(value), ".17g")
+            return str(value)
+
+        lines = [f"# {k}={v}\n" for k, v in meta.items()] + [",".join(columns) + "\n"]
+        lines += [",".join(fmt(v) for v in row) + "\n" for row in rows]
+        return "".join(lines)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 1024, 1025, 3000])
+    def test_bytes_match_per_value_rule(self, tmp_path, n_rows):
+        floats = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 0.1,
+                  np.float32(0.1), np.float64(-2.5)]
+        ints = [np.int64(-7), True, 2**63 + 5, 0, np.uint64(2**64 - 1)]
+        normals = np.random.default_rng(n_rows).standard_normal(n_rows)
+        rows = [
+            (i, floats[i % len(floats)], normals[i], ints[i % len(ints)], f"q{i}")
+            for i in range(n_rows)
+        ]
+        columns = ("i", "odd_float", "normal", "odd_int", "label")
+        meta = {"experiment": "writer", "master_seed": 1}
+        path = harness._write_csv(tmp_path / "t.csv", columns, iter(rows), meta)
+        assert path.read_text() == self.expected(columns, rows, meta)
+
+    @pytest.mark.parametrize("where", [0, 1023, 1024, 2999])
+    def test_mixed_int_and_float_column(self, tmp_path, where):
+        # a float among ints must never go through %d
+        column = [3] * 3000
+        column[where] = 2.5
+        rows = [(v, np.int64(i)) for i, v in enumerate(column)]
+        path = harness._write_csv(tmp_path / "m.csv", ("v", "i"), rows, {})
+        assert path.read_text().splitlines()[1 + where] == f"2.5,{where}"
+        assert path.read_text() == self.expected(("v", "i"), rows, {})
+
+
 class TestFits:
     def test_low_snr_fit_recovers_awgn(self):
         p = np.array([1e-3, 2e-3])

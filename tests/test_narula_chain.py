@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from bandspec import (
+    PivotError,
+    RAYLEIGH,
     chain_vs_ldl,
     narula_capacity,
     narula_stationary_cdf,
@@ -10,6 +12,16 @@ from bandspec import (
 )
 from bandspec.narula_chain import _pivots
 from bandspec.spectral import EmpiricalSpectrum
+
+
+def loop_pivots(pa, pb):
+    # the recursion written out step by step: the oracle for the dpttrf path
+    d = np.empty(len(pa))
+    d_prev = d[0] = 1.0 + pa[0] + pb[0]
+    for i in range(1, len(pa)):
+        d_prev = 1.0 + pa[i] + pb[i] * (1.0 - pa[i - 1] / d_prev)
+        d[i] = d_prev
+    return d
 
 
 def fixed_point(power):
@@ -35,6 +47,35 @@ def test_deterministic_taps_reach_fixed_point(power):
     d = _pivots(np.full(1001, power), np.full(1001, power))
     want = fixed_point(power)
     assert abs(np.log(d[-1]) - np.log(want)) < 1e-9
+
+
+@pytest.mark.parametrize("power", [1.0, 10.0, 100.0, 1e4])
+def test_pivots_match_loop_oracle(power):
+    rng = np.random.default_rng(int(power))
+    pa = power * np.abs(RAYLEIGH.sample(rng, 10**5)) ** 2
+    pb = power * np.abs(RAYLEIGH.sample(rng, 10**5)) ** 2
+    want = loop_pivots(pa, pb)
+    got = _pivots(pa, pb)
+    assert np.max(np.abs(got - want) / want) <= 1e-11
+    assert abs(np.log(got).mean() - np.log(want).mean()) <= 1e-13
+    assert got.min() >= 1.0
+
+
+def test_pivots_single_step():
+    assert np.array_equal(_pivots(np.array([2.0]), np.array([0.5])), [3.5])
+
+
+def test_pivots_reject_non_finite_taps():
+    with pytest.raises(PivotError):
+        _pivots(np.array([1.0, np.inf, 1.0]), np.ones(3))
+
+
+@pytest.mark.parametrize("power", [-1.0, np.nan, np.inf])
+def test_bad_power_rejected(power):
+    with pytest.raises(ValueError):
+        simulate_chain(power, 100, 10, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        simulate_chain_ensemble(power, 4, 100, 10, np.random.default_rng(0))
 
 
 def test_chain_samples_respect_bounds(rng):
