@@ -125,7 +125,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_bad_chain_power_exits_2(self, tmp_path, capsys, bad):
-        # NaN and inf used to run through to a nan capacity_estimate
+        # unchecked, NaN and inf would run through to a nan capacity_estimate
         path = tmp_path / "narula.json"
         out = tmp_path / "out"
         path.write_text(json.dumps({"kind": "narula", "p_grid": [bad], "n_steps": 200,
