@@ -22,7 +22,6 @@ from .closed_forms import (
     exp_integral,
     high_snr_params,
     limiting_moments,
-    log2_amplitude_mean,
     low_snr_params,
     marchenko_pastur_cdf,
     marchenko_pastur_pdf,

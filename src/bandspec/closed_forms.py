@@ -3,14 +3,16 @@
 Capacity integrals are evaluated with adaptive Gauss-Kronrod quadrature
 (absolute tolerance 1e-10, subdivision cap 10^4); semi-infinite integrals
 are transformed to a unit exponential scale first.  The exponential integral
-E1 is implemented directly (series below 1, continued fraction above) in an
-underflow-proof scaled form, since the stationary-density normalizations
-need ``exp(x) * E1(x)`` at arguments where E1 itself underflows.
+E1 comes from :func:`scipy.special.exp1`, with an underflow-proof scaled form
+``exp(x) * E1(x)`` for the stationary-density normalizations, which need it
+at arguments where E1 itself underflows.  Everything else is an exact
+formula: nothing here draws random numbers.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from .fading import FadingSpec
 
@@ -24,12 +26,10 @@ __all__ = [
     "narula_capacity",
     "low_snr_params",
     "high_snr_params",
-    "log2_amplitude_mean",
     "marchenko_pastur_pdf",
     "marchenko_pastur_cdf",
 ]
 
-_EULER_GAMMA = float(np.euler_gamma)
 _QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-12, limit=10_000)
 
 
@@ -105,71 +105,41 @@ def limiting_moments(m2: float, m4: float, m6: float, alpha: float):
 # exponential integral E1
 # ---------------------------------------------------------------------------
 
+# past x = 50 the first 20 terms of the asymptotic series of exp(x) E1(x)
+# are exact to rounding, and below it exp(x) cannot overflow
+_E1_ASYMPTOTIC_FROM = 50.0
+_E1_ASYMPTOTIC_TERMS = 20
+
+
 def exp_integral(x):
     """Exponential integral ``E1(x) = int_x^inf exp(-t)/t dt`` for x > 0.
 
-    Power series for x <= 1, modified-Lentz continued fraction above, both
-    to about 1e-13 relative accuracy.  Accepts scalars or arrays.
+    Validated wrapper over :func:`scipy.special.exp1`.  Accepts scalars or
+    arrays; a scalar argument gives a float.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.asarray(x, dtype=float)
     if xs.size and xs.min() <= 0:
         raise ValueError("exp_integral requires x > 0")
-    out = np.empty_like(xs)
-    small = xs <= 1.0
-    if small.any():
-        out[small] = _e1_series(xs[small])
-    if (~small).any():
-        big = xs[~small]
-        out[~small] = np.exp(-big) * _e1_cf_scaled(big)
-    if np.isscalar(x):
-        return float(out[0])
-    return out
+    out = exp1(xs)
+    return float(out) if np.isscalar(x) else out
 
 
-def _e1_series(x: np.ndarray) -> np.ndarray:
-    # E1(x) = -gamma - ln x - sum_{k>=1} (-x)^k / (k k!)
-    total = np.zeros_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 40):
-        term *= -x / k
-        contrib = term / k
-        total += contrib
-        if np.max(np.abs(contrib)) < 1e-18:
-            break
-    return -_EULER_GAMMA - np.log(x) - total
+def _e1_scaled(x):
+    """``exp(x) * E1(x)``, stable for arbitrarily large x.
 
-
-def _e1_cf_scaled(x: np.ndarray) -> np.ndarray:
-    # exp(x) * E1(x) = 1 / ((x+1) - 1^2/((x+3) - 2^2/((x+5) - ...)))
-    tiny = 1e-300
-    f = x + 1.0
-    c = f.copy()
-    d = np.zeros_like(x)
-    for k in range(1, 500):
-        a = -float(k * k)
-        b = x + 2.0 * k + 1.0
-        d = b + a * d
-        d[d == 0] = tiny
-        d = 1.0 / d
-        c = b + a / c
-        c[c == 0] = tiny
-        delta = c * d
-        f *= delta
-        if np.max(np.abs(delta - 1.0)) < 1e-15:
-            break
-    return 1.0 / f
-
-
-def _e1_scaled(x) -> np.ndarray:
-    """``exp(x) * E1(x)``, stable for arbitrarily large x."""
+    ``exp(x) * exp1(x)`` up to x = 50; above, the asymptotic series
+    ``sum_k (-1)^k k! / x^(k+1)``, summed by Horner's rule.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(xs)
-    small = xs <= 1.0
-    if small.any():
-        out[small] = np.exp(xs[small]) * _e1_series(xs[small])
-    if (~small).any():
-        out[~small] = _e1_cf_scaled(xs[~small])
-    return out if not np.isscalar(x) else float(out[0])
+    small = xs <= _E1_ASYMPTOTIC_FROM
+    out[small] = np.exp(xs[small]) * exp1(xs[small])
+    inv = 1.0 / xs[~small]
+    series = np.ones_like(inv)
+    for k in range(_E1_ASYMPTOTIC_TERMS - 1, 0, -1):
+        series = 1.0 - k * inv * series
+    out[~small] = inv * series
+    return float(out[0]) if np.isscalar(x) else out
 
 
 # ---------------------------------------------------------------------------
@@ -252,41 +222,14 @@ def low_snr_params(k: int, alpha: float, m2: float, m4: float):
     return float(eb_n0_min), float(s0)
 
 
-def log2_amplitude_mean(spec: FadingSpec, rng=None, n_samples: int = 10_000_000):
-    """``E[log2 |h|]`` with its standard error.
-
-    Analytic for the laws whose value is known in closed form (then the
-    standard error is zero); otherwise a seeded Monte Carlo mean over
-    ``n_samples`` draws.
-    """
-    analytic = spec.log2_amplitude_mean()
-    if analytic is not None:
-        return float(analytic), 0.0
-    if rng is None:
-        rng = np.random.default_rng(0x5EED)
-    total = 0.0
-    total_sq = 0.0
-    remaining = n_samples
-    while remaining > 0:
-        chunk = min(remaining, 1_000_000)
-        vals = np.log2(np.abs(spec.sample(rng, chunk)))
-        total += vals.sum()
-        total_sq += (vals**2).sum()
-        remaining -= chunk
-    mean = total / n_samples
-    var = total_sq / n_samples - mean**2
-    return float(mean), float(np.sqrt(var / n_samples))
-
-
-def high_snr_params(pi_a: FadingSpec, pi_b: FadingSpec, rng=None):
+def high_snr_params(pi_a: FadingSpec, pi_b: FadingSpec):
     """High-SNR pair (slope, power offset) for the two-diagonal channel.
 
     The slope is 1 bit per 3 dB; the offset is
     ``-2 max(E log2|a|, E log2|b|)`` in 3-dB units.
     """
-    va, _ = log2_amplitude_mean(pi_a, rng)
-    vb, _ = log2_amplitude_mean(pi_b, rng)
-    return 1.0, float(-2.0 * max(va, vb))
+    top = max(pi_a.log2_amplitude_mean(), pi_b.log2_amplitude_mean())
+    return 1.0, float(-2.0 * top)
 
 
 # ---------------------------------------------------------------------------
@@ -317,28 +260,34 @@ def marchenko_pastur_pdf(x, k: int, sigma2: float = 1.0):
 
 
 def marchenko_pastur_cdf(x, k: int, sigma2: float = 1.0):
-    """Marchenko-Pastur CDF, by adaptive quadrature of the density under the
-    trigonometric substitution that removes both edge singularities."""
+    """Marchenko-Pastur CDF in closed form.
+
+    With ``y = 1/k``, ``lo = x - a``, ``hi = b - x`` and ``s = sqrt(hi lo)``,
+    for ``a < x < b``
+
+        F = [pi y + s / sigma2 - (1 + y) atan2(hi - lo, 2 s)
+             + (1 - y) atan2(a hi - b lo, 2 sigma2 (1 - y) s)] / (2 pi y),
+
+    0 at or below ``a`` and 1 at or above ``b``.  No term divides, so the
+    formula is finite at both edges and at k = 1, where the last term is 0.
+    """
     if k < 1 or sigma2 <= 0:
         raise ValueError("k must be >= 1 and sigma2 > 0")
     y, a, b = _mp_edges(k, sigma2)
-    span = b - a
-
-    def integrand(phi):
-        s, c = np.sin(phi), np.cos(phi)
-        xv = a + span * s * s
-        return 2.0 * (span * s * c) ** 2 / (2 * np.pi * sigma2 * y * xv)
-
-    def scalar_cdf(xi: float) -> float:
-        if xi <= a:
-            return 0.0
-        if xi >= b:
-            return 1.0
-        phi = np.arcsin(np.sqrt((xi - a) / span))
-        val, _ = quad(integrand, 0.0, phi, **_QUAD_OPTS)
-        return min(val, 1.0)
-
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = (xs >= b).astype(float)
+    inside = (xs > a) & (xs < b)
+    lo = xs[inside] - a
+    hi = b - xs[inside]
+    s = np.sqrt(hi * lo)
+    f = (
+        np.pi * y
+        + s / sigma2
+        - (1.0 + y) * np.arctan2(hi - lo, 2.0 * s)
+        + (1.0 - y) * np.arctan2(a * hi - b * lo, 2.0 * sigma2 * (1.0 - y) * s)
+    ) / (2.0 * np.pi * y)
+    # rounding can step past 0 or 1 by an ulp next to an edge
+    out[inside] = np.clip(f, 0.0, 1.0)
     if np.isscalar(x):
-        return scalar_cdf(float(x))
-    xs = np.asarray(x, dtype=float)
-    return np.array([scalar_cdf(float(v)) for v in xs.ravel()]).reshape(xs.shape)
+        return float(out[0])
+    return out.reshape(np.shape(x))

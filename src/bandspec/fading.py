@@ -1,10 +1,10 @@
 """Fading coefficient laws with exact amplitude-moment metadata.
 
 Every analytic baseline in :mod:`bandspec.closed_forms` is a function of a
-few amplitude power moments ``m_i = E|h|^i``, the complex mean ``E[h]``, and
-the kurtosis ``m_4 / m_2^2`` of an individual fading coefficient.  These are
-therefore carried as exact closed forms alongside the sampler, never
-estimated from draws.
+few amplitude power moments ``m_i = E|h|^i``, the complex mean ``E[h]``, the
+kurtosis ``m_4 / m_2^2`` and the log-amplitude mean ``E log2|h|`` of an
+individual fading coefficient.  These are therefore carried as exact closed
+forms alongside the sampler, never estimated from draws.
 
 All laws are normalized to a known second amplitude moment; for the complex
 Gaussian ("rayleigh") law that normalization is ``E|h|^2 = 1``.
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn, hyp1f1
+from scipy.special import exp1, gamma as _gamma_fn, hyp1f1
 
 __all__ = [
     "FadingSpec",
@@ -131,18 +131,26 @@ class FadingSpec:
         m4 = self.amplitude_moment(4)
         return m4 / m2**2
 
-    def log2_amplitude_mean(self):
-        """``E[log2 |h|]`` when known analytically, else None.
+    def log2_amplitude_mean(self) -> float:
+        """``E[log2 |h|]`` in closed form, for every law.
 
-        The Monte Carlo fallback for laws without a closed form lives in
-        :func:`bandspec.closed_forms.log2_amplitude_mean`.
+        For Rician ``h = nu + CN(0, s2)``,
+        ``E ln|h|^2 = ln s2 + ln lam + E1(lam)`` with ``lam = |nu|^2 / s2``
+        (Lapidoth & Moser, IEEE Trans. IT 2003); ``ln lam + E1(lam)`` tends
+        to ``-euler_gamma`` as ``nu -> 0``, and ``s2 = 0`` is the atom ``nu``.
         """
         if self.kind in ("deterministic", "uniform-phase"):
             return 0.0
         if self.kind == "rayleigh":
             # E[ln |h|^2] = -euler_gamma for a unit-mean exponential power.
             return -_EULER_GAMMA / (2.0 * np.log(2.0))
-        return None
+        lam = abs(self.nu) ** 2 / self.s2 if self.s2 > 0 else np.inf
+        if lam == np.inf:
+            # s2 = 0 is the atom nu; an s2 so small that lam overflows leaves
+            # E1(lam) = 0: both give log2|nu|
+            return float(np.log2(abs(self.nu)))
+        tail = np.log(lam) + exp1(lam) if lam > 0 else -_EULER_GAMMA
+        return float((np.log(self.s2) + tail) / (2.0 * np.log(2.0)))
 
     # -- config-tag serialization -------------------------------------------
 

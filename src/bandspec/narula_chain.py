@@ -9,8 +9,8 @@ driven by the current taps and the previous row's ``|a|^2``.  These are the
 LDL^T pivots of the real SPD tridiagonal with diagonal ``1 + pa_i + pb_i`` and
 off-diagonal ``sqrt(pb_i pa_{i-1})`` (``pa = P|a|^2``, ``pb = P|b|^2``), so
 ``_pivots`` is one LAPACK ``dpttrf`` call, shared by the single-chain
-simulation and the LDL cross-check; the ensemble runner advances many chains
-in lockstep.  The chain has a unique ergodic stationary law, so the running
+simulation, the ensemble of independent chains built from it and the LDL
+cross-check.  The chain has a unique ergodic stationary law, so the running
 mean of ``log d_n`` estimates the channel's per-symbol rate.
 """
 from __future__ import annotations
@@ -114,33 +114,17 @@ def simulate_chain_ensemble(
     burn_in: int,
     rng: np.random.Generator,
 ):
-    """Ergodic log-mean pooled over independent chains run in lockstep.
+    """Ergodic log-mean pooled over independent chains.
 
-    The chains advance as vector state, so large total sample counts stay
-    cheap; equally long chains make the plain average of per-chain means the
+    Each chain is one :func:`simulate_chain` run drawing from ``rng`` in
+    turn; equally long chains make the plain average of per-chain means the
     inverse-variance-weighted one.  Returns ``(estimate, stderr)`` with the
     standard error taken across chains.
     """
-    if not 0 <= burn_in < n_steps:
-        raise ValueError("need 0 <= burn_in < n_steps")
-    _check_power(power)
-    d = np.empty(n_chains)
-    pa_prev = np.empty(n_chains)
-    sums = np.zeros(n_chains)
-    pa0 = power * np.abs(RAYLEIGH.sample(rng, n_chains)) ** 2
-    pb0 = power * np.abs(RAYLEIGH.sample(rng, n_chains)) ** 2
-    d[:] = 1.0 + pa0 + pb0
-    pa_prev[:] = pa0
-    if burn_in == 0:
-        sums += np.log(d)
-    for i in range(1, n_steps):
-        pa = power * np.abs(RAYLEIGH.sample(rng, n_chains)) ** 2
-        pb = power * np.abs(RAYLEIGH.sample(rng, n_chains)) ** 2
-        d = 1.0 + pa + pb * (1.0 - pa_prev / d)
-        pa_prev = pa
-        if i >= burn_in:
-            sums += np.log(d)
-    chain_means = sums / (n_steps - burn_in)
+    chain_means = np.array([
+        simulate_chain(power, n_steps, burn_in, rng).ergodic_log_mean
+        for _ in range(n_chains)
+    ])
     estimate = float(chain_means.mean())
     stderr = float(chain_means.std(ddof=1) / np.sqrt(n_chains))
     return estimate, stderr

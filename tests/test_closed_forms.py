@@ -10,7 +10,6 @@ from bandspec import (
     exp_integral,
     high_snr_params,
     limiting_moments,
-    log2_amplitude_mean,
     low_snr_params,
     marchenko_pastur_cdf,
     marchenko_pastur_pdf,
@@ -21,6 +20,7 @@ from bandspec import (
     wyner_capacity_large_k,
     wyner_capacity_nonfading,
 )
+from bandspec.closed_forms import _e1_scaled
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -120,6 +120,14 @@ class TestExpIntegral:
         assert np.isscalar(exp_integral(2.0))
         assert exp_integral(np.ones(5)).shape == (5,)
 
+    def test_scaled_against_mpmath(self):
+        # reaches the asymptotic-series branch, far past where E1 underflows
+        xs = np.logspace(-4, 14, 400)
+        got = _e1_scaled(xs)
+        want = np.array([float(mp.exp(x) * mp.e1(x)) for x in xs])
+        assert np.max(np.abs(got / want - 1)) <= 1e-14
+        assert np.isscalar(_e1_scaled(60.0))
+
 
 class TestNarulaStationary:
     @pytest.mark.parametrize("pbar", [0.5, 1.0, 10.0, 100.0])
@@ -212,11 +220,35 @@ class TestHighSnr:
         want = -EULER_GAMMA / (2 * np.log(2.0))
         assert abs(draws.mean() - want) < 3 * se
 
-    def test_rician_uses_monte_carlo_with_stderr(self):
-        mean, se = log2_amplitude_mean(rician(0.8, 0.36), n_samples=10**6)
-        assert se > 0
-        # moderately diffuse law: |h| concentrates near 1, offset is small
-        assert abs(mean) < 0.5
+    @pytest.mark.parametrize(
+        "nu, s2", [(0.8, 0.36), (0.3 + 0.4j, 0.5), (2.0, 0.1), (0.05, 1.0), (0.0, 0.7)]
+    )
+    def test_rician_matches_rice_density_quadrature(self, nu, s2):
+        # E log2|h| integrated against the Rice amplitude density
+        r0 = abs(nu)
+
+        def integrand(r):
+            return (mp.log(r) * 2 * r / s2 * mp.exp(-(r**2 + r0**2) / s2)
+                    * mp.besseli(0, 2 * r * r0 / s2))
+
+        want = float(mp.quad(integrand, [0, r0, r0 + 10 * mp.sqrt(s2), mp.inf]) / mp.log(2))
+        assert rician(nu, s2).log2_amplitude_mean() == pytest.approx(want, abs=1e-12)
+
+    def test_rician_limits(self):
+        # nu = 0 is Rayleigh scaled by s2; s2 = 0 is the atom at nu
+        for s2 in (0.7, 1.0, 3.0):
+            want = RAYLEIGH.log2_amplitude_mean() + np.log2(s2) / 2
+            assert rician(0.0, s2).log2_amplitude_mean() == pytest.approx(want, abs=1e-15)
+        assert rician(0.8, 0.0).log2_amplitude_mean() == pytest.approx(np.log2(0.8), abs=1e-15)
+        assert rician(0.6j, 0.0).log2_amplitude_mean() == pytest.approx(np.log2(0.6), abs=1e-15)
+        # |nu|^2 / s2 overflows, which must not leak an infinity
+        assert rician(1.0, 1e-320).log2_amplitude_mean() == 0.0
+
+    def test_rician_offset_uses_the_stronger_tap(self):
+        strong, weak = rician(2.0, 0.1), rician(0.8, 0.36)
+        want = -2.0 * strong.log2_amplitude_mean()
+        assert high_snr_params(strong, weak) == (1.0, want)
+        assert high_snr_params(weak, strong) == (1.0, want)
 
 
 class TestMarchenkoPastur:
@@ -239,16 +271,26 @@ class TestMarchenkoPastur:
     @pytest.mark.parametrize("k", [1, 4])
     def test_cdf_matches_density_quadrature(self, k):
         y = 1.0 / k
-        a = (1 - np.sqrt(y)) ** 2
-        b = (1 + np.sqrt(y)) ** 2
-        for x in np.linspace(a + 0.05, b - 0.05, 7):
-            # the edge of the support is a node so the sqrt kink sits at an
-            # interval boundary, where tanh-sinh quadrature handles it
-            want = float(mp.quad(lambda t: marchenko_pastur_pdf(float(t), k, 1.0), [a, x]))
-            assert marchenko_pastur_cdf(x, k, 1.0) == pytest.approx(want, abs=1e-8)
+        for sigma2 in (1.0, 1.3):
+            a = sigma2 * (1 - np.sqrt(y)) ** 2
+            b = sigma2 * (1 + np.sqrt(y)) ** 2
+            edges = [a + 1e-9, b - 1e-9]
+            for x in np.concatenate([np.linspace(a + 0.05, b - 0.05, 7), edges]):
+                # the edge of the support is a node so the sqrt kink sits at an
+                # interval boundary, where tanh-sinh quadrature handles it
+                want = float(mp.quad(
+                    lambda t: marchenko_pastur_pdf(float(t), k, sigma2), [a, x]
+                ))
+                assert marchenko_pastur_cdf(x, k, sigma2) == pytest.approx(want, abs=1e-8)
 
     def test_cdf_monotone_in_bounds(self):
-        xs = np.linspace(-0.5, 5.0, 300)
+        # plus the first 2000 floats inside each edge, where rounding could
+        # step past 0 or 1
+        a, b = (1 - np.sqrt(0.5)) ** 2, (1 + np.sqrt(0.5)) ** 2
+        ulps = np.arange(1, 2000)
+        xs = np.sort(np.concatenate([
+            np.linspace(-0.5, 5.0, 300), a + ulps * np.spacing(a), b - ulps * np.spacing(b)
+        ]))
         f = marchenko_pastur_cdf(xs, 2, 1.0)
         assert np.all(np.diff(f) >= -1e-12)
         assert f.min() == 0.0 and f.max() == 1.0

@@ -391,6 +391,13 @@ class TestCli:
         assert name == "capacity_nats"
         assert float(value) == pytest.approx(wyner_capacity_nonfading(10.0, 0.5))
 
+    def test_closed_form_high_snr_rician_is_exact(self, capsys):
+        assert main(["closed-form", "--formula", "high-snr",
+                     "--fading-a", "rician:nu=0.8,s2=0.36"]) == 0
+        values = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
+        # -(ln 0.64 + E1(0.64/0.36)) / ln 2
+        assert float(values["l_inf"]) == pytest.approx(0.5474991770458118, abs=1e-12)
+
     def test_closed_form_moments(self, capsys):
         assert main(["closed-form", "--formula", "limiting-moments",
                      "--m2", "1", "--m4", "2", "--m6", "6", "--alpha", "0.5"]) == 0
