@@ -17,8 +17,8 @@ def ensemble_rate(params, power, n_reps):
     caps = []
     for r in range(n_reps):
         rng = bs.derive_stream(SEED, r)
-        spectrum = bs.eigenvalues(bs.gram(bs.generate_channel(params, rng)))
-        caps.append(spectrum.shannon_transform(power / params.users_per_cell))
+        a = bs.gram(bs.generate_channel(params, rng))
+        caps.append(bs.log_ldl_shifted(a, power / params.users_per_cell).mean())
     return float(np.mean(caps)), float(np.std(caps, ddof=1) / np.sqrt(n_reps)) if n_reps > 1 else 0.0
 
 

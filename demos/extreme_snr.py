@@ -19,7 +19,7 @@ def simulated_capacities(params, powers, n_reps, group):
         rng = bs.derive_stream(SEED, (group << 32) | r)
         a = bs.gram(bs.generate_channel(params, rng))
         per_rep[r] = [
-            np.log(bs.ldl_shifted(a, p / params.users_per_cell)).mean() for p in powers
+            bs.log_ldl_shifted(a, p / params.users_per_cell).mean() for p in powers
         ]
     return per_rep.mean(axis=0)
 

@@ -16,6 +16,7 @@ from .band_matrix import (
     generate_channel,
     gram,
     ldl_shifted,
+    log_ldl_shifted,
     wyner,
 )
 from .closed_forms import (

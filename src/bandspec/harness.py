@@ -6,6 +6,10 @@ order regardless of completion order, floats are printed with a fixed
 17-significant-digit format, and every output file carries the config hash
 and master seed in comment lines.  CSV rows are streamed in fixed-size
 blocks, each formatted with one ``%`` format built from its column types.
+
+Shannon transforms come from shifted LDL pivots in O(N b^2); the O(N^2)
+band eigensolve runs only where the eigenvalue list is itself the output
+(``spectrum.csv``, ``ecdf.csv``) or is compared whole (``mp_compare``).
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,7 @@ from .band_matrix import (
     PivotError,
     generate_channel,
     gram,
+    log_ldl_shifted,
     wyner,
 )
 from .eig import eigenvalues
@@ -120,12 +125,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "kind", "channel", "p_grid", "n_grid", "replications", "seed",
-            "out_dir", "histogram_bins", "n_steps", "burn_in", "low_p",
-            "high_p", "alphas",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         channel = _channel_from_dict(data["channel"]) if data.get("channel") else None
@@ -175,8 +175,12 @@ class ExperimentConfig:
                 raise ConfigError("narula needs a nonempty p_grid")
             if not 0 <= self.burn_in < self.n_steps:
                 raise ConfigError("need 0 <= burn_in < n_steps")
-        if self.kind == "extreme_snr" and (len(self.low_p) < 2 or len(self.high_p) < 2):
-            raise ConfigError("extreme_snr needs two low_p and two high_p points")
+        if self.kind == "extreme_snr":
+            if len(self.low_p) < 2 or len(self.high_p) < 2:
+                raise ConfigError("extreme_snr needs two low_p and two high_p points")
+            # the low-SNR fit divides by P, the high-SNR fits by log P
+            if min(self.low_p + self.high_p) <= 0 or 1.0 in self.high_p:
+                raise ConfigError("extreme_snr needs positive low_p/high_p and no high_p of 1")
         if self.kind == "mp_compare" and not self.alphas:
             raise ConfigError("mp_compare needs a nonempty alphas list")
 
@@ -312,13 +316,11 @@ def _gram_replicates(config, params: ChannelParams, group: int, jobs: int, stat)
     )
 
 
-def _transforms(spec: EmpiricalSpectrum, rhos) -> np.ndarray:
-    return np.array([spec.shannon_transform(r) for r in rhos])
-
-
-def _shannon(rhos):
-    """Replicate statistic: Shannon transforms of the spectrum at each rho."""
-    return lambda a: _transforms(eigenvalues(a), rhos)
+def _shannon(params: ChannelParams, powers):
+    """Replicate statistic: the Shannon transform at per-user SNR ``P / K`` for
+    each total power P, as the mean log of the shifted LDL pivots (O(N b^2))."""
+    rhos = [p / params.users_per_cell for p in powers]
+    return lambda a: np.array([log_ldl_shifted(a, r).mean() for r in rhos])
 
 
 def _mean_se(rows: list[np.ndarray]):
@@ -354,13 +356,10 @@ def _table(path: Path, grid_name: str, rows, config):
 
 def _run_spectrum(config, out_dir, jobs):
     params = config.channel
-    rhos = [p / params.users_per_cell for p in config.p_grid]
-
-    def stat(a):
-        spec = eigenvalues(a)
-        return spec.eigenvalues, _transforms(spec, rhos)
-
-    replicates = _gram_replicates(config, params, 0, jobs, stat)
+    shannon = _shannon(params, config.p_grid)
+    replicates = _gram_replicates(
+        config, params, 0, jobs, lambda a: (eigenvalues(a).eigenvalues, shannon(a))
+    )
     pooled = np.sort(np.concatenate([eigs for eigs, _ in replicates]))
     meta = _meta(config)
     files = [
@@ -374,7 +373,7 @@ def _run_spectrum(config, out_dir, jobs):
         ),
     ]
     results = []
-    if rhos:
+    if config.p_grid:
         rows = _capacity_rows(params, config.p_grid, [t for _, t in replicates])
         results, table = _table(out_dir / "shannon.csv", "P", rows, config)
         files += table
@@ -383,15 +382,14 @@ def _run_spectrum(config, out_dir, jobs):
 
 def _run_capacity_vs_p(config, out_dir, jobs):
     params = config.channel
-    rhos = [p / params.users_per_cell for p in config.p_grid]
-    replicates = _gram_replicates(config, params, 0, jobs, _shannon(rhos))
+    replicates = _gram_replicates(config, params, 0, jobs, _shannon(params, config.p_grid))
     rows = _capacity_rows(params, config.p_grid, replicates)
     return _table(out_dir / "capacity_vs_P.csv", "P", rows, config)
 
 
 def _run_capacity_vs_n(config, out_dir, jobs):
     base = config.channel
-    stat = _shannon([base.rho])
+    stat = _shannon(base, [base.power])
     ref = _capacity_reference(base, base.power)
     rows = []
     for gi, n in enumerate(config.n_grid):
@@ -436,9 +434,8 @@ def _run_narula(config, out_dir, jobs):
 
 def _run_extreme_snr(config, out_dir, jobs):
     params = config.channel
-    k = params.users_per_cell
-    rhos = [p / k for p in tuple(config.low_p) + tuple(config.high_p)]
-    replicates = _gram_replicates(config, params, 0, jobs, _shannon(rhos))
+    powers = tuple(config.low_p) + tuple(config.high_p)
+    replicates = _gram_replicates(config, params, 0, jobs, _shannon(params, powers))
     mean, _ = _mean_se(replicates)
     n_low = len(config.low_p)
     eb_est, s0_est = fit_low_snr_params(config.low_p[:2], mean[:2])

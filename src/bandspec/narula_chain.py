@@ -119,8 +119,10 @@ def simulate_chain_ensemble(
     Each chain is one :func:`simulate_chain` run drawing from ``rng`` in
     turn; equally long chains make the plain average of per-chain means the
     inverse-variance-weighted one.  Returns ``(estimate, stderr)`` with the
-    standard error taken across chains.
+    standard error taken across chains (``n_chains < 2`` raises).
     """
+    if n_chains < 2:
+        raise ValueError("need at least two chains for an across-chain standard error")
     chain_means = np.array([
         simulate_chain(power, n_steps, burn_in, rng).ergodic_log_mean
         for _ in range(n_chains)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandspec import (
     BandedHermitian,
@@ -8,10 +10,12 @@ from bandspec import (
     DiagonalSpec,
     PivotError,
     RAYLEIGH,
+    UNIFORM_PHASE,
     eigenvalues,
     generate_channel,
     gram,
     ldl_shifted,
+    log_ldl_shifted,
     rician,
     wyner,
 )
@@ -150,6 +154,41 @@ def test_ldl_logdet_matches_eigenvalues(rng):
             assert logdet_ldl == pytest.approx(logdet_eig, rel=1e-10)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    bandwidth=st.integers(0, 3),
+    n=st.integers(1, 64),
+    k=st.integers(1, 3),
+    # float64 keeps no relative precision below 2.2e-308, so gains stay 0 or
+    # above 1e-100 and no entry of A or rho * A is subnormal
+    gains=st.lists(st.just(0.0) | st.floats(1e-100, 1.0), min_size=4, max_size=4),
+    fading=st.sampled_from([RAYLEIGH, UNIFORM_PHASE, rician(0.3 + 0.4j, 0.5)]),
+    rho=st.just(0.0) | st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_log_ldl_matches_eigen_shannon_transform(bandwidth, n, k, gains, fading, rho, seed):
+    # random PSD Gram matrices of complex channels, offsets centred on 0
+    offsets = range(-(bandwidth // 2), bandwidth - bandwidth // 2 + 1)
+    n = max(n, 2 * max(abs(o) for o in offsets) + 1)
+    params = ChannelParams(
+        n, k, tuple(DiagonalSpec(o, g, fading) for o, g in zip(offsets, gains))
+    )
+    a = gram(generate_channel(params, np.random.default_rng(seed)))
+    via_eig = eigenvalues(a).shannon_transform(rho)
+    via_ldl = log_ldl_shifted(a, rho).mean()
+    # C2's tolerance; the absolute floor only matters where both sides are 0
+    assert via_ldl == pytest.approx(via_eig, rel=1e-10, abs=0.0)
+
+
+def test_log_ldl_keeps_digits_below_rounding_of_one():
+    # det(I + rho A) = 1 + 3e-10 exactly here (a11 a22 = |a21|^2), and
+    # 1 + 1e-10 keeps only ~7 digits of 1e-10: the excess keeps them all
+    a = BandedHermitian(np.array([1e-4, 2e-4]), (np.array([1e-4 + 1e-4j]),))
+    exact = np.log1p(3e-10)
+    assert log_ldl_shifted(a, 1e-6).sum() == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert np.log(ldl_shifted(a, 1e-6)).sum() != pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
 def test_ldl_pivots_at_least_one(rng):
     params = wyner(50, 1, 1.0, 1.0, RAYLEIGH, power=100.0)
     a = gram(generate_channel(params, rng))
@@ -189,6 +228,12 @@ def test_channel_params_validation():
         )
     params = wyner(8, 4, 0.5, 0.5, RAYLEIGH, power=10.0)
     assert params.rho == 2.5
+
+
+@pytest.mark.parametrize("power", [-1.0, float("nan"), float("inf")])
+def test_channel_params_reject_bad_power(power):
+    with pytest.raises(ValueError):
+        wyner(8, 1, 0.5, 0.5, RAYLEIGH, power=power)
 
 
 def test_band_dump_round_trip(tmp_path, rng):

@@ -32,6 +32,17 @@ def test_tridiag_two_by_two_quadratic():
     assert np.allclose(eigenvalues(t).eigenvalues, want, atol=1e-14)
 
 
+def test_subnormal_entries_do_not_derail_the_band_reduction():
+    # LAPACK's complex band reduction put an eigenvalue 8.7e-3 off here
+    tiny = 5e-324
+    a = BandedHermitian(
+        np.array([1.0, 0.4, 2.8, 0.1, 1.3]),
+        (np.array([tiny * (-1 + 1j), 2 * tiny * (-1 - 1j), 0, 0]),
+         np.array([1.1 + 0.6j, -0.1 - 0.1j, 0.03 - 0.16j])),
+    )
+    assert np.allclose(eigenvalues(a).eigenvalues, dense_eigenvalues(a), rtol=0, atol=1e-14)
+
+
 def test_tridiag_toeplitz_closed_form():
     n, alpha = 512, 0.37
     t = BandedHermitian(np.ones(n), (np.full(n - 1, alpha, dtype=complex),))

@@ -10,9 +10,11 @@ from bandspec import (
     ExperimentConfig,
     PivotError,
     derive_stream,
+    eigenvalues,
     fit_high_snr_offset_extrapolated,
     fit_high_snr_params,
     fit_low_snr_params,
+    log_ldl_shifted,
     run_experiment,
     wyner_capacity_nonfading,
 )
@@ -34,6 +36,31 @@ def spectrum_config(tmp_path, **overrides):
         "seed": 123,
         "out_dir": str(tmp_path / "out"),
         "histogram_bins": 20,
+    }
+    data.update(overrides)
+    return data
+
+
+def capacity_n_config(tmp_path, **overrides):
+    data = {
+        "kind": "capacity_vs_N",
+        "channel": {"n_cells": 16, "alpha": 0.3, "fading": "rayleigh", "power": 10.0},
+        "n_grid": [8, 16],
+        "replications": 3,
+        "seed": 5,
+        "out_dir": str(tmp_path / "capn"),
+    }
+    data.update(overrides)
+    return data
+
+
+def extreme_snr_config(tmp_path, **overrides):
+    data = {
+        "kind": "extreme_snr",
+        "channel": {"n_cells": 64, "alpha": 1.0, "beta": 0.0, "fading": "rayleigh"},
+        "replications": 2,
+        "seed": 3,
+        "out_dir": str(tmp_path / "ext"),
     }
     data.update(overrides)
     return data
@@ -133,6 +160,35 @@ class TestConfig:
         assert main(["narula", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_channel_power_rejected(self, tmp_path, capsys, bad):
+        # unchecked, a capacity_vs_N run wrote nan/inf estimates
+        data = capacity_n_config(tmp_path)
+        data["channel"]["power"] = bad
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert main(["capacity", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "capn").exists()
+
+    @pytest.mark.parametrize("patch", [
+        {"low_p": [0.0, 1e-3]},    # singular low-SNR fit
+        {"high_p": [1.0, 1e6]},    # 1 / log P at P = 1
+        {"high_p": [0.5, 1.0]},
+        {"high_p": [0.0, 1e6]},
+    ])
+    def test_extreme_snr_fit_powers_rejected(self, tmp_path, capsys, patch):
+        data = extreme_snr_config(tmp_path, **patch)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert main(["extreme-snr", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "ext").exists()
 
 
 class TestCsvWriter:
@@ -346,6 +402,50 @@ class TestRunExperiment:
         assert rows[-1][3] == 1.0
         # nonnegative spectra keep bins anchored at zero
         assert harness._histogram_rows(np.array([0.5, 1.0]), 4)[0][0] == 0.0
+
+    def test_shannon_kinds_never_eigensolve(self, tmp_path, monkeypatch):
+        def no_eigensolve(a):
+            raise AssertionError("Shannon transforms must not eigensolve")
+
+        monkeypatch.setattr(harness, "eigenvalues", no_eigensolve)
+        for data in (
+            spectrum_config(tmp_path, kind="capacity_vs_P", p_grid=[0.1, 10.0]),
+            capacity_n_config(tmp_path),
+            extreme_snr_config(tmp_path),
+        ):
+            output = run_experiment(ExperimentConfig.from_dict(data))
+            assert all(r.n_used == data["replications"] for r in output.results)
+
+    def test_spectrum_still_eigensolves(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.n)
+            return eigenvalues(a)
+
+        monkeypatch.setattr(harness, "eigenvalues", counted)
+        run_experiment(ExperimentConfig.from_dict(spectrum_config(tmp_path)))
+        assert calls == [32, 32, 32]
+
+    def test_failed_factorization_drops_its_replicate(self, tmp_path, monkeypatch):
+        # the first factorization of replicate 1 fails; the others run
+        powers = [0.1, 1.0, 10.0]
+        calls = []
+
+        def flaky(a, rho):
+            calls.append(rho)
+            if len(calls) == len(powers) + 1:
+                raise PivotError("forced failure")
+            return log_ldl_shifted(a, rho)
+
+        monkeypatch.setattr(harness, "log_ldl_shifted", flaky)
+        config = ExperimentConfig.from_dict(spectrum_config(
+            tmp_path, kind="capacity_vs_P", p_grid=powers, replications=4,
+        ))
+        (path,) = run_experiment(config).files
+        rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+        assert [int(row.split(",")[3]) for row in rows] == [3, 3, 3]
+        assert len(calls) == 4 * len(powers) - (len(powers) - 1)
 
     def test_all_replicates_failing_raises(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):

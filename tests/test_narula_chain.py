@@ -78,6 +78,13 @@ def test_bad_power_rejected(power):
         simulate_chain_ensemble(power, 4, 100, 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n_chains", [0, 1])
+def test_ensemble_needs_two_chains(n_chains):
+    # one chain has no across-chain spread: std(ddof=1) would be NaN
+    with pytest.raises(ValueError):
+        simulate_chain_ensemble(1.0, n_chains, 100, 10, np.random.default_rng(0))
+
+
 def test_chain_samples_respect_bounds(rng):
     run = simulate_chain(5.0, 20_000, 1_000, rng)
     assert run.samples.min() >= 1.0
