@@ -58,7 +58,6 @@ from .narula_chain import (
     ChainRun,
     chain_vs_ldl,
     simulate_chain,
-    simulate_chain_ensemble,
 )
 from .spectral import (
     EmpiricalSpectrum,

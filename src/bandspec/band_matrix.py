@@ -8,7 +8,6 @@ materialize densely.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +78,6 @@ class ChannelParams:
             raise ValueError("power must be finite and nonnegative")
 
     @property
-    def rho(self) -> float:
-        """Per-user transmit SNR P/K."""
-        return self.power / self.users_per_cell
-
-    @property
     def offsets(self) -> tuple[int, ...]:
         return tuple(d.offset for d in self.diagonals)
 
@@ -99,28 +93,18 @@ def wyner(
     beta: float,
     fading: FadingSpec | str,
     power: float = 1.0,
-    fading_left: FadingSpec | str | None = None,
-    fading_right: FadingSpec | str | None = None,
 ) -> ChannelParams:
-    """Three-diagonal cellular uplink: local gain 1, neighbors alpha / beta.
+    """Three-diagonal cellular uplink: local gain 1, neighbors alpha / beta,
+    every diagonal with the same fading law.
 
     Zero-gain neighbor diagonals are dropped so that e.g. ``beta = 0`` yields
     a genuinely two-diagonal channel.
     """
-    fading = _as_spec(fading)
-    fading_left = _as_spec(fading_left) if fading_left is not None else fading
-    fading_right = _as_spec(fading_right) if fading_right is not None else fading
-    diagonals = [DiagonalSpec(0, 1.0, fading)]
-    if alpha > 0:
-        diagonals.append(DiagonalSpec(-1, alpha, fading_left))
-    if beta > 0:
-        diagonals.append(DiagonalSpec(+1, beta, fading_right))
-    diagonals.sort(key=lambda d: d.offset)
-    return ChannelParams(n_cells, users_per_cell, tuple(diagonals), power)
-
-
-def _as_spec(spec) -> FadingSpec:
-    return parse_spec_tag(spec) if isinstance(spec, str) else spec
+    if isinstance(fading, str):
+        fading = parse_spec_tag(fading)
+    gains = ((-1, alpha), (0, 1.0), (+1, beta))
+    diagonals = tuple(DiagonalSpec(o, g, fading) for o, g in gains if o == 0 or g > 0)
+    return ChannelParams(n_cells, users_per_cell, diagonals, power)
 
 
 @dataclass(frozen=True)
@@ -197,9 +181,6 @@ class BandedHermitian:
     def bandwidth(self) -> int:
         return len(self.sub)
 
-    def trace(self) -> float:
-        return float(self.diag.sum())
-
     def frobenius_sq(self) -> float:
         """Squared Frobenius norm, counting the implied upper triangle."""
         total = float(np.sum(self.diag**2))
@@ -223,40 +204,6 @@ class BandedHermitian:
             ab[k, : self.n - k] = arr
         return ab
 
-    # -- binary band dump -----------------------------------------------------
-
-    _MAGIC = b"BNDH"
-    _VERSION = 1
-
-    def save(self, path) -> None:
-        """Little-endian dump: magic, u32 version, u64 n, u32 bandwidth, then
-        each diagonal (main first) as complex doubles."""
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sIQI", self._MAGIC, self._VERSION, self.n, self.bandwidth))
-            self.diag.astype("<c16").tofile(fh)
-            for arr in self.sub:
-                arr.astype("<c16").tofile(fh)
-
-    @classmethod
-    def load(cls, path) -> "BandedHermitian":
-        """Read a dump written by :meth:`save`; a truncated file raises
-        ``ValueError``."""
-        with open(path, "rb") as fh:
-            header = fh.read(20)
-            if len(header) < 20:
-                raise ValueError("truncated band dump header")
-            magic, version, n, bandwidth = struct.unpack("<4sIQI", header)
-            if magic != cls._MAGIC:
-                raise ValueError("not a banded-Hermitian dump")
-            if version != cls._VERSION:
-                raise ValueError(f"unsupported dump version {version}")
-            sizes = [n] + [n - k for k in range(1, bandwidth + 1)]
-            body = np.fromfile(fh, dtype="<c16", count=sum(sizes))
-        if len(body) < sum(sizes):
-            raise ValueError(f"band dump holds {len(body)} of {sum(sizes)} values")
-        diag, *sub = np.split(body, np.cumsum(sizes)[:-1])
-        return cls(diag.real.astype(float), tuple(arr.astype(complex) for arr in sub))
-
 
 def gram(channel: BlockBandedChannel) -> BandedHermitian:
     """Gram matrix ``H H^dagger`` assembled directly in band form.
@@ -267,8 +214,7 @@ def gram(channel: BlockBandedChannel) -> BandedHermitian:
     """
     n = channel.n_cells
     offsets = channel.offsets
-    bandwidth = (max(offsets) - min(offsets)) if len(offsets) > 1 else 0
-    bandwidth = min(bandwidth, n - 1)
+    bandwidth = min(max(offsets) - min(offsets), n - 1)
 
     diag = np.zeros(n)
     for d in offsets:

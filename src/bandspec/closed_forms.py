@@ -42,16 +42,10 @@ def wyner_capacity_nonfading(power: float, alpha: float) -> float:
 
     Large-N limit via the Toeplitz symbol: integrate
     ``log(1 + P * (1 + 2 alpha cos(2 pi f))^2)`` over one period.  The result
-    is independent of the number of users per cell at fixed total power P.
+    is independent of the number of users per cell at fixed total power P:
+    :func:`wyner_capacity_large_k` for unit-modulus deterministic entries.
     """
-    if power == 0:
-        return 0.0
-
-    def integrand(f):
-        return np.log1p(power * (1.0 + 2.0 * alpha * np.cos(2 * np.pi * f)) ** 2)
-
-    val, _ = quad(integrand, 0.0, 1.0, **_QUAD_OPTS)
-    return val
+    return wyner_capacity_large_k(power, alpha, 1.0, 1.0)
 
 
 def wyner_capacity_large_k(power: float, alpha: float, m2: float, mu: complex) -> float:
@@ -61,7 +55,7 @@ def wyner_capacity_large_k(power: float, alpha: float, m2: float, mu: complex) -
     ``int_0^1 log(1 + P [sigma^2 (1 + 2 alpha^2)
     + |mu|^2 (1 + 2 alpha cos(2 pi t))^2]) dt`` with
     ``sigma^2 = m2 - |mu|^2`` the coefficient variance.  For zero-mean fading
-    the integrand is constant; for deterministic entries this reduces to
+    the integrand is constant; deterministic entries (``m2 = mu = 1``) give
     :func:`wyner_capacity_nonfading`.
     """
     mu_sq = abs(mu) ** 2

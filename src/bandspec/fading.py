@@ -1,10 +1,10 @@
 """Fading coefficient laws with exact amplitude-moment metadata.
 
 Every analytic baseline in :mod:`bandspec.closed_forms` is a function of a
-few amplitude power moments ``m_i = E|h|^i``, the complex mean ``E[h]``, the
-kurtosis ``m_4 / m_2^2`` and the log-amplitude mean ``E log2|h|`` of an
-individual fading coefficient.  These are therefore carried as exact closed
-forms alongside the sampler, never estimated from draws.
+few amplitude power moments ``m_i = E|h|^i`` and the log-amplitude mean
+``E log2|h|`` of an individual fading coefficient.  These are therefore
+carried as exact closed forms alongside the sampler, never estimated from
+draws.
 
 All laws are normalized to a known second amplitude moment; for the complex
 Gaussian ("rayleigh") law that normalization is ``E|h|^2 = 1``.
@@ -116,20 +116,6 @@ class FadingSpec:
                 )
             return float(val)
         raise MomentUnavailableError(f"moment order {order} unavailable for {self.kind}")
-
-    def complex_mean(self) -> complex:
-        """``E[h]``; the coefficient variance is ``m_2 - |E[h]|^2``."""
-        if self.kind == "deterministic":
-            return 1.0 + 0.0j
-        if self.kind == "rician":
-            return complex(self.nu)
-        return 0.0 + 0.0j
-
-    def kurtosis(self) -> float:
-        """Amplitude kurtosis ``m_4 / m_2^2`` (always >= 1)."""
-        m2 = self.amplitude_moment(2)
-        m4 = self.amplitude_moment(4)
-        return m4 / m2**2
 
     def log2_amplitude_mean(self) -> float:
         """``E[log2 |h|]`` in closed form, for every law.

@@ -128,25 +128,16 @@ class ExperimentConfig:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        channel = _channel_from_dict(data["channel"]) if data.get("channel") else None
-        try:
-            config = cls(
-                kind=data.get("kind", ""),
-                channel=channel,
-                p_grid=tuple(float(p) for p in data.get("p_grid", ())),
-                n_grid=tuple(int(n) for n in data.get("n_grid", ())),
-                replications=int(data.get("replications", 1)),
-                seed=int(data.get("seed", 0)),
-                out_dir=str(data.get("out_dir", "results")),
-                histogram_bins=int(data.get("histogram_bins", 200)),
-                n_steps=int(data.get("n_steps", 100_000)),
-                burn_in=int(data.get("burn_in", 1_000)),
-                low_p=tuple(float(p) for p in data.get("low_p", (1e-3, 2e-3))),
-                high_p=tuple(float(p) for p in data.get("high_p", (1e4, 1e6))),
-                alphas=tuple(float(a) for a in data.get("alphas", ())),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        if "kind" not in data:
+            raise ConfigError("config needs a kind")
+        values = {}
+        for f in fields(cls):
+            if f.name in data:
+                try:
+                    values[f.name] = _CONVERTERS[f.type](data[f.name])
+                except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise ConfigError(f"bad {f.name}: {exc}") from exc
+        config = cls(**values)
         config.validate()
         return config
 
@@ -155,6 +146,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if self.histogram_bins < 1:
+            raise ConfigError("histogram_bins must be >= 1")
         for name, grid in (("p_grid", self.p_grid), ("n_grid", self.n_grid),
                            ("low_p", self.low_p), ("high_p", self.high_p)):
             if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -183,59 +176,88 @@ class ExperimentConfig:
                 raise ConfigError("extreme_snr needs positive low_p/high_p and no high_p of 1")
         if self.kind == "mp_compare" and not self.alphas:
             raise ConfigError("mp_compare needs a nonempty alphas list")
+        # build every channel the run builds; power_profile's 2N fits wherever N does
+        try:
+            if self.kind in ("capacity_vs_N", "power_profile"):
+                for n in self.n_grid:
+                    self.channel.with_size(n)
+            if self.kind == "mp_compare":
+                for alpha in self.alphas:
+                    _mp_channel(self.channel, alpha)
+        except ValueError as exc:
+            raise ConfigError(f"{self.kind} channel: {exc}") from exc
 
     def to_dict(self) -> dict:
-        channel = None
-        if self.channel is not None:
-            channel = {
-                "n_cells": self.channel.n_cells,
-                "users_per_cell": self.channel.users_per_cell,
-                "power": self.channel.power,
-                "diagonals": [
-                    {"offset": d.offset, "gain": d.gain, "fading": d.fading.tag}
-                    for d in sorted(self.channel.diagonals, key=lambda d: d.offset)
-                ],
-            }
-        return {
-            "kind": self.kind,
-            "channel": channel,
-            "p_grid": list(self.p_grid),
-            "n_grid": list(self.n_grid),
-            "replications": self.replications,
-            "seed": self.seed,
-            "histogram_bins": self.histogram_bins,
-            "n_steps": self.n_steps,
-            "burn_in": self.burn_in,
-            "low_p": list(self.low_p),
-            "high_p": list(self.high_p),
-            "alphas": list(self.alphas),
-        }
+        """Every field but ``out_dir``: what a run computes, not where it writes."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+        out["channel"] = _channel_to_dict(self.channel) if self.channel is not None else None
+        return out
 
     def sha256(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _channel_from_dict(data: dict) -> ChannelParams:
-    try:
-        n = int(data["n_cells"])
-        k = int(data.get("users_per_cell", 1))
-        power = float(data.get("power", 1.0))
-        if "diagonals" in data:
-            diagonals = tuple(
-                DiagonalSpec(int(d["offset"]), float(d["gain"]), parse_spec_tag(d["fading"]))
-                for d in data["diagonals"]
-            )
-            return ChannelParams(n, k, diagonals, power)
-        # three-diagonal sugar: alpha / beta plus one shared fading tag
-        alpha = float(data.get("alpha", 0.0))
-        beta = float(data.get("beta", alpha))
-        fading = parse_spec_tag(data.get("fading", "rayleigh"))
-        return wyner(n, k, alpha, beta, fading, power)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad channel section: {exc}") from exc
+def _int(value) -> int:
+    # integral numbers only: 2.7, True or "3" are errors, not 2, 1 or 3
+    if isinstance(value, (bool, str)) or not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _list_of(convert):
+    def parse(value):
+        # a string is a sequence too: "12" must not run as (1.0, 2.0)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected a list of numbers, got {value!r}")
+        return tuple(map(convert, value))
+    return parse
+
+
+def _channel_from_dict(data: dict) -> ChannelParams | None:
+    if not data:
+        return None
+    n = _int(data["n_cells"])
+    k = _int(data.get("users_per_cell", 1))
+    power = _float(data.get("power", 1.0))
+    if "diagonals" in data:
+        diagonals = tuple(
+            DiagonalSpec(_int(d["offset"]), _float(d["gain"]), parse_spec_tag(d["fading"]))
+            for d in data["diagonals"]
+        )
+        return ChannelParams(n, k, diagonals, power)
+    # three-diagonal sugar: alpha / beta plus one shared fading tag
+    alpha = _float(data.get("alpha", 0.0))
+    beta = _float(data.get("beta", alpha))
+    return wyner(n, k, alpha, beta, parse_spec_tag(data.get("fading", "rayleigh")), power)
+
+
+def _channel_to_dict(channel: ChannelParams) -> dict:
+    return {
+        "n_cells": channel.n_cells,
+        "users_per_cell": channel.users_per_cell,
+        "power": channel.power,
+        "diagonals": [
+            {"offset": d.offset, "gain": d.gain, "fading": d.fading.tag}
+            for d in sorted(channel.diagonals, key=lambda d: d.offset)
+        ],
+    }
+
+
+# field type (as annotated) -> converter from its JSON value
+_CONVERTERS = {
+    "str": str,
+    "int": _int,
+    "tuple[float, ...]": _list_of(_float),
+    "tuple[int, ...]": _list_of(_int),
+    "ChannelParams | None": _channel_from_dict,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +355,15 @@ def _mean_se(rows: list[np.ndarray]):
     return mean, se
 
 
-def _estimate_rows(grid, replicates, refs):
-    """One table row per grid point: replicate mean, standard error, count
-    and reference of the statistic at that position."""
-    mean, se = _mean_se(replicates)
-    return [(g, mean[i], se[i], len(replicates), refs[i]) for i, g in enumerate(grid)]
-
-
-def _capacity_rows(params: ChannelParams, p_grid, transforms):
-    refs = [_capacity_reference(params, p) for p in p_grid]
-    return _estimate_rows(p_grid, transforms, refs)
-
-
-def _table(path: Path, grid_name: str, rows, config):
-    """Write a ``grid,estimate,std_err,n_used,reference`` table."""
+def _table(path: Path, grid_name: str, blocks, config):
+    """Write a ``grid,estimate,std_err,n_used,reference`` table with one row
+    per grid point of each ``(grid, replicates, refs)`` block: the replicate
+    mean and standard error of the statistic at that position, the number of
+    replicates and the reference."""
+    rows = []
+    for grid, replicates, refs in blocks:
+        mean, se = _mean_se(replicates)
+        rows += zip(grid, mean, se, itertools.repeat(len(replicates)), refs)
     columns = (grid_name, "estimate", "std_err", "n_used", "reference")
     _write_csv(path, columns, rows, _meta(config))
     return [ExperimentResult(*row) for row in rows], [path]
@@ -374,8 +391,9 @@ def _run_spectrum(config, out_dir, jobs):
     ]
     results = []
     if config.p_grid:
-        rows = _capacity_rows(params, config.p_grid, [t for _, t in replicates])
-        results, table = _table(out_dir / "shannon.csv", "P", rows, config)
+        transforms = [t for _, t in replicates]
+        block = (config.p_grid, transforms, _capacity_reference(params, config.p_grid))
+        results, table = _table(out_dir / "shannon.csv", "P", [block], config)
         files += table
     return results, files
 
@@ -383,19 +401,19 @@ def _run_spectrum(config, out_dir, jobs):
 def _run_capacity_vs_p(config, out_dir, jobs):
     params = config.channel
     replicates = _gram_replicates(config, params, 0, jobs, _shannon(params, config.p_grid))
-    rows = _capacity_rows(params, config.p_grid, replicates)
-    return _table(out_dir / "capacity_vs_P.csv", "P", rows, config)
+    block = (config.p_grid, replicates, _capacity_reference(params, config.p_grid))
+    return _table(out_dir / "capacity_vs_P.csv", "P", [block], config)
 
 
 def _run_capacity_vs_n(config, out_dir, jobs):
     base = config.channel
     stat = _shannon(base, [base.power])
-    ref = _capacity_reference(base, base.power)
-    rows = []
-    for gi, n in enumerate(config.n_grid):
-        replicates = _gram_replicates(config, base.with_size(n), gi, jobs, stat)
-        rows += _estimate_rows([n], replicates, [ref])
-    return _table(out_dir / "capacity_vs_N.csv", "N", rows, config)
+    refs = _capacity_reference(base, [base.power])
+    blocks = [
+        ([n], _gram_replicates(config, base.with_size(n), gi, jobs, stat), refs)
+        for gi, n in enumerate(config.n_grid)
+    ]
+    return _table(out_dir / "capacity_vs_N.csv", "N", blocks, config)
 
 
 def _run_moments(config, out_dir, jobs):
@@ -405,8 +423,7 @@ def _run_moments(config, out_dir, jobs):
         config, params, 0, jobs, lambda a: np.array([trace_moment(a, p) for p in orders])
     )
     refs = _moment_reference(params) or (float("nan"),) * len(orders)
-    rows = _estimate_rows(orders, replicates, refs)
-    return _table(out_dir / "moments.csv", "p", rows, config)
+    return _table(out_dir / "moments.csv", "p", [(orders, replicates, refs)], config)
 
 
 def _run_narula(config, out_dir, jobs):
@@ -462,14 +479,24 @@ def _run_extreme_snr(config, out_dir, jobs):
     return results, files
 
 
+def _mp_channel(base: ChannelParams, alpha: float) -> ChannelParams:
+    """Symmetric three-diagonal channel with neighbor gain ``alpha`` and the
+    order, block width, power and offset-0 fading law of ``base``."""
+    center = _diagonal_gain_spec(base, 0)[1]
+    if center is None:
+        raise ValueError("mp_compare needs a channel with an offset-0 diagonal")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha {alpha} outside [0, 1]")
+    return wyner(base.n_cells, base.users_per_cell, alpha, alpha, center, base.power)
+
+
 def _run_mp_compare(config, out_dir, jobs):
     base = config.channel
     k = base.users_per_cell
-    center = _diagonal_gain_spec(base, 0)[1]
-    m2 = center.amplitude_moment(2)
+    m2 = _diagonal_gain_spec(base, 0)[1].amplitude_moment(2)
     rows, results = [], []
     for gi, alpha in enumerate(config.alphas):
-        params = wyner(base.n_cells, k, alpha, alpha, center, base.power)
+        params = _mp_channel(base, alpha)
         scale = 1.0 / (k * (1.0 + 2.0 * alpha**2))
         replicates = _gram_replicates(
             config, params, gi, jobs, lambda a: eigenvalues(a).eigenvalues
@@ -593,13 +620,14 @@ def _wyner_shape(params: ChannelParams):
     return alpha, beta
 
 
-def _capacity_reference(params: ChannelParams, total_power: float) -> float:
+def _capacity_reference(params: ChannelParams, powers) -> list[float]:
+    """Non-fading Toeplitz-limit capacity at each total power; nan where that
+    closed form does not apply."""
     shape = _wyner_shape(params)
-    if shape is None or shape[0] != shape[1]:
-        return float("nan")
-    if any(d.fading.kind != "deterministic" for d in params.diagonals):
-        return float("nan")
-    return closed_forms.wyner_capacity_nonfading(total_power, shape[0])
+    if (shape is None or shape[0] != shape[1]
+            or any(d.fading.kind != "deterministic" for d in params.diagonals)):
+        return [float("nan")] * len(powers)
+    return [closed_forms.wyner_capacity_nonfading(p, shape[0]) for p in powers]
 
 
 def _moment_reference(params: ChannelParams):
@@ -702,8 +730,6 @@ def _histogram_rows(values: np.ndarray, n_bins: int):
 def _gnuplot_scripts(csv_files) -> list[Path]:
     scripts = []
     for csv_path in csv_files:
-        if csv_path.suffix != ".csv":
-            continue
         gp = csv_path.with_suffix(".gp")
         with open(gp, "w", newline="\n") as fh:
             fh.write("set datafile separator ','\n")

@@ -8,10 +8,9 @@ factorization form a Markov chain
 driven by the current taps and the previous row's ``|a|^2``.  These are the
 LDL^T pivots of the real SPD tridiagonal with diagonal ``1 + pa_i + pb_i`` and
 off-diagonal ``sqrt(pb_i pa_{i-1})`` (``pa = P|a|^2``, ``pb = P|b|^2``), so
-``_pivots`` is one LAPACK ``dpttrf`` call, shared by the single-chain
-simulation, the ensemble of independent chains built from it and the LDL
-cross-check.  The chain has a unique ergodic stationary law, so the running
-mean of ``log d_n`` estimates the channel's per-symbol rate.
+``_pivots`` is one LAPACK ``dpttrf`` call, shared by the chain simulation
+and the LDL cross-check.  The chain has a unique ergodic stationary law, so
+the running mean of ``log d_n`` estimates the channel's per-symbol rate.
 """
 from __future__ import annotations
 
@@ -26,7 +25,6 @@ from .fading import RAYLEIGH
 __all__ = [
     "ChainRun",
     "simulate_chain",
-    "simulate_chain_ensemble",
     "chain_vs_ldl",
 ]
 
@@ -51,14 +49,18 @@ def _pivots(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return d
 
 
+# batches behind the batch-means standard error of a chain's log-mean
+_N_BATCHES = 100
+
+
 @dataclass(frozen=True)
 class ChainRun:
     """A simulated chain trajectory with its ergodic log-mean estimate.
 
     ``samples`` holds the retained pivots (after ``burn_in`` discarded
     steps); every retained value is >= 1.  The standard error comes from
-    batch means over 100 batches, the simplest defensible estimator for
-    correlated chain output.
+    batch means over ``_N_BATCHES`` batches, the simplest defensible
+    estimator for correlated chain output.
     """
 
     power: float
@@ -74,7 +76,6 @@ def simulate_chain(
     n_steps: int,
     burn_in: int,
     rng: np.random.Generator,
-    n_batches: int = 100,
 ) -> ChainRun:
     """Run the chain with complex Gaussian taps and estimate E[log d].
 
@@ -84,52 +85,18 @@ def simulate_chain(
     """
     if not 0 <= burn_in < n_steps:
         raise ValueError("need 0 <= burn_in < n_steps")
-    _check_power(power)
+    if not (np.isfinite(power) and power >= 0):
+        raise ValueError("power must be finite and nonnegative")
     pa = power * np.abs(RAYLEIGH.sample(rng, n_steps)) ** 2
     pb = power * np.abs(RAYLEIGH.sample(rng, n_steps)) ** 2
     samples = _pivots(pa, pb)[burn_in:]
     logs = np.log(samples)
-    mean = float(logs.mean())
-    stderr = _batch_means_stderr(logs, n_batches)
-    return ChainRun(power, n_steps, burn_in, samples, mean, stderr)
-
-
-def _check_power(power: float) -> None:
-    if not (np.isfinite(power) and power >= 0):
-        raise ValueError("power must be finite and nonnegative")
-
-
-def _batch_means_stderr(values: np.ndarray, n_batches: int) -> float:
-    usable = (len(values) // n_batches) * n_batches
-    if usable < n_batches or n_batches < 2:
-        return float("nan")
-    batches = values[:usable].reshape(n_batches, -1).mean(axis=1)
-    return float(batches.std(ddof=1) / np.sqrt(n_batches))
-
-
-def simulate_chain_ensemble(
-    power: float,
-    n_chains: int,
-    n_steps: int,
-    burn_in: int,
-    rng: np.random.Generator,
-):
-    """Ergodic log-mean pooled over independent chains.
-
-    Each chain is one :func:`simulate_chain` run drawing from ``rng`` in
-    turn; equally long chains make the plain average of per-chain means the
-    inverse-variance-weighted one.  Returns ``(estimate, stderr)`` with the
-    standard error taken across chains (``n_chains < 2`` raises).
-    """
-    if n_chains < 2:
-        raise ValueError("need at least two chains for an across-chain standard error")
-    chain_means = np.array([
-        simulate_chain(power, n_steps, burn_in, rng).ergodic_log_mean
-        for _ in range(n_chains)
-    ])
-    estimate = float(chain_means.mean())
-    stderr = float(chain_means.std(ddof=1) / np.sqrt(n_chains))
-    return estimate, stderr
+    stderr = float("nan")
+    if len(logs) >= _N_BATCHES:
+        usable = (len(logs) // _N_BATCHES) * _N_BATCHES
+        batches = logs[:usable].reshape(_N_BATCHES, -1).mean(axis=1)
+        stderr = float(batches.std(ddof=1) / np.sqrt(_N_BATCHES))
+    return ChainRun(power, n_steps, burn_in, samples, float(logs.mean()), stderr)
 
 
 def chain_vs_ldl(n: int, power: float, rng: np.random.Generator) -> float:

@@ -1,9 +1,8 @@
 """Empirical spectral statistics: ECDF, Shannon transform, moments, distances.
 
 Everything here is a pure function of immutable inputs.  Moments are
-available through two routes that the tests hold against each other: via the
-eigenvalues, or directly as normalized traces of small powers computed in
-band storage without any eigendecomposition.
+normalized traces of small powers computed in band storage, without any
+eigendecomposition.
 """
 from __future__ import annotations
 
@@ -48,12 +47,6 @@ class EmpiricalSpectrum:
             raise ValueError("rho must be nonnegative")
         return float(np.mean(np.log1p(rho * self.eigenvalues)))
 
-    def moment(self, p: int) -> float:
-        """p-th spectral moment ``mean(lam^p)``."""
-        if p < 1:
-            raise ValueError("moment order must be >= 1")
-        return float(np.mean(self.eigenvalues**p))
-
     def ks_distance(self, cdf) -> float:
         """Kolmogorov-Smirnov distance to a reference CDF callable.
 
@@ -70,18 +63,12 @@ class EmpiricalSpectrum:
         f_lo = np.asarray(cdf(np.nextafter(uniq, -np.inf)), dtype=float)
         return float(np.maximum(np.abs(f_hi - hi), np.abs(f_lo - lo)).max())
 
-    def scaled(self, factor: float) -> "EmpiricalSpectrum":
-        """Spectrum of the matrix scaled by a positive factor."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return EmpiricalSpectrum(self.eigenvalues * factor)
-
 
 def trace_moment(a: BandedHermitian, p: int) -> float:
     """Normalized trace ``trace(A^p) / n`` for p in {1, 2, 3}.
 
-    Works entirely in band storage in O(n * bandwidth^p); higher powers go
-    through the eigenvalue route instead.
+    Works entirely in band storage in O(n * bandwidth^p); higher powers need
+    the eigenvalues.
     """
     n = a.n
     if p == 1:

@@ -209,7 +209,7 @@ def test_c8_large_k_capacity_reproduction():
         for r in range(n_reps):
             rng = bs.derive_stream(8, (group << 32) | r)
             s = bs.eigenvalues(bs.gram(bs.generate_channel(params, rng)))
-            caps[r] = s.shannon_transform(params.rho)
+            caps[r] = s.shannon_transform(power / k)
         rel = abs(caps.mean() / ref - 1.0)
         check(
             "C8", rel < tol,

@@ -64,19 +64,6 @@ def test_rician_moments_closed_form_and_monte_carlo(rng):
         assert abs(est - spec.amplitude_moment(order)) < 3 * se
 
 
-def test_complex_means():
-    assert DETERMINISTIC.complex_mean() == 1.0
-    assert UNIFORM_PHASE.complex_mean() == 0.0
-    assert RAYLEIGH.complex_mean() == 0.0
-    assert rician(0.3 + 0.4j, 0.5).complex_mean() == 0.3 + 0.4j
-
-
-def test_kurtosis_values():
-    assert DETERMINISTIC.kurtosis() == 1.0
-    assert UNIFORM_PHASE.kurtosis() == 1.0
-    assert RAYLEIGH.kurtosis() == pytest.approx(2.0, rel=1e-13)
-
-
 @given(
     nu=st.floats(min_value=0.0, max_value=5.0),
     s2=st.floats(min_value=1e-6, max_value=5.0),
@@ -87,8 +74,6 @@ def test_moment_inequalities_hold(nu, s2):
     m2 = spec.amplitude_moment(2)
     m4 = spec.amplitude_moment(4)
     assert m2**2 <= m4 * (1 + 1e-12)
-    assert abs(spec.complex_mean()) ** 2 <= m2 * (1 + 1e-12)
-    assert spec.kurtosis() >= 1 - 1e-12
 
 
 @pytest.mark.parametrize("spec", [DETERMINISTIC, RAYLEIGH, UNIFORM_PHASE, rician(1.0, 0.5)])

@@ -41,6 +41,11 @@ def spectrum_config(tmp_path, **overrides):
     return data
 
 
+# explicit diagonals with no offset-0 diagonal: mp_compare has no center law
+NO_CENTER_CHANNEL = {"n_cells": 32, "diagonals": [
+    {"offset": 1, "gain": 1.0, "fading": "rayleigh"}]}
+
+
 def capacity_n_config(tmp_path, **overrides):
     data = {
         "kind": "capacity_vs_N",
@@ -133,6 +138,20 @@ class TestConfig:
             {"channel": None},
             {"bogus_field": 1},
             {"channel": {"n_cells": 2, "alpha": 0.5, "fading": "rayleigh"}},
+            {"histogram_bins": 0},
+            {"histogram_bins": -3},
+            {"kind": "capacity_vs_N", "n_grid": [0, 8]},
+            {"kind": "power_profile", "n_grid": [1, 2]},  # too small for offsets +-1
+            {"kind": "mp_compare", "alphas": [2.0]},
+            {"kind": "mp_compare", "alphas": [-0.5]},
+            {"kind": "mp_compare", "alphas": [0.5], "channel": NO_CENTER_CHANNEL},
+            # values that used to be coerced: "12" ran as (1.0, 2.0), 2.7 as 2
+            {"p_grid": "12"},
+            {"p_grid": ["10.0"]},
+            {"replications": 2.7},
+            {"replications": True},
+            {"kind": "capacity_vs_N", "n_grid": [8.5]},
+            {"channel": {"n_cells": 32.5, "alpha": 0.5}},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, patch):
@@ -140,6 +159,48 @@ class TestConfig:
         data.update(patch)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("command,patch", [
+        ("spectrum", {"histogram_bins": 0}),
+        ("mp-compare", {"kind": "mp_compare", "alphas": [0.5], "channel": NO_CENTER_CHANNEL}),
+        ("spectrum", {"replications": 2.7}),
+    ])
+    def test_invalid_config_exits_2(self, tmp_path, capsys, command, patch):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(spectrum_config(tmp_path, **patch)))
+        assert main([command, str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # sha256 of each config at the commit that introduced this test: every
+    # CSV's config_sha256 line depends on to_dict, so these must not drift
+    GOLDEN_HASHES = [
+        ({"kind": "spectrum",
+          "channel": {"n_cells": 32, "users_per_cell": 1, "alpha": 0.5,
+                      "fading": "deterministic", "power": 10.0},
+          "p_grid": [1, 10.0], "replications": 3, "seed": 123, "histogram_bins": 20},
+         "caedfde6e8884930f09700cc3ea72d43815527989d8d1515feacdcd22ba939a3"),
+        ({"kind": "capacity_vs_N",
+          "channel": {"n_cells": 16, "users_per_cell": 2, "power": 2.5, "diagonals": [
+              {"offset": 2, "gain": 0.25, "fading": "uniform-phase"},
+              {"offset": 0, "gain": 1.0, "fading": "rayleigh"}]},
+          "n_grid": [8, 16], "replications": 4, "seed": 5},
+         "340dad00a9569025413258688c8ef2445be730458cfe344710aad9ebe0a911f2"),
+        ({"kind": "extreme_snr",
+          "channel": {"n_cells": 64, "alpha": 1.0, "beta": 0.0,
+                      "fading": "rician:nu=0.3+0.4j,s2=0.5"},
+          "replications": 2, "seed": 3, "low_p": [1e-3, 4e-3], "high_p": [1e4, 1e6]},
+         "c6ccf4c47f9dd5d753006738d0f9744ed1e89e1bec82b2f5ce45cef5e5c88df2"),
+    ]
+
+    @pytest.mark.parametrize("data,digest", GOLDEN_HASHES)
+    def test_config_hash_is_pinned(self, data, digest):
+        config = ExperimentConfig.from_dict(data)
+        assert config.sha256() == digest
+        # to_dict must survive JSON (perfbench/run.py writes it out) and read back
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+        assert again.to_dict() == config.to_dict()
+        assert again.sha256() == digest
 
 
     @pytest.mark.parametrize("field", ["p_grid", "low_p", "high_p"])

@@ -8,7 +8,6 @@ from bandspec import (
     narula_capacity,
     narula_stationary_cdf,
     simulate_chain,
-    simulate_chain_ensemble,
 )
 from bandspec.narula_chain import _pivots
 from bandspec.spectral import EmpiricalSpectrum
@@ -74,15 +73,6 @@ def test_pivots_reject_non_finite_taps():
 def test_bad_power_rejected(power):
     with pytest.raises(ValueError):
         simulate_chain(power, 100, 10, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        simulate_chain_ensemble(power, 4, 100, 10, np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("n_chains", [0, 1])
-def test_ensemble_needs_two_chains(n_chains):
-    # one chain has no across-chain spread: std(ddof=1) would be NaN
-    with pytest.raises(ValueError):
-        simulate_chain_ensemble(1.0, n_chains, 100, 10, np.random.default_rng(0))
 
 
 def test_chain_samples_respect_bounds(rng):
@@ -104,13 +94,6 @@ def test_burn_in_doubling_is_irrelevant():
     long = simulate_chain(10.0, 300_000, 10_000, np.random.default_rng(4))
     joint = np.hypot(short.log_mean_stderr, long.log_mean_stderr)
     assert abs(short.ergodic_log_mean - long.ergodic_log_mean) < 3 * joint
-
-
-def test_ensemble_matches_quadrature_capacity(rng):
-    # 100 chains x 1e5 steps: ergodic mean against the stationary-law integral
-    est, se = simulate_chain_ensemble(10.0, 100, 100_000, 1_000, rng)
-    assert abs(est - narula_capacity(10.0)) < 3 * se
-    assert se < 0.01
 
 
 def test_single_chain_matches_quadrature_capacity(rng):

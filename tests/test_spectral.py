@@ -67,13 +67,6 @@ def test_shannon_transform_dual_route(rng):
         assert s.shannon_transform(rho) == pytest.approx(via_ldl, rel=1e-10)
 
 
-def test_moment_basics():
-    s = EmpiricalSpectrum(np.array([2.0, 2.0]))
-    assert s.moment(3) == pytest.approx(8.0)
-    assert s.moment(1) == pytest.approx(2.0)
-    assert EmpiricalSpectrum(np.array([1.0, 3.0])).moment(1) == pytest.approx(2.0)
-
-
 def test_trace_moment_identities(rng):
     a = random_banded(30, 2, rng)
     assert trace_moment(a, 1) == pytest.approx(a.diag.mean(), rel=1e-14)
@@ -108,7 +101,7 @@ def test_trace_moments_match_eigenvalue_route(rng):
     a = gram(generate_channel(params, rng))
     s = eigenvalues(a)
     for p in (1, 2, 3):
-        assert trace_moment(a, p) == pytest.approx(s.moment(p), rel=1e-9)
+        assert trace_moment(a, p) == pytest.approx(np.mean(s.eigenvalues**p), rel=1e-9)
 
 
 def test_ks_distance_cases():
@@ -117,13 +110,6 @@ def test_ks_distance_cases():
     single = EmpiricalSpectrum(np.array([0.5]))
     uniform_cdf = lambda x: np.clip(x, 0.0, 1.0)
     assert single.ks_distance(uniform_cdf) == pytest.approx(0.5)
-
-
-def test_scaled_spectrum():
-    s = EmpiricalSpectrum(np.array([1.0, 4.0]))
-    assert np.allclose(s.scaled(0.5).eigenvalues, [0.5, 2.0])
-    with pytest.raises(ValueError):
-        s.scaled(0.0)
 
 
 def test_power_profile_diagonal_only():
