@@ -61,6 +61,9 @@ class ChannelParams:
     power: float = 1.0
 
     def __post_init__(self):
+        # offset order, so equality and hashing ignore the order given
+        diagonals = tuple(sorted(self.diagonals, key=lambda d: d.offset))
+        object.__setattr__(self, "diagonals", diagonals)
         if self.n_cells < 1 or self.users_per_cell < 1:
             raise ValueError("n_cells and users_per_cell must be positive")
         if not self.diagonals:
@@ -143,7 +146,7 @@ def generate_channel(params: ChannelParams, rng: np.random.Generator) -> BlockBa
     """
     n, k = params.n_cells, params.users_per_cell
     blocks = {}
-    for d in sorted(params.diagonals, key=lambda d: d.offset):
+    for d in params.diagonals:
         rows = d.gain * d.fading.sample(rng, (n, k))
         lo = max(0, -d.offset)
         hi = min(n, n - d.offset)

@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run a {name} experiment from a JSON config")
         p.add_argument("config", help="experiment config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel replicates")
+        p.add_argument("--jobs", type=int, default=1, help="replicate worker processes")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--emit-gnuplot", action="store_true",
                        help="write companion gnuplot scripts")

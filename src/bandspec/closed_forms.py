@@ -11,7 +11,6 @@ formula: nothing here draws random numbers.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import exp1
 
 from .fading import FadingSpec
@@ -66,6 +65,7 @@ def wyner_capacity_large_k(power: float, alpha: float, m2: float, mu: complex) -
     if power == 0:
         return 0.0
     base = sigma2 * (1.0 + 2.0 * alpha**2)
+    from scipy.integrate import quad  # lazy: it loads scipy.optimize (~0.2 s)
 
     def integrand(t):
         return np.log1p(
@@ -187,6 +187,7 @@ def narula_capacity(pbar: float) -> float:
     if pbar <= 0:
         raise ValueError("pbar must be positive")
     norm = _e1_scaled(1.0 / pbar)
+    from scipy.integrate import quad
 
     def integrand(u):
         return np.log1p(pbar * u) ** 2 * np.exp(-u)

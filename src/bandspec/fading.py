@@ -166,6 +166,8 @@ def rician(nu: float | complex, s2: float) -> FadingSpec:
 def parse_spec_tag(tag: str) -> FadingSpec:
     """Parse a config tag: ``deterministic``, ``rayleigh``, ``uniform-phase``,
     or ``rician:nu=<complex>,s2=<float>``."""
+    if not isinstance(tag, str):
+        raise ValueError(f"fading tag must be a string, got {tag!r}")
     tag = tag.strip()
     if tag in ("deterministic", "rayleigh", "uniform-phase"):
         return FadingSpec(tag)

@@ -2,7 +2,7 @@
 
 Reruns are byte-reproducible: replicate ``r`` always draws from a Philox
 stream keyed by ``(master seed, index)``, results are reduced in replicate
-order regardless of completion order, floats are printed with a fixed
+order whatever the number of jobs, floats are printed with a fixed
 17-significant-digit format, and every output file carries the config hash
 and master seed in comment lines.  CSV rows are streamed in fixed-size
 blocks, each formatted with one ``%`` format built from its column types.
@@ -10,6 +10,10 @@ blocks, each formatted with one ``%`` format built from its column types.
 Shannon transforms come from shifted LDL pivots in O(N b^2); the O(N^2)
 band eigensolve runs only where the eigenvalue list is itself the output
 (``spectrum.csv``, ``ecdf.csv``) or is compared whole (``mp_compare``).
+
+Replicates run in ``min(jobs, replications, os.cpu_count())`` forked worker
+processes (threads would wait on the interpreter lock that scipy's LAPACK
+wrappers hold), or serially when that is 1 or the platform cannot fork.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import hashlib
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -245,7 +249,7 @@ def _channel_to_dict(channel: ChannelParams) -> dict:
         "power": channel.power,
         "diagonals": [
             {"offset": d.offset, "gain": d.gain, "fading": d.fading.tag}
-            for d in sorted(channel.diagonals, key=lambda d: d.offset)
+            for d in channel.diagonals
         ],
     }
 
@@ -298,6 +302,8 @@ def run_experiment(
     survives.
     """
     config.validate()
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runner, n_plotted = _RUNNERS[config.kind]
@@ -318,9 +324,15 @@ def _replicate_map(config: ExperimentConfig, group: int, jobs: int, worker):
         except _NUMERICAL_FAILURES:
             return None
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            slots = list(pool.map(call, indices))
+    workers = min(jobs, config.replications, os.cpu_count() or 1)
+    if workers > 1 and hasattr(os, "fork"):
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        # workers inherit the closure ``call``: only indices and results are pickled
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, fork, _install_call, (call,)) as pool:
+            slots = list(pool.map(_call_in_worker, indices))
     else:
         slots = [call(r) for r in indices]
     ok = [s for s in slots if s is not None]
@@ -329,6 +341,18 @@ def _replicate_map(config: ExperimentConfig, group: int, jobs: int, worker):
             f"all {config.replications} replicates failed numerically"
         )
     return ok
+
+
+_worker_call = None  # a forked worker's replicate closure
+
+
+def _install_call(call) -> None:
+    global _worker_call
+    _worker_call = call
+
+
+def _call_in_worker(r: int):
+    return _worker_call(r)
 
 
 def _gram_replicates(config, params: ChannelParams, group: int, jobs: int, stat):

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import bandspec
 from bandspec import (
     DETERMINISTIC,
     RAYLEIGH,
@@ -34,6 +40,18 @@ def simpson_capacity(power, alpha, panels=2**16):
     w = np.ones(panels + 1)
     w[1:-1:2], w[2:-1:2] = 4, 2
     return (w * y).sum() / (3 * panels)
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate pulls in scipy.optimize; only the integrating baselines need it
+    src = Path(bandspec.__file__).resolve().parents[1]
+    code = ("import bandspec, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.strip() == "[]"
 
 
 class TestWynerNonfading:

@@ -100,6 +100,11 @@ def test_tag_round_trip():
         parse_spec_tag("rician:nu=0.8")
 
 
+def test_non_string_tag_is_named():
+    with pytest.raises(ValueError, match="fading tag must be a string, got 5"):
+        parse_spec_tag(5)
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -1,4 +1,7 @@
+import concurrent.futures.process
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from bandspec import (
     fit_high_snr_offset_extrapolated,
     fit_high_snr_params,
     fit_low_snr_params,
+    generate_channel,
+    gram,
     log_ldl_shifted,
     run_experiment,
     wyner_capacity_nonfading,
@@ -192,6 +197,21 @@ class TestConfig:
           "replications": 2, "seed": 3, "low_p": [1e-3, 4e-3], "high_p": [1e4, 1e6]},
          "c6ccf4c47f9dd5d753006738d0f9744ed1e89e1bec82b2f5ce45cef5e5c88df2"),
     ]
+
+    def test_diagonal_order_survives_round_trip(self, tmp_path):
+        config = ExperimentConfig.from_dict(spectrum_config(tmp_path, channel={
+            "n_cells": 16, "diagonals": [
+                {"offset": 2, "gain": 0.25, "fading": "uniform-phase"},
+                {"offset": 0, "gain": 1.0, "fading": "rayleigh"}]}))
+        assert config.channel.offsets == (0, 2)
+        assert ExperimentConfig.from_dict(config.to_dict()).channel == config.channel
+
+    def test_non_string_fading_tag_is_named(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(spectrum_config(
+            tmp_path, channel={"n_cells": 32, "alpha": 0.5, "fading": 5})))
+        assert main(["spectrum", str(path)]) == 2
+        assert "fading tag must be a string, got 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("data,digest", GOLDEN_HASHES)
     def test_config_hash_is_pinned(self, data, digest):
@@ -488,34 +508,127 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig.from_dict(spectrum_config(tmp_path)))
         assert calls == [32, 32, 32]
 
-    def test_failed_factorization_drops_its_replicate(self, tmp_path, monkeypatch):
-        # the first factorization of replicate 1 fails; the others run
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_factorization_drops_its_replicate(
+        self, tmp_path, monkeypatch, two_cpus, jobs
+    ):
+        # factorizing replicate 1's matrix fails; it is told apart by its data,
+        # since a forked worker's calls never reach this process
         powers = [0.1, 1.0, 10.0]
+        config = ExperimentConfig.from_dict(spectrum_config(
+            tmp_path, kind="capacity_vs_P", p_grid=powers, replications=4,
+            channel={"n_cells": 32, "alpha": 0.5, "fading": "rayleigh"},
+        ))
+        grams = [
+            gram(generate_channel(
+                config.channel, derive_stream(config.seed, harness._stream_index(0, r))))
+            for r in range(4)
+        ]
         calls = []
 
         def flaky(a, rho):
             calls.append(rho)
-            if len(calls) == len(powers) + 1:
+            if np.array_equal(a.diag, grams[1].diag):
                 raise PivotError("forced failure")
             return log_ldl_shifted(a, rho)
 
         monkeypatch.setattr(harness, "log_ldl_shifted", flaky)
-        config = ExperimentConfig.from_dict(spectrum_config(
-            tmp_path, kind="capacity_vs_P", p_grid=powers, replications=4,
-        ))
-        (path,) = run_experiment(config).files
+        (path,) = run_experiment(config, jobs=jobs).files
         rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
         assert [int(row.split(",")[3]) for row in rows] == [3, 3, 3]
-        assert len(calls) == 4 * len(powers) - (len(powers) - 1)
+        survivors = [[log_ldl_shifted(grams[r], p).mean() for p in powers] for r in (0, 2, 3)]
+        estimates = [float(row.split(",")[1]) for row in rows]
+        assert estimates == pytest.approx(np.mean(survivors, axis=0), rel=1e-14)
+        if jobs == 1:
+            # the failed replicate stops at its first factorization
+            assert len(calls) == 4 * len(powers) - (len(powers) - 1)
 
-    def test_all_replicates_failing_raises(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_all_replicates_failing_raises(self, tmp_path, monkeypatch, two_cpus, jobs):
         def explode(*args, **kwargs):
             raise PivotError("forced failure")
 
         monkeypatch.setattr(harness, "eigenvalues", explode)
         config = ExperimentConfig.from_dict(spectrum_config(tmp_path))
         with pytest.raises(AllReplicatesFailedError):
-            run_experiment(config)
+            run_experiment(config, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        config = ExperimentConfig.from_dict(spectrum_config(tmp_path))
+        with pytest.raises(ConfigError, match="jobs"):
+            run_experiment(config, jobs=jobs)
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs as far as the worker cap can tell, however many the host has."""
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="replicate workers are forked")
+
+
+class TestReplicateWorkers:
+    @pytest.mark.parametrize("jobs,replications,cpus,workers", [
+        (8, 5, 3, 3),
+        (2, 5, 3, 2),
+        (8, 2, 3, 2),
+        (4, 1, 3, None),
+        (4, 5, 1, None),
+        (4, 5, None, None),
+        (1, 5, 3, None),
+    ])
+    def test_worker_cap(self, tmp_path, monkeypatch, jobs, replications, cpus, workers):
+        # a serial stand-in pool records the worker count; no process starts
+        made = []
+
+        class StandInPool:
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                made.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", StandInPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        config = ExperimentConfig.from_dict(spectrum_config(tmp_path, replications=replications))
+        draws = harness._replicate_map(config, 0, jobs, lambda rng: rng.random())
+        assert made == ([] if workers is None else [workers])
+        assert draws == [derive_stream(config.seed, r).random() for r in range(replications)]
+
+    @needs_fork
+    def test_replicates_run_in_parallel_workers(self, tmp_path, two_cpus):
+        # each replicate waits at a two-party barrier, so a replicate returns
+        # only while another worker process is running one too
+        barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
+
+        def pid(rng):
+            barrier.wait()
+            return os.getpid()
+
+        config = ExperimentConfig.from_dict(spectrum_config(tmp_path, replications=4))
+        pids = harness._replicate_map(config, 0, 2, pid)
+        assert len(set(pids)) >= 2
+        assert os.getpid() not in pids
+
+    @needs_fork
+    def test_worker_exception_keeps_its_type(self, tmp_path, monkeypatch, two_cpus):
+        def broken(a, rho):
+            raise KeyError("not a numerical failure")
+
+        monkeypatch.setattr(harness, "log_ldl_shifted", broken)
+        config = ExperimentConfig.from_dict(spectrum_config(tmp_path, kind="capacity_vs_P"))
+        with pytest.raises(KeyError, match="not a numerical failure"):
+            run_experiment(config, jobs=2)
 
 
 class TestCli:
@@ -542,6 +655,12 @@ class TestCli:
         assert (out / "shannon.gp").exists()
         meta = (out / "shannon.csv").read_text().splitlines()[:3]
         assert any("master_seed=7" in line for line in meta)
+
+    def test_negative_jobs_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(spectrum_config(tmp_path)))
+        assert main(["spectrum", str(path), "--jobs", "-3"]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
     def test_closed_form_subcommand(self, capsys):
         assert main(["closed-form", "--formula", "wyner-nonfading",
