@@ -147,13 +147,11 @@ def generate_channel(params: ChannelParams, rng: np.random.Generator) -> BlockBa
     n, k = params.n_cells, params.users_per_cell
     blocks = {}
     for d in params.diagonals:
-        rows = d.gain * d.fading.sample(rng, (n, k))
-        lo = max(0, -d.offset)
-        hi = min(n, n - d.offset)
-        if lo > 0:
-            rows[:lo] = 0.0
-        if hi < n:
-            rows[hi:] = 0.0
+        rows = d.fading.sample(rng, (n, k))
+        rows *= d.gain
+        # zero the rows whose block column i + offset is outside [0, N)
+        rows[: max(0, -d.offset)] = 0.0
+        rows[n - max(0, d.offset):] = 0.0
         blocks[d.offset] = rows
     return BlockBandedChannel(n, k, blocks)
 
@@ -225,7 +223,8 @@ def gram(channel: BlockBandedChannel) -> BandedHermitian:
 
     sub = []
     for k in range(1, bandwidth + 1):
-        s = np.zeros(n - k, dtype=complex)
+        # einsum sums from +0: its first term has the bits of zero plus it
+        s = None
         for d in offsets:
             if d + k not in channel.blocks:
                 continue
@@ -233,8 +232,9 @@ def gram(channel: BlockBandedChannel) -> BandedHermitian:
             # a block column: offsets d (row m+k) and d+k (row m).
             lower = channel.blocks[d][k:]
             upper = channel.blocks[d + k][: n - k]
-            s += np.einsum("ij,ij->i", lower, np.conj(upper))
-        sub.append(s)
+            term = np.einsum("ij,ij->i", lower, np.conj(upper))
+            s = term if s is None else np.add(s, term, out=s)
+        sub.append(np.zeros(n - k, dtype=complex) if s is None else s)
     return BandedHermitian(diag, tuple(sub))
 
 

@@ -66,22 +66,20 @@ class FadingSpec:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw i.i.d. coefficients from the law.
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Draw a complex array of i.i.d. coefficients from the law.
 
-        Returns a complex scalar when ``size`` is None, else a complex array.
         Identical generators produce identical draw sequences.
         """
         if self.kind == "deterministic":
-            out = np.ones(size if size is not None else (), dtype=complex)
-        elif self.kind == "rayleigh":
-            out = _standard_complex_normal(rng, size)
-        elif self.kind == "uniform-phase":
-            out = np.exp(2j * np.pi * rng.random(size))
-        else:  # rician
-            out = self.nu + np.sqrt(self.s2) * _standard_complex_normal(rng, size)
-        if size is None:
-            return complex(out)
+            return np.ones(size, dtype=complex)
+        if self.kind == "uniform-phase":
+            out = 2j * np.pi * rng.random(size)
+            return np.exp(out, out=out)
+        out = _standard_complex_normal(rng, size)
+        if self.kind == "rician":
+            out *= np.sqrt(self.s2)
+            out += self.nu
         return out
 
     # -- exact moment metadata ----------------------------------------------
@@ -190,8 +188,11 @@ def _tag_number(x: float) -> str:
     return short if float(short) == x else repr(float(x))
 
 
-def _standard_complex_normal(rng: np.random.Generator, size):
-    shape = () if size is None else size
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+def _standard_complex_normal(rng: np.random.Generator, size) -> np.ndarray:
+    # bit for bit ``(re + 1j * im) / sqrt(2)``: numpy divides by a real
+    # complex scalar by multiplying with its reciprocal
+    out = np.empty(size, dtype=complex)
+    draws = np.empty(out.shape)
+    for half in (out.real, out.imag):
+        np.multiply(rng.standard_normal(out=draws), 1.0 / np.sqrt(2.0), out=half)
+    return out

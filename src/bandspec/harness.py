@@ -604,19 +604,19 @@ def fit_high_snr_params(p_points, capacities_nats):
     return float(s), float(l)
 
 
-def fit_high_snr_offset_extrapolated(p_points, capacities_nats, s_inf: float = 1.0):
+def fit_high_snr_offset_extrapolated(p_points, capacities_nats):
     """Power-offset estimate that extrapolates out the O(1/log P) transient.
 
     Fading channels of this family approach their high-SNR expansion only
-    logarithmically, so the raw offset ``log2 P - C/S`` at accessible powers
-    is still far from its limit.  Fitting the two-parameter model
-    ``log2 P - C/S = L - a / log P`` through two points removes the leading
+    logarithmically, so the raw offset ``log2 P - C`` (C in bits) at
+    accessible powers is still far from its limit.  Fitting the model
+    ``log2 P - C = L - a / log P`` through two points removes the leading
     transient; both parameters come from the data.
     """
     (p1, p2) = p_points
     cb = np.asarray(capacities_nats) / np.log(2.0)
-    d1 = np.log2(p1) - cb[0] / s_inf
-    d2 = np.log2(p2) - cb[1] / s_inf
+    d1 = np.log2(p1) - cb[0]
+    d2 = np.log2(p2) - cb[1]
     w1, w2 = 1.0 / np.log(p1), 1.0 / np.log(p2)
     return float((d2 * w1 - d1 * w2) / (w1 - w2))
 

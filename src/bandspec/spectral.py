@@ -65,10 +65,16 @@ class EmpiricalSpectrum:
 
 
 def trace_moment(a: BandedHermitian, p: int) -> float:
-    """Normalized trace ``trace(A^p) / n`` for p in {1, 2, 3}.
+    """Normalized trace ``trace(A^p) / n`` for p in {1, 2, 3}, in band storage
+    in O(n * bandwidth^2); higher powers need the eigenvalues.
 
-    Works entirely in band storage in O(n * bandwidth^p); higher powers need
-    the eigenvalues.
+    With ``s_k[m] = A[m + k, m]``, the closed walks of length 3 (on one site,
+    two sites ``m, m + k`` or three sites ``m < m + j < m + k``) give
+
+        trace(A^3) = sum_i a_ii^3 + 3 sum_k sum_m (a_mm + a_{m+k,m+k}) |s_k[m]|^2
+                   + 6 Re sum_{0<j<k<=b} sum_m conj(s_j[m] s_{k-j}[m+j]) s_k[m]:
+
+    b real weighted sums and b(b-1)/2 complex triple products, no band copy.
     """
     n = a.n
     if p == 1:
@@ -76,27 +82,19 @@ def trace_moment(a: BandedHermitian, p: int) -> float:
     if p == 2:
         return a.frobenius_sq() / n
     if p == 3:
-        b = a.bandwidth
-        # row b + u holds the diagonal g_u[i] = A[i, i + u] padded by b zeros
-        # on both sides, so g_u shifted by s (out[i] = g_u[i + s]) is a slice
-        g = np.zeros((2 * b + 1, n + 2 * b), dtype=complex)
-        g[b, b : b + n] = a.diag
-        for k, arr in enumerate(a.sub, start=1):
-            g[b - k, b + k : b + n] = arr
-            g[b + k, b : b + n - k] = np.conj(arr)
-
-        def shifted(u, s):
-            return g[b + u, b + s : b + s + n]
-
-        total = 0.0
-        for u in range(-b, b + 1):
-            for v in range(-b, b + 1):
-                w = -(u + v)
-                if abs(w) > b:
-                    continue
-                term = shifted(u, 0) * shifted(v, u) * shifted(w, u + v)
-                total += term.sum().real
-        return total / n
+        d, sub = a.diag, a.sub
+        total = np.einsum("i,i,i->", d, d, d)
+        for k, s in enumerate(sub, start=1):
+            weight = np.square(s.real)
+            weight += np.square(s.imag)
+            total += 3 * (np.einsum("i,i->", d[:-k], weight)
+                          + np.einsum("i,i->", d[k:], weight))
+            for j in range(1, k):
+                # Re(conj(x) s) = x.re s.re + x.im s.im
+                x = sub[j - 1][: n - k] * sub[k - j - 1][j:]
+                total += 6 * (np.einsum("i,i->", x.real, s.real)
+                              + np.einsum("i,i->", x.imag, s.imag))
+        return float(total) / n
     raise ValueError("trace_moment supports p in {1, 2, 3}")
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
+import bandspec
 from bandspec import BandedHermitian
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath puts this checkout's src/ ahead of PYTHONPATH
+    return f"bandspec: {bandspec.__file__}"
 
 
 def random_banded(n: int, bandwidth: int, rng: np.random.Generator) -> BandedHermitian:

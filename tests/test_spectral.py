@@ -76,12 +76,15 @@ def test_trace_moment_identities(rng):
         trace_moment(a, 4)
 
 
-@pytest.mark.parametrize("bandwidth", [1, 2, 3])
+@pytest.mark.parametrize("bandwidth", [0, 1, 2, 3, 4])
 def test_trace_moment_cubed_dense_oracle(bandwidth, rng):
-    a = random_banded(10, bandwidth, rng)
-    dense = a.to_dense()
-    want = np.trace(np.linalg.matrix_power(dense, 3)).real / a.n
-    assert trace_moment(a, 3) == pytest.approx(want, rel=1e-10, abs=1e-10)
+    # bandwidth 4 has all 6 triangle shapes j < k <= 4; n = bandwidth + 1
+    # makes every walk touch the matrix edge
+    for n in (bandwidth + 1, 10):
+        a = random_banded(n, bandwidth, rng)
+        dense = a.to_dense()
+        want = np.trace(np.linalg.matrix_power(dense, 3)).real / a.n
+        assert trace_moment(a, 3) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_first_moment_ensemble_mean():
