@@ -2,10 +2,11 @@
 
 For the two-diagonal single-user channel the shifted-LDL pivots form a
 Markov chain with a known stationary density, so the same capacity is
-reachable through (1) direct chain simulation, (2) the banded LDL pivots of
-an actual matrix realization, and (3) quadrature of the stationary law.
-All three are shown to agree; the chain histogram is also compared with the
-stationary density.
+reachable through (1) direct chain simulation, (2) the shifted LDL pivots
+of an actual matrix realization, and (3) quadrature of the stationary law.
+(1) and (2) both run LAPACK ``dpttrf``, but from different inputs: the tap
+powers, and the assembled Gram band of ``I + P H H*``.  All three are shown
+to agree; the chain histogram is also compared with the stationary density.
 """
 import numpy as np
 
@@ -18,7 +19,7 @@ SEED = 161803
 def main():
     rng = bs.derive_stream(SEED, 0)
     discrepancy = bs.chain_vs_ldl(100_000, POWER, rng)
-    print(f"pivot gap between recursion and banded LDL (N=1e5): {discrepancy:.2e}")
+    print(f"pivot gap between recursion and Gram-matrix LDL (N=1e5): {discrepancy:.2e}")
 
     run = bs.simulate_chain(POWER, 2_000_000, 1_000, bs.derive_stream(SEED, 1))
     ref = bs.narula_capacity(POWER)

@@ -4,7 +4,8 @@ The channel is an ``N x N*K`` matrix built from ``1 x K`` random row blocks
 placed on a finite set of block diagonals; its Gram matrix ``H H^dagger`` is
 Hermitian with bandwidth ``max(offsets) - min(offsets)`` and is assembled
 directly in band storage, so matrices with ``N`` up to about ``10^6`` never
-materialize densely.
+materialize densely.  Shifted LDL pivots come from LAPACK ``dpttrf`` at
+bandwidth 0 and 1, as in the pivot chain, and from ``zpbtrf`` at wider bands.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky_banded, LinAlgError
+from scipy.linalg.lapack import dpttrf
 
 from .fading import FadingSpec, parse_spec_tag
 
@@ -198,8 +200,8 @@ class BandedHermitian:
         return out
 
     def lower_band(self) -> np.ndarray:
-        """LAPACK-style lower band storage, shape ``(bandwidth + 1, n)``."""
-        ab = np.zeros((self.bandwidth + 1, self.n), dtype=complex)
+        """LAPACK lower band storage, shape ``(bandwidth + 1, n)``, Fortran order."""
+        ab = np.zeros((self.bandwidth + 1, self.n), dtype=complex, order="F")
         ab[0] = self.diag
         for k, arr in enumerate(self.sub, start=1):
             ab[k, : self.n - k] = arr
@@ -242,9 +244,12 @@ def ldl_shifted(a: BandedHermitian, rho: float) -> np.ndarray:
     """Diagonal of the unit-triangular LDL factorization of ``I + rho * A``.
 
     ``sum(log(d))`` is the log-determinant of the shifted matrix.  Runs in
-    O(n * bandwidth^2) time via a banded Cholesky factorization; a pivot
-    that is not finite or lies below ``PIVOT_FLOOR`` (analytically they are
-    all >= 1 for PSD ``A`` and ``rho >= 0``) raises :class:`PivotError`.
+    O(n * bandwidth^2) time.  Bandwidths 0 and 1 go to LAPACK ``dpttrf`` as
+    the real tridiagonal with off-diagonal ``rho |s_i|`` (a diagonal unitary
+    similarity removes the phases), wider bands to the banded Cholesky
+    ``zpbtrf``, scaled and shifted in place.  A pivot that is not finite or
+    lies below ``PIVOT_FLOOR`` (analytically they are all >= 1 for PSD ``A``
+    and ``rho >= 0``) raises :class:`PivotError`.
     A negative or non-finite ``rho`` raises ``ValueError``.
     """
     return 1.0 + _pivot_excess(a, rho)
@@ -254,25 +259,34 @@ def log_ldl_shifted(a: BandedHermitian, rho: float) -> np.ndarray:
     """``log(ldl_shifted(a, rho))`` as ``log1p`` of each pivot's excess over
     one, which keeps the digits that ``1 + rho * a_ii`` rounds away when
     ``rho * A`` is small against ``I`` (the plain log is off by up to ~1e-3
-    relative at ``rho = 1e-6``).  Raises as :func:`ldl_shifted` does."""
+    relative at ``rho = 1e-6``).  Factors and raises as :func:`ldl_shifted`."""
     return np.log1p(_pivot_excess(a, rho))
 
 
 def _pivot_excess(a: BandedHermitian, rho: float) -> np.ndarray:
     # d_i - 1 = rho * a_ii - sum_j |C_ij|^2 over the off-diagonal entries of
-    # row i of the Cholesky factor C: both terms scale with rho * A, not I
+    # row i of the Cholesky factor C: both terms scale with rho * A, not I.
+    # On a tridiagonal, |C_{i,i-1}|^2 = (rho |s_{i-1}|)^2 / d_{i-1}.
     if not (np.isfinite(rho) and rho >= 0):
         raise ValueError("rho must be finite and nonnegative")
-    ab = a.lower_band() * rho
-    ab[0] += 1.0
-    try:
-        factor = cholesky_banded(ab, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise PivotError(f"shifted matrix lost positive definiteness: {exc}") from exc
     excess = rho * a.diag
-    for j in range(1, a.bandwidth + 1):
-        # lower band storage: factor[j, k] = C[k + j, k]
-        excess[j:] -= np.abs(factor[j, : a.n - j]) ** 2
+    if a.bandwidth <= 1:
+        off = np.abs(a.sub[0]) if a.sub else np.zeros(a.n - 1)
+        off *= rho
+        sq = off * off  # dpttrf overwrites off
+        pivots = _tridiagonal_pivots(excess + 1.0, off)
+        excess[1:] -= np.divide(sq, pivots[:-1], out=sq)
+    else:
+        ab = a.lower_band()
+        ab *= rho
+        ab[0] += 1.0
+        try:
+            factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+        except LinAlgError as exc:
+            raise PivotError(f"shifted matrix lost positive definiteness: {exc}") from exc
+        for j in range(1, a.bandwidth + 1):
+            # lower band storage: factor[j, k] = C[k + j, k]
+            excess[j:] -= np.abs(factor[j, : a.n - j]) ** 2
     bad = ~np.isfinite(excess) | (excess < PIVOT_FLOOR - 1.0)
     if bad.any():
         raise PivotError(
@@ -280,3 +294,14 @@ def _pivot_excess(a: BandedHermitian, rho: float) -> np.ndarray:
             f"(first {1.0 + excess[bad][0]:g})"
         )
     return excess
+
+
+def _tridiagonal_pivots(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """LDL^T pivots of the real tridiagonal (``d``, ``e``) by LAPACK ``dpttrf``,
+    which overwrites both.  :class:`PivotError` if one is not positive or not
+    finite (``dpttrf`` stops only at a pivot ``<= 0``, so a NaN runs through)."""
+    # the wrapper wants a nonempty e even for n = 1, where LAPACK never reads it
+    d, _, info = dpttrf(d, e if len(e) else np.zeros(1), overwrite_d=True, overwrite_e=True)
+    if info != 0 or not np.isfinite(d).all():
+        raise PivotError(f"tridiagonal LDL broke down (dpttrf info={info})")
+    return d

@@ -8,8 +8,8 @@ factorization form a Markov chain
 driven by the current taps and the previous row's ``|a|^2``.  These are the
 LDL^T pivots of the real SPD tridiagonal with diagonal ``1 + pa_i + pb_i`` and
 off-diagonal ``sqrt(pb_i pa_{i-1})`` (``pa = P|a|^2``, ``pb = P|b|^2``), so
-``_pivots`` is one LAPACK ``dpttrf`` call, shared by the chain simulation
-and the LDL cross-check.  The chain has a unique ergodic stationary law, so
+``_pivots`` is one LAPACK ``dpttrf`` call, made by the same helper as the
+bandwidth-1 shifted LDL.  The chain has a unique ergodic stationary law, so
 the running mean of ``log d_n`` estimates the channel's per-symbol rate.
 """
 from __future__ import annotations
@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf
 
-from .band_matrix import PivotError, generate_channel, gram, ldl_shifted, wyner
+from .band_matrix import _tridiagonal_pivots, generate_channel, gram, ldl_shifted, wyner
 from .fading import RAYLEIGH
 
 __all__ = [
@@ -30,23 +29,11 @@ __all__ = [
 
 
 def _pivots(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Pivot sequence for per-row tap powers ``pa = P|a|^2``, ``pb = P|b|^2``.
-
-    ``d_0 = 1 + pa_0 + pb_0`` and ``d_i = 1 + pa_i + pb_i (1 - pa_{i-1} / d_{i-1})``:
-    the LDL^T pivots of the SPD tridiagonal with diagonal ``1 + pa + pb`` and
-    off-diagonal ``sqrt(pb_i pa_{i-1})``, factorized by LAPACK ``dpttrf``.
-    Raises :class:`PivotError` if a pivot is non-finite or not positive.
-    """
-    n = len(pa)
+    """Pivots ``d_i = 1 + pa_i + pb_i (1 - pa_{i-1} / d_{i-1})`` of per-row tap
+    powers ``pa``, ``pb``; :class:`PivotError` if one is non-finite or not positive."""
     d = 1.0 + pa + pb
-    # the wrapper wants a nonempty e even for n = 1, where LAPACK never reads it
-    e = np.zeros(max(n - 1, 1))
-    np.multiply(pb[1:], pa[:-1], out=e[:n - 1])
-    np.sqrt(e, out=e)
-    d, _, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
-    if info != 0 or not np.isfinite(d).all():
-        raise PivotError(f"pivot chain broke down (dpttrf info={info})")
-    return d
+    e = pb[1:] * pa[:-1]
+    return _tridiagonal_pivots(d, np.sqrt(e, out=e))
 
 
 # batches behind the batch-means standard error of a chain's log-mean
@@ -100,12 +87,13 @@ def simulate_chain(
 
 
 def chain_vs_ldl(n: int, power: float, rng: np.random.Generator) -> float:
-    """Max pivot discrepancy between the recursion and the banded LDL path.
+    """Max pivot discrepancy between the recursion and the Gram-matrix LDL.
 
-    Builds one two-diagonal channel realization, runs the recursion on the
-    draws actually present in the matrix (the first row carries no b tap, so
-    its pivot is ``1 + P |a_1|^2``), factorizes ``I + P H H*`` in band form,
-    and compares the two pivot sequences entrywise.
+    Builds one two-diagonal channel realization and factors it twice with
+    ``dpttrf``, from different inputs: the recursion takes the tap powers
+    actually present in the matrix (the first row carries no b tap, so its
+    pivot is ``1 + P |a_1|^2``), ``ldl_shifted`` the assembled Gram band of
+    ``I + P H H*``.  Comparing the pivots entrywise still tests ``gram``.
     """
     params = wyner(n, 1, alpha=1.0, beta=0.0, fading=RAYLEIGH, power=power)
     channel = generate_channel(params, rng)

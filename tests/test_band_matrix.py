@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cholesky_banded
 
 from bandspec import (
     BandedHermitian,
@@ -227,25 +228,67 @@ def test_ldl_pivots_at_least_one(rng):
         assert ldl_shifted(a, rho).min() >= 1 - 1e-9
 
 
-def test_ldl_rejects_indefinite_input():
-    a = BandedHermitian(np.array([-2.0, -2.0]), (np.zeros(1, dtype=complex),))
+@pytest.mark.parametrize("bandwidth", [1, 2])
+def test_ldl_rejects_indefinite_input(bandwidth):
+    n = bandwidth + 1
+    zeros = tuple(np.zeros(n - k, dtype=complex) for k in range(1, bandwidth + 1))
+    a = BandedHermitian(np.full(n, -2.0), zeros)
     with pytest.raises(PivotError):
         ldl_shifted(a, 1.0)
     with pytest.raises(ValueError):
         ldl_shifted(a, -1.0)
 
 
-def test_ldl_rejects_non_finite_pivots(rng):
-    a = random_banded(64, 2, rng)
+@pytest.mark.parametrize("bandwidth", [1, 2])
+def test_ldl_rejects_non_finite_pivots(bandwidth, rng):
+    a = random_banded(64, bandwidth, rng)
     psd = BandedHermitian(a.diag + 20.0, a.sub)
     assert np.isfinite(ldl_shifted(psd, 1.0)).all()
     poisoned = psd.diag.copy()
     poisoned[10] = np.nan
     with pytest.raises(PivotError):
         ldl_shifted(BandedHermitian(poisoned, psd.sub), 1.0)
+    # dpttrf stops only at a pivot <= 0: a NaN off-diagonal gives info = 0
+    first = psd.sub[0].copy()
+    first[10] = np.nan
+    with pytest.raises(PivotError):
+        ldl_shifted(BandedHermitian(psd.diag, (first,) + psd.sub[1:]), 1.0)
     for rho in (np.inf, np.nan):
         with pytest.raises(ValueError):
             ldl_shifted(psd, rho)
+
+
+def cholesky_excess(a, rho):
+    # the banded Cholesky route for every bandwidth: the oracle for dpttrf
+    ab = a.lower_band() * rho
+    ab[0] += 1.0
+    factor = cholesky_banded(ab, lower=True)
+    excess = rho * a.diag
+    for j in range(1, a.bandwidth + 1):
+        excess[j:] -= np.abs(factor[j, : a.n - j]) ** 2
+    return excess
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 4096])
+@pytest.mark.parametrize("bandwidth,off", [
+    (0, None), (1, "complex"), (1, "imaginary"), (1, "zero"),
+])
+def test_tridiagonal_route_matches_cholesky_oracle(bandwidth, off, n, rng):
+    x, y = rng.standard_normal((2, n - 1))
+    subs = {None: (), "complex": (x + 1j * y,), "imaginary": (1j * y,),
+            "zero": (np.zeros(n - 1, dtype=complex),)}[off]
+    # a nonnegative diagonal that dominates its rows: PSD by Gershgorin
+    diag = rng.uniform(0.1, 1.0, n)
+    for s in subs:
+        diag[1:] += np.abs(s)
+        diag[:-1] += np.abs(s)
+    a = BandedHermitian(diag, subs)
+    assert a.bandwidth == bandwidth
+    for rho in (0.0, 1e-6, 1.0, 1e6):
+        want = cholesky_excess(a, rho)
+        assert np.max(np.abs(ldl_shifted(a, rho) - (1.0 + want)) / (1.0 + want)) <= 1e-11
+        assert log_ldl_shifted(a, rho).mean() == pytest.approx(
+            np.log1p(want).mean(), rel=1e-13, abs=0.0)
 
 
 def test_channel_params_validation():

@@ -5,7 +5,9 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky_banded
 
+import bandspec.band_matrix as band_matrix
 import bandspec.harness as harness
 from bandspec import (
     AllReplicatesFailedError,
@@ -507,6 +509,36 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "eigenvalues", counted)
         run_experiment(ExperimentConfig.from_dict(spectrum_config(tmp_path)))
         assert calls == [32, 32, 32]
+
+    def test_two_tap_transforms_skip_banded_cholesky(self, tmp_path, monkeypatch):
+        def no_cholesky(ab, **kwargs):
+            raise AssertionError("bandwidth-1 Shannon transforms must use dpttrf")
+
+        monkeypatch.setattr(band_matrix, "cholesky_banded", no_cholesky)
+        data = spectrum_config(
+            tmp_path, kind="capacity_vs_P", p_grid=[0.1, 10.0],
+            channel={"n_cells": 32, "alpha": 1.0, "beta": 0.0, "fading": "rayleigh"},
+        )
+        output = run_experiment(ExperimentConfig.from_dict(data))
+        assert all(r.n_used == 3 for r in output.results)
+
+    @pytest.mark.parametrize("channel", [
+        {"n_cells": 32, "alpha": 0.5, "fading": "rayleigh"},
+        # two diagonals, but bandwidth 2: the route follows the Gram bandwidth
+        {"n_cells": 32, "diagonals": [
+            {"offset": o, "gain": 1.0, "fading": "rayleigh"} for o in (0, 2)]},
+    ])
+    def test_wider_bands_use_banded_cholesky(self, tmp_path, monkeypatch, channel):
+        bandwidths = []
+
+        def counted(ab, **kwargs):
+            bandwidths.append(ab.shape[0] - 1)
+            return cholesky_banded(ab, **kwargs)
+
+        monkeypatch.setattr(band_matrix, "cholesky_banded", counted)
+        run_experiment(ExperimentConfig.from_dict(spectrum_config(
+            tmp_path, kind="capacity_vs_P", p_grid=[0.1, 10.0], channel=channel)))
+        assert bandwidths == [2] * 6
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_factorization_drops_its_replicate(
