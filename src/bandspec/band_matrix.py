@@ -247,9 +247,9 @@ def ldl_shifted(a: BandedHermitian, rho: float) -> np.ndarray:
     O(n * bandwidth^2) time.  Bandwidths 0 and 1 go to LAPACK ``dpttrf`` as
     the real tridiagonal with off-diagonal ``rho |s_i|`` (a diagonal unitary
     similarity removes the phases), wider bands to the banded Cholesky
-    ``zpbtrf``, scaled and shifted in place.  A pivot that is not finite or
-    lies below ``PIVOT_FLOOR`` (analytically they are all >= 1 for PSD ``A``
-    and ``rho >= 0``) raises :class:`PivotError`.
+    ``zpbtrf``, scaled and shifted in place.  A band entry or pivot that is
+    not finite, or a pivot below ``PIVOT_FLOOR`` (analytically they are all
+    >= 1 for PSD ``A`` and ``rho >= 0``), raises :class:`PivotError`.
     A negative or non-finite ``rho`` raises ``ValueError``.
     """
     return 1.0 + _pivot_excess(a, rho)
@@ -269,6 +269,15 @@ def _pivot_excess(a: BandedHermitian, rho: float) -> np.ndarray:
     # On a tridiagonal, |C_{i,i-1}|^2 = (rho |s_{i-1}|)^2 / d_{i-1}.
     if not (np.isfinite(rho) and rho >= 0):
         raise ValueError("rho must be finite and nonnegative")
+    # An infinite entry times zero is NaN, with a RuntimeWarning: check before
+    # scaling where that can happen, at rho = 0 and in the complex products of
+    # wider bands.  At bandwidth <= 1 and rho > 0 a non-finite entry reaches
+    # the pivots instead, and raises there (the check would cost a quarter of
+    # a factorization at N = 512).
+    if (rho == 0 or a.bandwidth > 1) and not all(
+        np.isfinite(arr).all() for arr in (a.diag, *a.sub)
+    ):
+        raise PivotError("band entries must be finite")
     excess = rho * a.diag
     if a.bandwidth <= 1:
         off = np.abs(a.sub[0]) if a.sub else np.zeros(a.n - 1)

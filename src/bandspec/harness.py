@@ -4,8 +4,14 @@ Reruns are byte-reproducible: replicate ``r`` always draws from a Philox
 stream keyed by ``(master seed, index)``, results are reduced in replicate
 order whatever the number of jobs, floats are printed with a fixed
 17-significant-digit format, and every output file carries the config hash
-and master seed in comment lines.  CSV rows are streamed in fixed-size
-blocks, each formatted with one ``%`` format built from its column types.
+and master seed in comment lines.
+
+CSV files are written from columns, in blocks of rows.  A numpy integer or
+float column is formatted in bulk by a vectorized kernel that writes the
+digits ``%d`` and ``%.17g`` write; a column block the kernel cannot take
+exactly (a Python sequence, or a value that is not finite, zero, below
+1e-4 or at least 1e16 in magnitude, or an integer beyond int64) goes
+through ``%`` one value at a time.  Both paths give the same bytes.
 
 Shannon transforms come from shifted LDL pivots in O(N b^2); the O(N^2)
 band eigensolve runs only where the eigenvalue list is itself the output
@@ -13,17 +19,21 @@ band eigensolve runs only where the eigenvalue list is itself the output
 
 Replicates run in ``min(jobs, replications, os.cpu_count())`` forked worker
 processes (threads would wait on the interpreter lock that scipy's LAPACK
-wrappers hold), or serially when that is 1 or the platform cannot fork.
+wrappers hold), or serially when that is 1 or the platform cannot fork.  A
+replicate dropped for a numerical failure is logged at WARNING on the
+``bandspec.harness`` logger with its index, stream key and exception.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
+import logging
 import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +78,8 @@ KINDS = (
 )
 
 _NUMERICAL_FAILURES = (PivotError, np.linalg.LinAlgError)
+
+_log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -313,16 +325,26 @@ def run_experiment(
     return ExperimentOutput(tuple(results), tuple(files))
 
 
+class _Dropped(NamedTuple):
+    """A replicate whose worker raised a numerical failure."""
+
+    replicate: int
+    stream: int
+    error: str
+
+
 def _replicate_map(config: ExperimentConfig, group: int, jobs: int, worker):
-    """Run ``worker(rng)`` once per replicate, collected in index order."""
+    """Run ``worker(rng)`` once per replicate, collected in index order.
+
+    A replicate that raises a numerical failure is dropped and logged."""
     indices = range(config.replications)
 
     def call(r):
-        rng = derive_stream(config.seed, _stream_index(group, r))
+        stream = _stream_index(group, r)
         try:
-            return worker(rng)
-        except _NUMERICAL_FAILURES:
-            return None
+            return worker(derive_stream(config.seed, stream))
+        except _NUMERICAL_FAILURES as exc:
+            return _Dropped(r, stream, repr(exc))
 
     workers = min(jobs, config.replications, os.cpu_count() or 1)
     if workers > 1 and hasattr(os, "fork"):
@@ -335,7 +357,15 @@ def _replicate_map(config: ExperimentConfig, group: int, jobs: int, worker):
             slots = list(pool.map(_call_in_worker, indices))
     else:
         slots = [call(r) for r in indices]
-    ok = [s for s in slots if s is not None]
+    ok = []
+    for slot in slots:
+        if isinstance(slot, _Dropped):
+            _log.warning(
+                "dropped replicate %d (stream key seed=%d, index=%d): %s",
+                slot.replicate, config.seed, slot.stream, slot.error,
+            )
+        else:
+            ok.append(slot)
     if not ok:
         raise AllReplicatesFailedError(
             f"all {config.replications} replicates failed numerically"
@@ -388,8 +418,8 @@ def _table(path: Path, grid_name: str, blocks, config):
     for grid, replicates, refs in blocks:
         mean, se = _mean_se(replicates)
         rows += zip(grid, mean, se, itertools.repeat(len(replicates)), refs)
-    columns = (grid_name, "estimate", "std_err", "n_used", "reference")
-    _write_csv(path, columns, rows, _meta(config))
+    names = (grid_name, "estimate", "std_err", "n_used", "reference")
+    _write_csv(path, names, list(zip(*rows)), _meta(config))
     return [ExperimentResult(*row) for row in rows], [path]
 
 
@@ -406,11 +436,11 @@ def _run_spectrum(config, out_dir, jobs):
     files = [
         _write_csv(
             out_dir / "spectrum.csv", ("index", "eigenvalue"),
-            [(i + 1, v) for i, v in enumerate(pooled)], meta,
+            (np.arange(1, len(pooled) + 1), pooled), meta,
         ),
         _write_csv(
             out_dir / "ecdf.csv", ("bin_left", "bin_right", "count", "cum_fraction"),
-            _histogram_rows(pooled, config.histogram_bins), meta,
+            _histogram_columns(pooled, config.histogram_bins), meta,
         ),
     ]
     results = []
@@ -464,11 +494,11 @@ def _run_narula(config, out_dir, jobs):
         steps = np.arange(config.burn_in + 1, config.n_steps + 1)
         files.append(_write_csv(
             out_dir / f"narula_samples_p{i}.csv", ("step", "d", "log_d"),
-            zip(steps, run.samples, np.log(run.samples)), meta,
+            (steps, run.samples, np.log(run.samples)), meta,
         ))
     files.insert(0, _write_csv(
         out_dir / "narula_summary.csv",
-        ("P", "capacity_estimate", "std_err", "n_steps"), rows, meta,
+        ("P", "capacity_estimate", "std_err", "n_steps"), list(zip(*rows)), meta,
     ))
     return results, files
 
@@ -498,7 +528,7 @@ def _run_extreme_snr(config, out_dir, jobs):
     ]
     files = [_write_csv(
         out_dir / "extreme_snr.csv", ("quantity", "estimate", "reference"),
-        quantities, _meta(config),
+        list(zip(*quantities)), _meta(config),
     )]
     return results, files
 
@@ -533,7 +563,7 @@ def _run_mp_compare(config, out_dir, jobs):
         results.append(ExperimentResult(alpha, ks, float("nan"), len(replicates), float("nan")))
     files = [_write_csv(
         out_dir / "mp_compare.csv", ("alpha", "K", "ks_distance", "n_eigenvalues"),
-        rows, _meta(config),
+        list(zip(*rows)), _meta(config),
     )]
     return results, files
 
@@ -547,17 +577,15 @@ def _run_power_profile(config, out_dir, jobs):
         results.append(ExperimentResult(n, diff, 0.0, 1, float("nan")))
     meta = _meta(config)
     files = [_write_csv(
-        out_dir / "power_profile.csv", ("N", "sup_cell_diff_to_2N"), rows, meta,
+        out_dir / "power_profile.csv", ("N", "sup_cell_diff_to_2N"),
+        list(zip(*rows)), meta,
     )]
     n0 = config.n_grid[0]
     grid = power_profile(base.with_size(n0))
-    grid_rows = [
-        (i + 1, j + 1, grid[i, j])
-        for i in range(grid.shape[0])
-        for j in range(grid.shape[1])
-    ]
+    row, col = np.indices(grid.shape).reshape(2, -1) + 1
     files.append(_write_csv(
-        out_dir / f"profile_n{n0}.csv", ("row", "col", "value"), grid_rows, meta,
+        out_dir / f"profile_n{n0}.csv", ("row", "col", "value"),
+        (row, col, grid.ravel()), meta,
     ))
     return results, files
 
@@ -705,50 +733,221 @@ def _meta(config: ExperimentConfig) -> dict:
 
 # rows formatted and written per block: one write per block, and memory that
 # stays flat however many rows a file has
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 4096
 
 
-def _spec(t: type) -> str:
-    """``%`` spec for values of type ``t``: integers in full, floats to 17
-    significant digits, anything else as ``str``."""
-    if issubclass(t, (int, np.integer)):
-        return "%d"
-    if issubclass(t, (float, np.floating)):
-        return "%.17g"
-    return "%s"
+def _write_csv(path: Path, names, columns, meta: dict) -> Path:
+    """Write ``meta`` as ``# key=value`` lines, a header of ``names`` and one
+    row per position of the equal-length ``columns``.
 
-
-def _format_block(block: list) -> str:
-    specs = [{_spec(t) for t in set(map(type, column))} for column in zip(*block)]
-    if all(len(column) == 1 for column in specs):
-        fmt = ",".join(spec for (spec,) in specs) + "\n"
-        return "".join([fmt % tuple(row) for row in block])
-    # some column mixes kinds of value (say an int and a float): one spec per value
-    return "".join(",".join(_spec(type(v)) % (v,) for v in row) + "\n" for row in block)
-
-
-def _write_csv(path: Path, columns, rows, meta: dict) -> Path:
-    with open(path, "w", newline="\n") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(columns) + "\n")
-        rows = iter(rows)
-        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-            fh.write(_format_block(block))
+    Each value is written as :func:`_text` says: integers in full, floats to
+    17 significant digits (``%.17g``), anything else as ``str``.  Rows go out
+    in blocks of ``_BLOCK_ROWS``, one ``write`` each.  In a block, a numpy
+    integer or float column is formatted in bulk (:func:`_int_cells`,
+    :func:`_float_cells`).  A Python sequence, or a column block with a value
+    the kernels do not take (a float that is not finite, zero, below 1e-4 or
+    at least 1e16 in magnitude, or an integer beyond int64), goes through
+    ``%`` one value at a time instead.  Both paths write the same bytes.
+    """
+    with open(path, "wb") as fh:
+        head = "".join(f"# {key}={value}\n" for key, value in meta.items())
+        fh.write((head + ",".join(names) + "\n").encode())
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            fh.write(_format_block([c[start:start + _BLOCK_ROWS] for c in columns]))
     return path
 
 
-def _histogram_rows(values: np.ndarray, n_bins: int):
+def _format_block(columns) -> bytes:
+    """CSV rows of equal-length column slices.
+
+    When no column takes a bulk kernel (the few-row tables), the rows are
+    joined as text, which costs less than numpy's set-up.  Otherwise each
+    column becomes a NUL-padded uint8 matrix of cells, the matrices and the
+    separators sit side by side, and one masked gather drops the padding (so
+    a NUL inside a text value is lost)."""
+    cells = [_bulk_cells(column) for column in columns]
+    if all(c is None for c in cells):
+        return "".join(",".join(map(_text, row)) + "\n" for row in zip(*columns)).encode()
+    n = len(columns[0])
+    parts = []
+    for column, c in zip(columns, cells):
+        if c is None:
+            text = [_text(v).encode() for v in column]
+            c = np.array(text, dtype=bytes).view(np.uint8).reshape(n, -1)
+        parts += [c, np.full((n, 1), ord(","), np.uint8)]
+    parts[-1] = np.full((n, 1), ord("\n"), np.uint8)
+    block = np.concatenate(parts, axis=1)
+    return block[block != 0].tobytes()
+
+
+def _bulk_cells(column) -> np.ndarray | None:
+    """The cells of a numpy integer or float column from its kernel, or None
+    where the kernel does not take it."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":
+        return _float_cells(column.astype(np.float64, copy=False))
+    if kind in ("i", "u") and column.max() <= np.iinfo(np.int64).max:
+        return _int_cells(column.astype(np.int64, copy=False))
+    return None
+
+
+def _text(value) -> str:
+    """One value as every CSV cell is written: integers in full, floats to 17
+    significant digits, anything else as ``str``."""
+    if isinstance(value, (int, np.integer)):
+        return "%d" % value
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % value
+    return str(value)
+
+
+# 10^0 .. 10^22, every one an exact double
+_POW10 = np.array([float(10**k) for k in range(23)])
+# place values of the five four-digit groups of a uint64, most significant first
+_GROUP_PLACES = np.uint64(10_000) ** np.arange(4, -1, -1, dtype=np.uint64)[:, None]
+# 10^1 .. 10^19: a magnitude has searchsorted(_TENS, m, "right") + 1 digits
+_TENS = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _group_tables():
+    """``"0000"`` .. ``"9999"``, the four ASCII digits of each group packed
+    in a uint32, and the trailing zero digits of each group (4 for 0000)."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    places = np.ix_(digit, digit, digit, digit)  # thousands .. ones
+    ascii_groups = np.stack(np.broadcast_arrays(*places), axis=-1).view(np.uint32).ravel()
+    thousands, hundreds, tens, ones = (place == ord("0") for place in places)
+    zeros = ones * (1 + tens * (1 + hundreds * (1 + thousands)))
+    return ascii_groups, zeros.ravel()
+
+
+_ASCII_GROUPS, _GROUP_ZEROS = _group_tables()
+# row d keeps the last d of an integer's 20 digit bytes
+_INT_KEEP = (np.arange(20) >= 20 - np.arange(21)[:, None]) * np.uint8(0xFF)
+
+
+def _float_keep() -> np.ndarray:
+    """Byte masks of the float cell for each decimal exponent X in [-4, 15]
+    and each count L of significant digits left after stripping trailing
+    zeros, at row ``(X + 4) * 17 + L - 1``.
+
+    A cell is 41 bytes: the sign, the prefix ``0.000``, the 17 digits (read
+    as the integer part), the point, and the 17 digits again (read as the
+    fraction)."""
+    x = np.arange(-4, 16)[:, None, None]
+    n_sig = np.arange(1, 18)[None, :, None]
+    i = np.arange(17)
+    parts = (
+        np.ones((1, 1, 1), bool),                      # sign, NUL when positive
+        np.arange(5) < np.where(x < 0, 1 - x, 0),      # "0." and zeros after it
+        i <= x,                                        # integer digits
+        (x >= 0) & (n_sig > x + 1),                    # point, if a fraction
+        (i > x) & (i < n_sig),                         # fraction digits
+    )
+    keep = np.concatenate([np.broadcast_to(p, (20, 17, p.shape[-1])) for p in parts], axis=2)
+    return (keep * np.uint8(0xFF)).reshape(20 * 17, 41)
+
+
+_FLOAT_KEEP = _float_keep()
+
+
+def _digit_groups(magnitude: np.ndarray, n_groups: int) -> np.ndarray:
+    """The last ``n_groups`` four-digit groups of each uint64, shape
+    ``(n_groups, n)``, most significant first."""
+    return magnitude // _GROUP_PLACES[-n_groups:] % np.uint64(10_000)
+
+
+def _ascii(groups: np.ndarray) -> np.ndarray:
+    """ASCII digits of ``groups``, shape ``(n, 4 * n_groups)``."""
+    return np.ascontiguousarray(_ASCII_GROUPS[groups].T).view(np.uint8)
+
+
+def _int_cells(x: np.ndarray) -> np.ndarray:
+    """``%d`` of each int64 as a NUL-padded uint8 matrix: a sign byte, then
+    as many four-digit groups as the largest magnitude needs, leading zeros
+    masked."""
+    magnitude = x.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=x < 0)  # exact for -2^63 too
+    n_digits = np.searchsorted(_TENS, magnitude, side="right") + 1
+    n_groups = (int(n_digits.max()) + 3) // 4
+    cells = np.empty((len(x), 1 + 4 * n_groups), np.uint8)
+    cells[:, 0] = np.where(x < 0, ord("-"), 0)
+    cells[:, 1:] = _ascii(_digit_groups(magnitude, n_groups))
+    cells[:, 1:] &= _INT_KEEP[n_digits, 20 - 4 * n_groups:]
+    return cells
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray | None:
+    """``%.17g`` of each float64 as a NUL-padded (n, 41) uint8 matrix laid
+    out as :func:`_float_keep` says, or None if some ``|x|`` lies outside
+    [1e-4, 1e16): the kernel writes no exponent, zero, ``inf`` or ``nan``.
+
+    In that range ``%.17g`` is the 17-digit integer
+    ``D = round_half_even(|x| 10^(16 - X))``, X = floor(log10 |x|), in fixed
+    point with trailing zeros stripped.  ``10^(16 - X)`` is an exact double,
+    and Dekker's TwoProduct gives the product exactly as a double ``p`` plus
+    its rounding error.  ``p >= 1e16 > 2^53`` is an even integer, so rounding
+    the error half-even rounds D correctly, as Python's ``%`` does.  Next to
+    a power of ten ``log10`` can put X one off, and rounding can carry D up
+    to 10^17; either shows as a D of 16 or 18 digits, and X is corrected by
+    one.
+    """
+    a = np.abs(x)
+    if not ((a >= 1e-4) & (a < 1e16)).all():
+        return None
+    exp = np.floor(np.log10(a)).astype(np.int64)
+    digits = _round_scaled(a, exp)
+    low, high = digits < 10**16, digits >= 10**17
+    off = low | high
+    if off.any():
+        exp += high
+        exp -= low
+        digits[off] = _round_scaled(a[off], exp[off])
+    groups = _digit_groups(digits.astype(np.uint64), 5)
+    zeros = _GROUP_ZEROS[groups[4]]
+    all_zero = groups[4] == 0
+    for group in groups[3:0:-1]:  # groups[0] is the leading digit, never 0
+        zeros += all_zero * _GROUP_ZEROS[group]
+        all_zero &= group == 0
+    cells = np.empty((len(x), 41), np.uint8)
+    cells[:, 0] = np.where(x < 0, ord("-"), 0)
+    cells[:, 1:6] = np.frombuffer(b"0.000", np.uint8)
+    cells[:, 6:23] = _ascii(groups)[:, 3:]
+    cells[:, 23] = ord(".")
+    cells[:, 24:] = cells[:, 6:23]
+    cells &= _FLOAT_KEEP[(exp + 4) * 17 + 16 - zeros]
+    return cells
+
+
+_SPLITTER = 2.0**27 + 1  # Dekker's split of a double into two 26-bit halves
+
+
+def _split(v: np.ndarray):
+    c = v * _SPLITTER
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _round_scaled(a: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """``round_half_even(a * 10^(16 - exp))`` as int64: exact where the
+    product is at least 2^53, and below 1e16 wherever the product is, which
+    is all the exponent correction reads there."""
+    scale = _POW10[16 - exp]
+    p = a * scale
+    a_hi, a_lo = _split(a)
+    s_hi, s_lo = _split(scale)
+    err = a_lo * s_lo - (((p - a_hi * s_hi) - a_lo * s_hi) - a_hi * s_lo)
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _histogram_columns(values: np.ndarray, n_bins: int):
+    """``bin_left, bin_right, count, cum_fraction`` columns of ``values``."""
     # bins start at 0 unless round-off put eigenvalues below it, so every
     # value lands in a bin and the last cum_fraction is exactly 1
     lo = min(0.0, float(values.min())) if len(values) else 0.0
     hi = float(values.max()) if len(values) and values.max() > 0 else 1.0
     counts, edges = np.histogram(values, bins=n_bins, range=(lo, hi))
     cum = np.cumsum(counts) / max(len(values), 1)
-    return [
-        (edges[i], edges[i + 1], int(counts[i]), cum[i])
-        for i in range(n_bins)
-    ]
+    return edges[:-1], edges[1:], counts, cum
 
 
 def _gnuplot_scripts(csv_files) -> list[Path]:

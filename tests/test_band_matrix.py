@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -244,15 +245,19 @@ def test_ldl_rejects_non_finite_pivots(bandwidth, rng):
     a = random_banded(64, bandwidth, rng)
     psd = BandedHermitian(a.diag + 20.0, a.sub)
     assert np.isfinite(ldl_shifted(psd, 1.0)).all()
-    poisoned = psd.diag.copy()
-    poisoned[10] = np.nan
-    with pytest.raises(PivotError):
-        ldl_shifted(BandedHermitian(poisoned, psd.sub), 1.0)
-    # dpttrf stops only at a pivot <= 0: a NaN off-diagonal gives info = 0
-    first = psd.sub[0].copy()
-    first[10] = np.nan
-    with pytest.raises(PivotError):
-        ldl_shifted(BandedHermitian(psd.diag, (first,) + psd.sub[1:]), 1.0)
+    # rho = 0 scales an infinite entry to NaN, as complex products do at any rho
+    for bad, rho in itertools.product((np.nan, np.inf, -np.inf), (0.0, 1.0)):
+        poisoned = psd.diag.copy()
+        poisoned[10] = bad
+        with pytest.raises(PivotError):
+            ldl_shifted(BandedHermitian(poisoned, psd.sub), rho)
+        # dpttrf stops only at a pivot <= 0: a NaN off-diagonal gives info = 0
+        for k in range(bandwidth):
+            sub = list(psd.sub)
+            sub[k] = sub[k].copy()
+            sub[k][10] = bad
+            with pytest.raises(PivotError):
+                ldl_shifted(BandedHermitian(psd.diag, tuple(sub)), rho)
     for rho in (np.inf, np.nan):
         with pytest.raises(ValueError):
             ldl_shifted(psd, rho)

@@ -1,0 +1,123 @@
+"""The bulk CSV number formatter against Python's own ``%.17g`` and ``%d``."""
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bandspec.harness as harness
+
+BLOCK = harness._BLOCK_ROWS
+
+
+def lines(texts) -> bytes:
+    return "".join(t + "\n" for t in texts).encode()
+
+
+def floats_text(values) -> bytes:
+    return lines(format(float(v), ".17g") for v in values)
+
+
+def ints_text(values) -> bytes:
+    return lines(str(int(v)) for v in values)
+
+
+def powers_of_ten():
+    """10^k for k = -6..17 and the doubles one ulp either side."""
+    for k in range(-6, 18):
+        p = float(f"1e{k}")
+        yield from (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))
+
+
+def exact_ties():
+    """Doubles whose 18th significant digit is an exact 5 with nothing after
+    it: ``x = odd / 2^(17 - X)`` in ``[10^X, 10^(X+1))`` makes
+    ``x * 10^(16 - X) = odd * 5^(16 - X) / 2``."""
+    for x in range(-4, 16):
+        shift = 17 - x
+        first = math.ceil(Fraction(10) ** x * 2**shift) | 1
+        for odd in range(first, first + 40, 2):
+            yield x, odd / 2**shift
+    yield 15, 1e15 + 0.25
+
+
+def test_ties_are_exact_halves():
+    for x, value in exact_ties():
+        assert 10.0**x <= value < 10.0 ** (x + 1)
+        assert Fraction(value) * Fraction(10) ** (16 - x) % 1 == Fraction(1, 2)
+
+
+def test_fixed_families_take_the_kernel():
+    values = np.array(list(powers_of_ten()) + [v for _, v in exact_ties()])
+    values = np.concatenate([values, -values])
+    in_range = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)]
+    assert harness._float_cells(in_range) is not None
+    assert harness._format_block([in_range]) == floats_text(in_range)
+    # one value per block: each in-range value alone, each other one on the % path
+    for v in values:
+        assert harness._format_block([np.array([v])]) == floats_text([v])
+
+
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e16, -1e16,
+    np.nextafter(1e-4, 0.0), 1e300, np.inf, -np.inf, np.nan,
+])
+def test_values_outside_the_kernel_fall_back(value):
+    column = np.array([1.5, value, 2.5])
+    assert harness._float_cells(column) is None
+    assert harness._format_block([column]) == floats_text(column)
+
+
+def test_mixed_blocks(tmp_path):
+    # block 0 takes the kernels, block 1 holds a zero and an integer beyond
+    # int64, block 2 ends in a NaN
+    rng = np.random.default_rng(7)
+    floats = rng.standard_normal(3 * BLOCK) * 100.0
+    floats[BLOCK + 17] = 0.0
+    floats[-1] = np.nan
+    ints = rng.integers(0, 2**62, 3 * BLOCK).astype(np.uint64)
+    ints[BLOCK + 5] = 2**64 - 1
+    assert harness._float_cells(floats[:BLOCK]) is not None
+    assert harness._float_cells(floats[BLOCK:2 * BLOCK]) is None
+    assert harness._float_cells(floats[2 * BLOCK:]) is None
+    path = harness._write_csv(tmp_path / "mixed.csv", ("x", "n"), (floats, ints), {})
+    expected = [f"{format(float(f), '.17g')},{int(n)}" for f, n in zip(floats, ints)]
+    assert path.read_bytes() == lines(["x,n"] + expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=16))
+def test_float64_matches_percent(values):
+    column = np.array(values, dtype=np.float64)
+    assert harness._format_block([column]) == floats_text(values)
+    for v in values:
+        assert harness._format_block([np.array([v])]) == floats_text([v])
+
+
+kernel_floats = st.builds(
+    lambda magnitude, negative: -magnitude if negative else magnitude,
+    st.floats(1e-4, 1e16, exclude_max=True),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(kernel_floats, min_size=1, max_size=64))
+def test_kernel_range_matches_percent(values):
+    column = np.array(values)
+    assert harness._float_cells(column) is not None
+    assert harness._format_block([column]) == floats_text(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+def test_int64_matches_str(values):
+    column = np.array(values, dtype=np.int64)
+    assert harness._format_block([column]) == ints_text(values)
+
+
+def test_int64_extremes():
+    column = np.array([0, 1, -1, 9, 10, -10, 9999, 10_000, 10**18, -(2**63), 2**63 - 1])
+    assert harness._format_block([column]) == ints_text(column)

@@ -1,5 +1,6 @@
 import concurrent.futures.process
 import json
+import logging
 import multiprocessing
 import os
 
@@ -275,45 +276,61 @@ class TestConfig:
 
 
 class TestCsvWriter:
-    """``_write_csv`` writes the bytes of the per-value rule below."""
+    """``_write_csv`` writes the bytes of the per-value rule below, whichever
+    path formats a column."""
 
     @staticmethod
-    def expected(columns, rows, meta):
-        def fmt(value):
-            if isinstance(value, (int, np.integer)):
-                return str(int(value))
-            if isinstance(value, (float, np.floating)):
-                return format(float(value), ".17g")
-            return str(value)
+    def fmt(value) -> str:
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        return str(value)
 
-        lines = [f"# {k}={v}\n" for k, v in meta.items()] + [",".join(columns) + "\n"]
-        lines += [",".join(fmt(v) for v in row) + "\n" for row in rows]
+    @classmethod
+    def expected(cls, names, columns, meta):
+        lines = [f"# {k}={v}\n" for k, v in meta.items()] + [",".join(names) + "\n"]
+        lines += [",".join(map(cls.fmt, row)) + "\n" for row in zip(*columns)]
         return "".join(lines)
 
-    @pytest.mark.parametrize("n_rows", [0, 1, 1024, 1025, 3000])
+    @pytest.mark.parametrize("n_rows", [0, 1, 1024, 1025, 3000, 4096, 4097, 9000])
     def test_bytes_match_per_value_rule(self, tmp_path, n_rows):
         floats = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 0.1,
                   np.float32(0.1), np.float64(-2.5)]
         ints = [np.int64(-7), True, 2**63 + 5, 0, np.uint64(2**64 - 1)]
         normals = np.random.default_rng(n_rows).standard_normal(n_rows)
-        rows = [
-            (i, floats[i % len(floats)], normals[i], ints[i % len(ints)], f"q{i}")
-            for i in range(n_rows)
+        # numpy columns go through the bulk kernels wherever a block allows
+        spiky = normals * 1e3
+        spiky[5000::1000] = np.resize(np.array(floats[:6] + [1e-5]), len(spiky[5000::1000]))
+        unsigned = np.arange(n_rows, dtype=np.uint64) * np.uint64(2**40)
+        unsigned[4999::5000] = 2**64 - 1
+        columns = [
+            list(range(n_rows)),
+            [floats[i % len(floats)] for i in range(n_rows)],
+            list(normals),
+            [ints[i % len(ints)] for i in range(n_rows)],
+            [f"q{i}" for i in range(n_rows)],
+            np.arange(n_rows) * 7919 - 10**6,
+            spiky,
+            normals.astype(np.float32),
+            normals > 0,
+            unsigned,
         ]
-        columns = ("i", "odd_float", "normal", "odd_int", "label")
+        names = ("i", "odd_float", "normal", "odd_int", "label",
+                 "int64", "float64", "float32", "bool", "uint64")
         meta = {"experiment": "writer", "master_seed": 1}
-        path = harness._write_csv(tmp_path / "t.csv", columns, iter(rows), meta)
-        assert path.read_text() == self.expected(columns, rows, meta)
+        path = harness._write_csv(tmp_path / "t.csv", names, columns, meta)
+        assert path.read_text() == self.expected(names, columns, meta)
 
     @pytest.mark.parametrize("where", [0, 1023, 1024, 2999])
     def test_mixed_int_and_float_column(self, tmp_path, where):
         # a float among ints must never go through %d
         column = [3] * 3000
         column[where] = 2.5
-        rows = [(v, np.int64(i)) for i, v in enumerate(column)]
-        path = harness._write_csv(tmp_path / "m.csv", ("v", "i"), rows, {})
+        columns = [column, [np.int64(i) for i in range(3000)]]
+        path = harness._write_csv(tmp_path / "m.csv", ("v", "i"), columns, {})
         assert path.read_text().splitlines()[1 + where] == f"2.5,{where}"
-        assert path.read_text() == self.expected(("v", "i"), rows, {})
+        assert path.read_text() == self.expected(("v", "i"), columns, {})
 
 
 class TestFits:
@@ -479,12 +496,12 @@ class TestRunExperiment:
         assert all(r.estimate >= 0.5 for r in output.results)
 
     def test_histogram_bins_hold_negative_roundoff(self):
-        rows = harness._histogram_rows(np.array([-1e-17, 0.5, 1.0]), 4)
-        assert rows[0][0] == -1e-17
-        assert sum(count for _, _, count, _ in rows) == 3
-        assert rows[-1][3] == 1.0
+        left, right, counts, cum = harness._histogram_columns(np.array([-1e-17, 0.5, 1.0]), 4)
+        assert left[0] == -1e-17
+        assert counts.sum() == 3
+        assert cum[-1] == 1.0
         # nonnegative spectra keep bins anchored at zero
-        assert harness._histogram_rows(np.array([0.5, 1.0]), 4)[0][0] == 0.0
+        assert harness._histogram_columns(np.array([0.5, 1.0]), 4)[0][0] == 0.0
 
     def test_shannon_kinds_never_eigensolve(self, tmp_path, monkeypatch):
         def no_eigensolve(a):
@@ -542,7 +559,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_factorization_drops_its_replicate(
-        self, tmp_path, monkeypatch, two_cpus, jobs
+        self, tmp_path, monkeypatch, caplog, two_cpus, jobs
     ):
         # factorizing replicate 1's matrix fails; it is told apart by its data,
         # since a forked worker's calls never reach this process
@@ -565,9 +582,17 @@ class TestRunExperiment:
             return log_ldl_shifted(a, rho)
 
         monkeypatch.setattr(harness, "log_ldl_shifted", flaky)
-        (path,) = run_experiment(config, jobs=jobs).files
+        with caplog.at_level(logging.WARNING, logger="bandspec.harness"):
+            (path,) = run_experiment(config, jobs=jobs).files
         rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
         assert [int(row.split(",")[3]) for row in rows] == [3, 3, 3]
+        # the parent names the dropped replicate, also when a worker ran it
+        (record,) = caplog.records
+        assert (record.name, record.levelno) == ("bandspec.harness", logging.WARNING)
+        assert record.getMessage() == (
+            f"dropped replicate 1 (stream key seed={config.seed}, "
+            f"index={harness._stream_index(0, 1)}): PivotError('forced failure')"
+        )
         survivors = [[log_ldl_shifted(grams[r], p).mean() for p in powers] for r in (0, 2, 3)]
         estimates = [float(row.split(",")[1]) for row in rows]
         assert estimates == pytest.approx(np.mean(survivors, axis=0), rel=1e-14)
