@@ -30,19 +30,6 @@ _SUBCOMMAND_KINDS = {
     "power-profile": ("power_profile",),
 }
 
-_FORMULAS = (
-    "wyner-nonfading",
-    "wyner-large-k",
-    "limiting-moments",
-    "exp-integral",
-    "narula-pdf",
-    "narula-capacity",
-    "low-snr",
-    "high-snr",
-    "mp-cdf",
-)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -109,39 +96,34 @@ def _run_simulation(args) -> int:
     return 0
 
 
+def _m4(args) -> float:
+    return args.m4 if args.m4 is not None else args.m2**2
+
+
+# formula -> function of the parsed flags giving its (quantity, value) rows
+_FORMULAS = {
+    "wyner-nonfading": lambda a: [
+        ("capacity_nats", closed_forms.wyner_capacity_nonfading(a.power, a.alpha))],
+    "wyner-large-k": lambda a: [
+        ("capacity_nats", closed_forms.wyner_capacity_large_k(a.power, a.alpha, a.m2, a.mu))],
+    "limiting-moments": lambda a: zip(("M1", "M2", "M3"), closed_forms.limiting_moments(
+        a.m2, _m4(a), a.m6 if a.m6 is not None else a.m2**3, a.alpha)),
+    "exp-integral": lambda a: [("E1", closed_forms.exp_integral(a.x))],
+    "narula-pdf": lambda a: [("pdf", closed_forms.narula_stationary_pdf(a.x, a.pbar))],
+    "narula-capacity": lambda a: [("capacity_nats", closed_forms.narula_capacity(a.pbar))],
+    "low-snr": lambda a: zip(("eb_n0_min", "s0"), closed_forms.low_snr_params(
+        a.k, a.alpha, a.m2, _m4(a))),
+    "high-snr": lambda a: zip(("s_inf", "l_inf"), closed_forms.high_snr_params(
+        parse_spec_tag(a.fading_a), parse_spec_tag(a.fading_b or a.fading_a))),
+    "mp-cdf": lambda a: [("cdf", closed_forms.marchenko_pastur_cdf(a.x, a.k, a.sigma2))],
+}
+
+
 def _run_closed_form(args) -> int:
-    rows = []
-    if args.formula == "wyner-nonfading":
-        rows.append(("capacity_nats",
-                     closed_forms.wyner_capacity_nonfading(args.power, args.alpha)))
-    elif args.formula == "wyner-large-k":
-        rows.append(("capacity_nats", closed_forms.wyner_capacity_large_k(
-            args.power, args.alpha, args.m2, args.mu)))
-    elif args.formula == "limiting-moments":
-        m4 = args.m4 if args.m4 is not None else args.m2**2
-        m6 = args.m6 if args.m6 is not None else args.m2**3
-        m1, m2m, m3 = closed_forms.limiting_moments(args.m2, m4, m6, args.alpha)
-        rows += [("M1", m1), ("M2", m2m), ("M3", m3)]
-    elif args.formula == "exp-integral":
-        rows.append(("E1", closed_forms.exp_integral(args.x)))
-    elif args.formula == "narula-pdf":
-        rows.append(("pdf", closed_forms.narula_stationary_pdf(args.x, args.pbar)))
-    elif args.formula == "narula-capacity":
-        rows.append(("capacity_nats", closed_forms.narula_capacity(args.pbar)))
-    elif args.formula == "low-snr":
-        m4 = args.m4 if args.m4 is not None else args.m2**2
-        eb, s0 = closed_forms.low_snr_params(args.k, args.alpha, args.m2, m4)
-        rows += [("eb_n0_min", eb), ("s0", s0)]
-    elif args.formula == "high-snr":
-        try:
-            spec_a = parse_spec_tag(args.fading_a)
-            spec_b = parse_spec_tag(args.fading_b or args.fading_a)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        s_inf, l_inf = closed_forms.high_snr_params(spec_a, spec_b)
-        rows += [("s_inf", s_inf), ("l_inf", l_inf)]
-    elif args.formula == "mp-cdf":
-        rows.append(("cdf", closed_forms.marchenko_pastur_cdf(args.x, args.k, args.sigma2)))
+    try:
+        rows = list(_FORMULAS[args.formula](args))
+    except ValueError as exc:  # a fading tag or a value outside the formula's domain
+        raise ConfigError(str(exc)) from exc
     print("quantity,value")
     for name, value in rows:
         print(f"{name},{format(float(np.real(value)), '.17g')}")

@@ -13,6 +13,13 @@ exactly (a Python sequence, or a value that is not finite, zero, below
 1e-4 or at least 1e16 in magnitude, or an integer beyond int64) goes
 through ``%`` one value at a time.  Both paths give the same bytes.
 
+Each experiment kind is declared once, in ``_RUNNERS``: its runner, how
+many of its files get a gnuplot script, and the config fields it needs
+nonempty.  Only :func:`run_experiment` knows the output directory, the
+metadata lines and the job count; it hands each runner two closures, one
+that maps a statistic of the Gram matrix over the replicates and one that
+writes a CSV file.
+
 Shannon transforms come from shifted LDL pivots in O(N b^2); the O(N^2)
 band eigensolve runs only where the eigenvalue list is itself the output
 (``spectrum.csv``, ``ecdf.csv``) or is compared whole (``mp_compare``).
@@ -33,7 +40,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,17 +72,6 @@ __all__ = [
     "fit_high_snr_params",
     "fit_high_snr_offset_extrapolated",
 ]
-
-KINDS = (
-    "spectrum",
-    "capacity_vs_P",
-    "capacity_vs_N",
-    "moments",
-    "narula",
-    "extreme_snr",
-    "mp_compare",
-    "power_profile",
-)
 
 _NUMERICAL_FAILURES = (PivotError, np.linalg.LinAlgError)
 
@@ -175,23 +171,18 @@ class ExperimentConfig:
         needs_channel = self.kind != "narula"
         if needs_channel and self.channel is None:
             raise ConfigError(f"{self.kind} experiment needs a channel section")
-        if self.kind in ("capacity_vs_P",) and not self.p_grid:
-            raise ConfigError("capacity_vs_P needs a nonempty p_grid")
-        if self.kind in ("capacity_vs_N", "power_profile") and not self.n_grid:
-            raise ConfigError(f"{self.kind} needs a nonempty n_grid")
-        if self.kind == "narula":
-            if not self.p_grid:
-                raise ConfigError("narula needs a nonempty p_grid")
-            if not 0 <= self.burn_in < self.n_steps:
-                raise ConfigError("need 0 <= burn_in < n_steps")
+        for name in _RUNNERS[self.kind].needs:
+            if not getattr(self, name):
+                raise ConfigError(f"{self.kind} needs a nonempty {name}")
+        if self.kind == "narula" and not 0 <= self.burn_in < self.n_steps:
+            raise ConfigError("need 0 <= burn_in < n_steps")
         if self.kind == "extreme_snr":
-            if len(self.low_p) < 2 or len(self.high_p) < 2:
-                raise ConfigError("extreme_snr needs two low_p and two high_p points")
+            # the fits read exactly two points at each end
+            if len(self.low_p) != 2 or len(self.high_p) != 2:
+                raise ConfigError("extreme_snr needs exactly two low_p and two high_p points")
             # the low-SNR fit divides by P, the high-SNR fits by log P
             if min(self.low_p + self.high_p) <= 0 or 1.0 in self.high_p:
                 raise ConfigError("extreme_snr needs positive low_p/high_p and no high_p of 1")
-        if self.kind == "mp_compare" and not self.alphas:
-            raise ConfigError("mp_compare needs a nonempty alphas list")
         # build every channel the run builds; power_profile's 2N fits wherever N does
         try:
             if self.kind in ("capacity_vs_N", "power_profile"):
@@ -318,19 +309,22 @@ def run_experiment(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runner, n_plotted = _RUNNERS[config.kind]
-    results, files = runner(config, out_dir, jobs)
+    meta = {"experiment": config.kind, "config_sha256": config.sha256(), "master_seed": config.seed}
+
+    def gram_stats(params: ChannelParams, group: int, stat) -> list:
+        """``stat(gram(generate_channel(params, rng)))`` for each surviving replicate."""
+        return _replicate_map(
+            config, group, jobs, lambda rng: stat(gram(generate_channel(params, rng)))
+        )
+
+    def write(name: str, names, columns) -> Path:
+        return _write_csv(out_dir / name, names, columns, meta)
+
+    kind = _RUNNERS[config.kind]
+    results, files = kind.run(config, gram_stats, write)
     if emit_gnuplot:
-        files += _gnuplot_scripts(files[:n_plotted])
+        files += _gnuplot_scripts(files[:kind.n_plotted])
     return ExperimentOutput(tuple(results), tuple(files))
-
-
-class _Dropped(NamedTuple):
-    """A replicate whose worker raised a numerical failure."""
-
-    replicate: int
-    stream: int
-    error: str
 
 
 def _replicate_map(config: ExperimentConfig, group: int, jobs: int, worker):
@@ -340,11 +334,13 @@ def _replicate_map(config: ExperimentConfig, group: int, jobs: int, worker):
     indices = range(config.replications)
 
     def call(r):
-        stream = _stream_index(group, r)
         try:
-            return worker(derive_stream(config.seed, stream))
+            return worker(derive_stream(config.seed, _stream_index(group, r)))
         except _NUMERICAL_FAILURES as exc:
-            return _Dropped(r, stream, repr(exc))
+            # without its frames, or those of the error it chains, which
+            # would keep the replicate's arrays alive
+            exc.__cause__ = exc.__context__ = None
+            return exc.with_traceback(None)
 
     workers = min(jobs, config.replications, os.cpu_count() or 1)
     if workers > 1 and hasattr(os, "fork"):
@@ -358,11 +354,11 @@ def _replicate_map(config: ExperimentConfig, group: int, jobs: int, worker):
     else:
         slots = [call(r) for r in indices]
     ok = []
-    for slot in slots:
-        if isinstance(slot, _Dropped):
+    for r, slot in enumerate(slots):
+        if isinstance(slot, _NUMERICAL_FAILURES):
             _log.warning(
-                "dropped replicate %d (stream key seed=%d, index=%d): %s",
-                slot.replicate, config.seed, slot.stream, slot.error,
+                "dropped replicate %d (stream key seed=%d, index=%d): %r",
+                r, config.seed, _stream_index(group, r), slot,
             )
         else:
             ok.append(slot)
@@ -385,13 +381,6 @@ def _call_in_worker(r: int):
     return _worker_call(r)
 
 
-def _gram_replicates(config, params: ChannelParams, group: int, jobs: int, stat):
-    """``stat(gram(generate_channel(params, rng)))`` for each surviving replicate."""
-    return _replicate_map(
-        config, group, jobs, lambda rng: stat(gram(generate_channel(params, rng)))
-    )
-
-
 def _shannon(params: ChannelParams, powers):
     """Replicate statistic: the Shannon transform at per-user SNR ``P / K`` for
     each total power P, as the mean log of the shifted LDL pivots (O(N b^2))."""
@@ -409,7 +398,7 @@ def _mean_se(rows: list[np.ndarray]):
     return mean, se
 
 
-def _table(path: Path, grid_name: str, blocks, config):
+def _table(write, name: str, grid_name: str, blocks):
     """Write a ``grid,estimate,std_err,n_used,reference`` table with one row
     per grid point of each ``(grid, replicates, refs)`` block: the replicate
     mean and standard error of the statistic at that position, the number of
@@ -419,69 +408,60 @@ def _table(path: Path, grid_name: str, blocks, config):
         mean, se = _mean_se(replicates)
         rows += zip(grid, mean, se, itertools.repeat(len(replicates)), refs)
     names = (grid_name, "estimate", "std_err", "n_used", "reference")
-    _write_csv(path, names, list(zip(*rows)), _meta(config))
+    path = write(name, names, list(zip(*rows)))
     return [ExperimentResult(*row) for row in rows], [path]
 
 
 # -- per-kind runners --------------------------------------------------------
+# runner(config, gram_stats, write) -> (results, files), with the closures
+# that run_experiment makes
 
-def _run_spectrum(config, out_dir, jobs):
+def _run_spectrum(config, gram_stats, write):
     params = config.channel
     shannon = _shannon(params, config.p_grid)
-    replicates = _gram_replicates(
-        config, params, 0, jobs, lambda a: (eigenvalues(a).eigenvalues, shannon(a))
-    )
+    replicates = gram_stats(params, 0, lambda a: (eigenvalues(a).eigenvalues, shannon(a)))
     pooled = np.sort(np.concatenate([eigs for eigs, _ in replicates]))
-    meta = _meta(config)
     files = [
-        _write_csv(
-            out_dir / "spectrum.csv", ("index", "eigenvalue"),
-            (np.arange(1, len(pooled) + 1), pooled), meta,
-        ),
-        _write_csv(
-            out_dir / "ecdf.csv", ("bin_left", "bin_right", "count", "cum_fraction"),
-            _histogram_columns(pooled, config.histogram_bins), meta,
-        ),
+        write("spectrum.csv", ("index", "eigenvalue"), (np.arange(1, len(pooled) + 1), pooled)),
+        write("ecdf.csv", ("bin_left", "bin_right", "count", "cum_fraction"),
+              _histogram_columns(pooled, config.histogram_bins)),
     ]
     results = []
     if config.p_grid:
         transforms = [t for _, t in replicates]
         block = (config.p_grid, transforms, _capacity_reference(params, config.p_grid))
-        results, table = _table(out_dir / "shannon.csv", "P", [block], config)
+        results, table = _table(write, "shannon.csv", "P", [block])
         files += table
     return results, files
 
 
-def _run_capacity_vs_p(config, out_dir, jobs):
+def _run_capacity_vs_p(config, gram_stats, write):
     params = config.channel
-    replicates = _gram_replicates(config, params, 0, jobs, _shannon(params, config.p_grid))
+    replicates = gram_stats(params, 0, _shannon(params, config.p_grid))
     block = (config.p_grid, replicates, _capacity_reference(params, config.p_grid))
-    return _table(out_dir / "capacity_vs_P.csv", "P", [block], config)
+    return _table(write, "capacity_vs_P.csv", "P", [block])
 
 
-def _run_capacity_vs_n(config, out_dir, jobs):
+def _run_capacity_vs_n(config, gram_stats, write):
     base = config.channel
     stat = _shannon(base, [base.power])
     refs = _capacity_reference(base, [base.power])
     blocks = [
-        ([n], _gram_replicates(config, base.with_size(n), gi, jobs, stat), refs)
+        ([n], gram_stats(base.with_size(n), gi, stat), refs)
         for gi, n in enumerate(config.n_grid)
     ]
-    return _table(out_dir / "capacity_vs_N.csv", "N", blocks, config)
+    return _table(write, "capacity_vs_N.csv", "N", blocks)
 
 
-def _run_moments(config, out_dir, jobs):
+def _run_moments(config, gram_stats, write):
     params = config.channel
     orders = (1, 2, 3)
-    replicates = _gram_replicates(
-        config, params, 0, jobs, lambda a: np.array([trace_moment(a, p) for p in orders])
-    )
+    replicates = gram_stats(params, 0, lambda a: np.array([trace_moment(a, p) for p in orders]))
     refs = _moment_reference(params) or (float("nan"),) * len(orders)
-    return _table(out_dir / "moments.csv", "p", [(orders, replicates, refs)], config)
+    return _table(write, "moments.csv", "p", [(orders, replicates, refs)])
 
 
-def _run_narula(config, out_dir, jobs):
-    meta = _meta(config)
+def _run_narula(config, gram_stats, write):
     rows, results, files = [], [], []
     for i, p in enumerate(config.p_grid):
         rng = derive_stream(config.seed, _stream_index(i, 0))
@@ -491,29 +471,24 @@ def _run_narula(config, out_dir, jobs):
         results.append(ExperimentResult(
             p, run.ergodic_log_mean, run.log_mean_stderr, len(run.samples), ref,
         ))
+        # written as each chain finishes: one chain's samples in memory at a time
         steps = np.arange(config.burn_in + 1, config.n_steps + 1)
-        files.append(_write_csv(
-            out_dir / f"narula_samples_p{i}.csv", ("step", "d", "log_d"),
-            (steps, run.samples, np.log(run.samples)), meta,
+        files.append(write(
+            f"narula_samples_p{i}.csv", ("step", "d", "log_d"),
+            (steps, run.samples, np.log(run.samples)),
         ))
-    files.insert(0, _write_csv(
-        out_dir / "narula_summary.csv",
-        ("P", "capacity_estimate", "std_err", "n_steps"), list(zip(*rows)), meta,
-    ))
+    names = ("P", "capacity_estimate", "std_err", "n_steps")
+    files.insert(0, write("narula_summary.csv", names, list(zip(*rows))))
     return results, files
 
 
-def _run_extreme_snr(config, out_dir, jobs):
+def _run_extreme_snr(config, gram_stats, write):
     params = config.channel
-    powers = tuple(config.low_p) + tuple(config.high_p)
-    replicates = _gram_replicates(config, params, 0, jobs, _shannon(params, powers))
+    replicates = gram_stats(params, 0, _shannon(params, config.low_p + config.high_p))
     mean, _ = _mean_se(replicates)
-    n_low = len(config.low_p)
-    eb_est, s0_est = fit_low_snr_params(config.low_p[:2], mean[:2])
-    s_inf_est, l_inf_est = fit_high_snr_params(config.high_p[:2], mean[n_low:n_low + 2])
-    l_inf_ext = fit_high_snr_offset_extrapolated(
-        config.high_p[:2], mean[n_low:n_low + 2]
-    )
+    eb_est, s0_est = fit_low_snr_params(config.low_p, mean[:2])
+    s_inf_est, l_inf_est = fit_high_snr_params(config.high_p, mean[2:])
+    l_inf_ext = fit_high_snr_offset_extrapolated(config.high_p, mean[2:])
     refs = _extreme_snr_reference(params)
     quantities = [
         ("eb_n0_min", eb_est, refs[0]),
@@ -526,11 +501,8 @@ def _run_extreme_snr(config, out_dir, jobs):
         ExperimentResult(name, est, float("nan"), len(replicates), ref)
         for name, est, ref in quantities
     ]
-    files = [_write_csv(
-        out_dir / "extreme_snr.csv", ("quantity", "estimate", "reference"),
-        list(zip(*quantities)), _meta(config),
-    )]
-    return results, files
+    names = ("quantity", "estimate", "reference")
+    return results, [write("extreme_snr.csv", names, list(zip(*quantities)))]
 
 
 def _mp_channel(base: ChannelParams, alpha: float) -> ChannelParams:
@@ -544,63 +516,56 @@ def _mp_channel(base: ChannelParams, alpha: float) -> ChannelParams:
     return wyner(base.n_cells, base.users_per_cell, alpha, alpha, center, base.power)
 
 
-def _run_mp_compare(config, out_dir, jobs):
+def _run_mp_compare(config, gram_stats, write):
     base = config.channel
     k = base.users_per_cell
     m2 = _diagonal_gain_spec(base, 0)[1].amplitude_moment(2)
     rows, results = [], []
     for gi, alpha in enumerate(config.alphas):
-        params = _mp_channel(base, alpha)
         scale = 1.0 / (k * (1.0 + 2.0 * alpha**2))
-        replicates = _gram_replicates(
-            config, params, gi, jobs, lambda a: eigenvalues(a).eigenvalues
-        )
+        replicates = gram_stats(_mp_channel(base, alpha), gi, lambda a: eigenvalues(a).eigenvalues)
         pooled = EmpiricalSpectrum(np.concatenate(replicates) * scale)
-        ks = pooled.ks_distance(
-            lambda x: closed_forms.marchenko_pastur_cdf(x, k, m2)
-        )
+        ks = pooled.ks_distance(lambda x: closed_forms.marchenko_pastur_cdf(x, k, m2))
         rows.append((alpha, k, ks, pooled.n))
         results.append(ExperimentResult(alpha, ks, float("nan"), len(replicates), float("nan")))
-    files = [_write_csv(
-        out_dir / "mp_compare.csv", ("alpha", "K", "ks_distance", "n_eigenvalues"),
-        list(zip(*rows)), _meta(config),
-    )]
-    return results, files
+    names = ("alpha", "K", "ks_distance", "n_eigenvalues")
+    return results, [write("mp_compare.csv", names, list(zip(*rows)))]
 
 
-def _run_power_profile(config, out_dir, jobs):
+def _run_power_profile(config, gram_stats, write):
     base = config.channel
-    rows, results = [], []
-    for n in config.n_grid:
-        diff = power_profile_sup_diff(base.with_size(n), base.with_size(2 * n))
-        rows.append((n, diff))
-        results.append(ExperimentResult(n, diff, 0.0, 1, float("nan")))
-    meta = _meta(config)
-    files = [_write_csv(
-        out_dir / "power_profile.csv", ("N", "sup_cell_diff_to_2N"),
-        list(zip(*rows)), meta,
-    )]
+    diffs = [power_profile_sup_diff(base.with_size(n), base.with_size(2 * n))
+             for n in config.n_grid]
+    results = [ExperimentResult(n, d, 0.0, 1, float("nan")) for n, d in zip(config.n_grid, diffs)]
     n0 = config.n_grid[0]
     grid = power_profile(base.with_size(n0))
     row, col = np.indices(grid.shape).reshape(2, -1) + 1
-    files.append(_write_csv(
-        out_dir / f"profile_n{n0}.csv", ("row", "col", "value"),
-        (row, col, grid.ravel()), meta,
-    ))
-    return results, files
+    return results, [
+        write("power_profile.csv", ("N", "sup_cell_diff_to_2N"), (config.n_grid, diffs)),
+        write(f"profile_n{n0}.csv", ("row", "col", "value"), (row, col, grid.ravel())),
+    ]
 
 
-# kind -> (runner, how many of its leading files get a gnuplot script; None = all)
+class _Kind(NamedTuple):
+    """One experiment kind: its runner, how many of its leading files get a
+    gnuplot script (None = all), and the config fields it needs nonempty."""
+
+    run: Callable
+    n_plotted: int | None
+    needs: tuple[str, ...] = ()
+
+
 _RUNNERS = {
-    "spectrum": (_run_spectrum, None),
-    "capacity_vs_P": (_run_capacity_vs_p, None),
-    "capacity_vs_N": (_run_capacity_vs_n, None),
-    "moments": (_run_moments, None),
-    "narula": (_run_narula, 1),
-    "extreme_snr": (_run_extreme_snr, 0),
-    "mp_compare": (_run_mp_compare, 0),
-    "power_profile": (_run_power_profile, 0),
+    "spectrum": _Kind(_run_spectrum, None),
+    "capacity_vs_P": _Kind(_run_capacity_vs_p, None, ("p_grid",)),
+    "capacity_vs_N": _Kind(_run_capacity_vs_n, None, ("n_grid",)),
+    "moments": _Kind(_run_moments, None),
+    "narula": _Kind(_run_narula, 1, ("p_grid",)),
+    "extreme_snr": _Kind(_run_extreme_snr, 0),
+    "mp_compare": _Kind(_run_mp_compare, 0, ("alphas",)),
+    "power_profile": _Kind(_run_power_profile, 0, ("n_grid",)),
 }
+KINDS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -722,14 +687,6 @@ def _extreme_snr_reference(params: ChannelParams):
 # ---------------------------------------------------------------------------
 # CSV plumbing
 # ---------------------------------------------------------------------------
-
-def _meta(config: ExperimentConfig) -> dict:
-    return {
-        "experiment": config.kind,
-        "config_sha256": config.sha256(),
-        "master_seed": config.seed,
-    }
-
 
 # rows formatted and written per block: one write per block, and memory that
 # stays flat however many rows a file has

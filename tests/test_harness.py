@@ -1,4 +1,6 @@
+import argparse
 import concurrent.futures.process
+import dataclasses
 import json
 import logging
 import multiprocessing
@@ -9,7 +11,9 @@ import pytest
 from scipy.linalg import cholesky_banded
 
 import bandspec.band_matrix as band_matrix
+import bandspec.cli as cli
 import bandspec.harness as harness
+from bandspec import closed_forms
 from bandspec import (
     AllReplicatesFailedError,
     ConfigError,
@@ -27,6 +31,7 @@ from bandspec import (
     wyner_capacity_nonfading,
 )
 from bandspec.cli import main
+from bandspec.fading import parse_spec_tag
 
 
 def spectrum_config(tmp_path, **overrides):
@@ -52,6 +57,31 @@ def spectrum_config(tmp_path, **overrides):
 # explicit diagonals with no offset-0 diagonal: mp_compare has no center law
 NO_CENTER_CHANNEL = {"n_cells": 32, "diagonals": [
     {"offset": 1, "gain": 1.0, "fading": "rayleigh"}]}
+
+
+# a patch value that removes its key; a patch that is not a dict is the whole config
+DROP = "<drop>"
+
+
+def patched_config(tmp_path, patch):
+    if not isinstance(patch, dict):
+        return patch
+    data = spectrum_config(tmp_path, **patch)
+    return {key: value for key, value in data.items() if value != DROP}
+
+
+# configs that fail validation, with the CLI subcommand each belongs to
+INVALID_CONFIGS = [
+    ("spectrum", [1, 2]),
+    ("spectrum", {"kind": DROP}),
+    ("capacity", {"kind": "capacity_vs_P", "p_grid": []}),
+    ("capacity", {"kind": "capacity_vs_N"}),
+    ("power-profile", {"kind": "power_profile"}),
+    ("narula", {"kind": "narula", "p_grid": []}),
+    ("narula", {"kind": "narula", "burn_in": 100, "n_steps": 100}),
+    ("extreme-snr", {"kind": "extreme_snr", "low_p": [1e-3]}),
+    ("mp-compare", {"kind": "mp_compare"}),
+]
 
 
 def capacity_n_config(tmp_path, **overrides):
@@ -160,11 +190,11 @@ class TestConfig:
             {"replications": True},
             {"kind": "capacity_vs_N", "n_grid": [8.5]},
             {"channel": {"n_cells": 32.5, "alpha": 0.5}},
+            *(patch for _, patch in INVALID_CONFIGS),
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, patch):
-        data = spectrum_config(tmp_path)
-        data.update(patch)
+        data = patched_config(tmp_path, patch)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(data)
 
@@ -172,10 +202,11 @@ class TestConfig:
         ("spectrum", {"histogram_bins": 0}),
         ("mp-compare", {"kind": "mp_compare", "alphas": [0.5], "channel": NO_CENTER_CHANNEL}),
         ("spectrum", {"replications": 2.7}),
+        *INVALID_CONFIGS,
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, patch):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(spectrum_config(tmp_path, **patch)))
+        path.write_text(json.dumps(patched_config(tmp_path, patch)))
         assert main([command, str(path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -263,6 +294,8 @@ class TestConfig:
         {"high_p": [1.0, 1e6]},    # 1 / log P at P = 1
         {"high_p": [0.5, 1.0]},
         {"high_p": [0.0, 1e6]},
+        {"low_p": [1e-3, 2e-3, 4e-3]},  # the fits read exactly two points
+        {"high_p": [1e4, 1e5, 1e6]},
     ])
     def test_extreme_snr_fit_powers_rejected(self, tmp_path, capsys, patch):
         data = extreme_snr_config(tmp_path, **patch)
@@ -741,3 +774,76 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         values = dict(line.split(",") for line in lines[1:])
         assert float(values["M2"]) == pytest.approx(4.5)
+
+    # formula -> (its flags, the closed_forms rows they must print)
+    CLOSED_FORMS = {
+        "wyner-nonfading": (["--power", "10", "--alpha", "0.5"], lambda: [
+            ("capacity_nats", closed_forms.wyner_capacity_nonfading(10.0, 0.5))]),
+        "wyner-large-k": (["--power", "10", "--alpha", "0.5", "--mu", "0.3"], lambda: [
+            ("capacity_nats", closed_forms.wyner_capacity_large_k(10.0, 0.5, 1.0, 0.3))]),
+        # --m4 and --m6 default to m2^2 and m2^3
+        "limiting-moments": (["--m2", "2", "--alpha", "0.3"], lambda: zip(
+            ("M1", "M2", "M3"), closed_forms.limiting_moments(2.0, 4.0, 8.0, 0.3))),
+        "exp-integral": (["--x", "0.7"], lambda: [("E1", closed_forms.exp_integral(0.7))]),
+        "narula-pdf": (["--x", "3", "--pbar", "5"], lambda: [
+            ("pdf", closed_forms.narula_stationary_pdf(3.0, 5.0))]),
+        "narula-capacity": (["--pbar", "5"], lambda: [
+            ("capacity_nats", closed_forms.narula_capacity(5.0))]),
+        "low-snr": (["--k", "2", "--alpha", "0.5", "--m4", "2"], lambda: zip(
+            ("eb_n0_min", "s0"), closed_forms.low_snr_params(2, 0.5, 1.0, 2.0))),
+        "high-snr": (["--fading-a", "rician:nu=0.8,s2=0.36", "--fading-b", "rayleigh"],
+                     lambda: zip(("s_inf", "l_inf"), closed_forms.high_snr_params(
+                         parse_spec_tag("rician:nu=0.8,s2=0.36"), parse_spec_tag("rayleigh")))),
+        "mp-cdf": (["--x", "1.5", "--k", "2"], lambda: [
+            ("cdf", closed_forms.marchenko_pastur_cdf(1.5, 2, 1.0))]),
+    }
+
+    @pytest.mark.parametrize("formula", list(CLOSED_FORMS))
+    def test_closed_form_prints_exact_values(self, capsys, formula):
+        flags, expected = self.CLOSED_FORMS[formula]
+        assert main(["closed-form", "--formula", formula, *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["quantity,value"] + [
+            f"{name},{format(value, '.17g')}" for name, value in expected()
+        ]
+
+    @pytest.mark.parametrize("flags", [
+        ["high-snr", "--fading-a", "nope"],
+        ["narula-capacity", "--pbar", "0"],
+        ["mp-cdf", "--k", "0"],
+        ["exp-integral", "--x", "-1"],
+    ])
+    def test_closed_form_bad_flags_exit_2(self, capsys, flags):
+        assert main(["closed-form", "--formula", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+
+    def test_all_replicates_failing_exits_3(self, tmp_path, monkeypatch, capsys):
+        def explode(a, rho):
+            raise PivotError("forced failure")
+
+        monkeypatch.setattr(harness, "log_ldl_shifted", explode)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(spectrum_config(tmp_path, kind="capacity_vs_P")))
+        assert main(["capacity", str(path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+
+class TestDeclarations:
+    """Each kind and each formula is declared once; what refers to it agrees."""
+
+    def test_subcommands_cover_exactly_the_kinds(self):
+        kinds = [kind for group in cli._SUBCOMMAND_KINDS.values() for kind in group]
+        assert sorted(kinds) == sorted(harness.KINDS)
+
+    def test_kind_needs_are_config_fields(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for kind in harness._RUNNERS.values():
+            assert set(kind.needs) <= names
+
+    def test_formulas_are_argparse_choices(self):
+        (sub,) = [a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        (formula,) = [a for a in sub.choices["closed-form"]._actions if a.dest == "formula"]
+        assert list(formula.choices) == list(cli._FORMULAS)
