@@ -6,7 +6,8 @@ are transformed to a unit exponential scale first.  The exponential integral
 E1 comes from :func:`scipy.special.exp1`, with an underflow-proof scaled form
 ``exp(x) * E1(x)`` for the stationary-density normalizations, which need it
 at arguments where E1 itself underflows.  Everything else is an exact
-formula: nothing here draws random numbers.
+formula: nothing here draws random numbers.  The functions of a point ``x``
+give a float for a scalar ``x`` and an array of ``x``'s shape for an array.
 """
 from __future__ import annotations
 
@@ -111,10 +112,16 @@ def exp_integral(x):
     Validated wrapper over :func:`scipy.special.exp1`.  Accepts scalars or
     arrays; a scalar argument gives a float.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if xs.size and xs.min() <= 0:
         raise ValueError("exp_integral requires x > 0")
-    out = exp1(xs)
+    return _shaped(exp1(xs), x)
+
+
+def _shaped(out: np.ndarray, x):
+    """``out``, computed elementwise from ``x``, in the shape of ``x``: a
+    float for a Python or numpy scalar, else an array of ``x``'s shape."""
+    out = out.reshape(np.shape(x))
     return float(out) if np.isscalar(x) else out
 
 
@@ -133,7 +140,7 @@ def _e1_scaled(x):
     for k in range(_E1_ASYMPTOTIC_TERMS - 1, 0, -1):
         series = 1.0 - k * inv * series
     out[~small] = inv * series
-    return float(out[0]) if np.isscalar(x) else out
+    return _shaped(out, x)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +158,7 @@ def narula_stationary_pdf(x, pbar: float):
     # exp(-x/p)/E1(1/p) written via the scaled E1 so tiny pbar cannot underflow
     norm = pbar * _e1_scaled(1.0 / pbar)
     out[ok] = np.log(xs[ok]) * np.exp(-(xs[ok] - 1.0) / pbar) / norm
-    if np.isscalar(x):
-        return float(out[0])
-    return out
+    return _shaped(out, x)
 
 
 def narula_stationary_cdf(x, pbar: float):
@@ -172,9 +177,7 @@ def narula_stationary_cdf(x, pbar: float):
         xv = xs[ok]
         num = _e1_scaled(xv / pbar) + np.log(xv)
         out[ok] = 1.0 - np.exp(-(xv - 1.0) / pbar) * num / _e1_scaled(1.0 / pbar)
-    if np.isscalar(x):
-        return float(out[0])
-    return out
+    return _shaped(out, x)
 
 
 def narula_capacity(pbar: float) -> float:
@@ -249,9 +252,7 @@ def marchenko_pastur_pdf(x, k: int, sigma2: float = 1.0):
     inside = (xs > a) & (xs < b)
     xv = xs[inside]
     out[inside] = np.sqrt((b - xv) * (xv - a)) / (2 * np.pi * sigma2 * y * xv)
-    if np.isscalar(x):
-        return float(out[0])
-    return out
+    return _shaped(out, x)
 
 
 def marchenko_pastur_cdf(x, k: int, sigma2: float = 1.0):
@@ -283,6 +284,4 @@ def marchenko_pastur_cdf(x, k: int, sigma2: float = 1.0):
     ) / (2.0 * np.pi * y)
     # rounding can step past 0 or 1 by an ulp next to an edge
     out[inside] = np.clip(f, 0.0, 1.0)
-    if np.isscalar(x):
-        return float(out[0])
-    return out.reshape(np.shape(x))
+    return _shaped(out, x)

@@ -6,12 +6,13 @@ order whatever the number of jobs, floats are printed with a fixed
 17-significant-digit format, and every output file carries the config hash
 and master seed in comment lines.
 
-CSV files are written from columns, in blocks of rows.  A numpy integer or
-float column is formatted in bulk by a vectorized kernel that writes the
-digits ``%d`` and ``%.17g`` write; a column block the kernel cannot take
-exactly (a Python sequence, or a value that is not finite, zero, below
-1e-4 or at least 1e16 in magnitude, or an integer beyond int64) goes
-through ``%`` one value at a time.  Both paths give the same bytes.
+CSV files are written from columns, in blocks of rows, and every cell holds
+the ``%d``/``%.17g`` text of its value.  A block whose columns are all numpy
+signed-integer or float arrays is formatted in bulk by vectorized kernels;
+any other block is joined one value at a time.  In bulk, the float kernel
+decides per cell: it writes zeros and every value in [1e-4, 1e16) in
+magnitude from its own digit arithmetic, and puts the ``%`` text of each
+other value (not finite, tiny or huge) in that value's own cell.
 
 Each experiment kind is declared once, in ``_RUNNERS``: its runner, how
 many of its files get a gnuplot script, and the config fields it needs
@@ -176,6 +177,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{self.kind} needs a nonempty {name}")
         if self.kind == "narula" and not 0 <= self.burn_in < self.n_steps:
             raise ConfigError("need 0 <= burn_in < n_steps")
+        if self.kind == "narula" and min(self.p_grid) <= 0:  # the chain's law needs P > 0
+            raise ConfigError("narula needs positive p_grid powers")
         if self.kind == "extreme_snr":
             # the fits read exactly two points at each end
             if len(self.low_p) != 2 or len(self.high_p) != 2:
@@ -697,14 +700,10 @@ def _write_csv(path: Path, names, columns, meta: dict) -> Path:
     """Write ``meta`` as ``# key=value`` lines, a header of ``names`` and one
     row per position of the equal-length ``columns``.
 
-    Each value is written as :func:`_text` says: integers in full, floats to
-    17 significant digits (``%.17g``), anything else as ``str``.  Rows go out
-    in blocks of ``_BLOCK_ROWS``, one ``write`` each.  In a block, a numpy
-    integer or float column is formatted in bulk (:func:`_int_cells`,
-    :func:`_float_cells`).  A Python sequence, or a column block with a value
-    the kernels do not take (a float that is not finite, zero, below 1e-4 or
-    at least 1e16 in magnitude, or an integer beyond int64), goes through
-    ``%`` one value at a time instead.  Both paths write the same bytes.
+    Every cell holds what :func:`_text` writes for its value: integers in
+    full, floats to 17 significant digits (``%.17g``), anything else as
+    ``str``.  Rows go out in blocks of ``_BLOCK_ROWS``, one ``write`` each,
+    formatted as :func:`_format_block` says.
     """
     with open(path, "wb") as fh:
         head = "".join(f"# {key}={value}\n" for key, value in meta.items())
@@ -715,43 +714,35 @@ def _write_csv(path: Path, names, columns, meta: dict) -> Path:
 
 
 def _format_block(columns) -> bytes:
-    """CSV rows of equal-length column slices.
+    """CSV rows of equal-length column slices, by one of two paths chosen by
+    column type.
 
-    When no column takes a bulk kernel (the few-row tables), the rows are
-    joined as text, which costs less than numpy's set-up.  Otherwise each
-    column becomes a NUL-padded uint8 matrix of cells, the matrices and the
-    separators sit side by side, and one masked gather drops the padding (so
-    a NUL inside a text value is lost)."""
-    cells = [_bulk_cells(column) for column in columns]
-    if all(c is None for c in cells):
+    When every column is a numpy signed-integer or float array, each becomes
+    a NUL-padded uint8 matrix of cells (:func:`_int_cells`,
+    :func:`_float_cells`), the matrices and the separators sit side by side,
+    and one masked gather drops the padding.  Otherwise (Python sequences,
+    text, bools, unsigned integers) the rows are joined as :func:`_text`
+    writes them."""
+    if not all(isinstance(c, np.ndarray) and c.dtype.kind in "if" for c in columns):
         return "".join(",".join(map(_text, row)) + "\n" for row in zip(*columns)).encode()
     n = len(columns[0])
     parts = []
-    for column, c in zip(columns, cells):
-        if c is None:
-            text = [_text(v).encode() for v in column]
-            c = np.array(text, dtype=bytes).view(np.uint8).reshape(n, -1)
-        parts += [c, np.full((n, 1), ord(","), np.uint8)]
+    for column in columns:
+        if column.dtype.kind == "f":
+            cells = _float_cells(column.astype(np.float64, copy=False))
+        else:
+            cells = _int_cells(column.astype(np.int64, copy=False))
+        parts += [cells, np.full((n, 1), ord(","), np.uint8)]
     parts[-1] = np.full((n, 1), ord("\n"), np.uint8)
     block = np.concatenate(parts, axis=1)
     return block[block != 0].tobytes()
 
 
-def _bulk_cells(column) -> np.ndarray | None:
-    """The cells of a numpy integer or float column from its kernel, or None
-    where the kernel does not take it."""
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
-    if kind == "f":
-        return _float_cells(column.astype(np.float64, copy=False))
-    if kind in ("i", "u") and column.max() <= np.iinfo(np.int64).max:
-        return _int_cells(column.astype(np.int64, copy=False))
-    return None
-
-
 def _text(value) -> str:
-    """One value as every CSV cell is written: integers in full, floats to 17
-    significant digits, anything else as ``str``."""
-    if isinstance(value, (int, np.integer)):
+    """One value as every CSV cell is written: integers and bools (Python or
+    numpy) in full, floats to 17 significant digits, anything else as
+    ``str``."""
+    if isinstance(value, (int, np.integer, np.bool_)):
         return "%d" % value
     if isinstance(value, (float, np.floating)):
         return "%.17g" % value
@@ -833,12 +824,11 @@ def _int_cells(x: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _float_cells(x: np.ndarray) -> np.ndarray | None:
+def _float_cells(x: np.ndarray) -> np.ndarray:
     """``%.17g`` of each float64 as a NUL-padded (n, 41) uint8 matrix laid
-    out as :func:`_float_keep` says, or None if some ``|x|`` lies outside
-    [1e-4, 1e16): the kernel writes no exponent, zero, ``inf`` or ``nan``.
+    out as :func:`_float_keep` says, decided cell by cell.
 
-    In that range ``%.17g`` is the 17-digit integer
+    For ``1e-4 <= |x| < 1e16`` ``%.17g`` is the 17-digit integer
     ``D = round_half_even(|x| 10^(16 - X))``, X = floor(log10 |x|), in fixed
     point with trailing zeros stripped.  ``10^(16 - X)`` is an exact double,
     and Dekker's TwoProduct gives the product exactly as a double ``p`` plus
@@ -846,11 +836,14 @@ def _float_cells(x: np.ndarray) -> np.ndarray | None:
     the error half-even rounds D correctly, as Python's ``%`` does.  Next to
     a power of ten ``log10`` can put X one off, and rounding can carry D up
     to 10^17; either shows as a D of 16 or 18 digits, and X is corrected by
-    one.
+    one.  An exact zero is X = 0 and D = 0, with the sign of its sign bit
+    (``-0.0`` writes ``-0``).  Each other value (not finite, or nonzero below
+    1e-4 or at least 1e16 in magnitude, where ``%.17g`` writes ``nan``,
+    ``inf`` or an exponent) gets :func:`_text` of itself in its own cell.
     """
     a = np.abs(x)
-    if not ((a >= 1e-4) & (a < 1e16)).all():
-        return None
+    inside = (a >= 1e-4) & (a < 1e16)
+    a[~inside] = 1.0  # X = 0: keeps log10 and the scaling finite
     exp = np.floor(np.log10(a)).astype(np.int64)
     digits = _round_scaled(a, exp)
     low, high = digits < 10**16, digits >= 10**17
@@ -859,19 +852,24 @@ def _float_cells(x: np.ndarray) -> np.ndarray | None:
         exp += high
         exp -= low
         digits[off] = _round_scaled(a[off], exp[off])
+    zero = x == 0
+    digits[zero] = 0
     groups = _digit_groups(digits.astype(np.uint64), 5)
     zeros = _GROUP_ZEROS[groups[4]]
     all_zero = groups[4] == 0
-    for group in groups[3:0:-1]:  # groups[0] is the leading digit, never 0
+    for group in groups[3:0:-1]:  # groups[0], the leading digit, is always written
         zeros += all_zero * _GROUP_ZEROS[group]
         all_zero &= group == 0
     cells = np.empty((len(x), 41), np.uint8)
-    cells[:, 0] = np.where(x < 0, ord("-"), 0)
+    cells[:, 0] = np.where(np.signbit(x), ord("-"), 0)
     cells[:, 1:6] = np.frombuffer(b"0.000", np.uint8)
     cells[:, 6:23] = _ascii(groups)[:, 3:]
     cells[:, 23] = ord(".")
     cells[:, 24:] = cells[:, 6:23]
     cells &= _FLOAT_KEEP[(exp + 4) * 17 + 16 - zeros]
+    odd = ~(inside | zero)
+    text = np.array([_text(v) for v in x[odd]], dtype="S41")
+    cells[odd] = text.view(np.uint8).reshape(-1, 41)
     return cells
 
 

@@ -110,6 +110,30 @@ class TestLimitingMoments:
         assert limiting_moments(1.0, 1.0, 1.0, 1.0) == (3.0, 15.0, 87.0)
 
 
+# the elementwise functions of a point, each at a point of its domain
+POINTWISE = {
+    "narula_stationary_pdf": lambda x: narula_stationary_pdf(x, 2.0),
+    "narula_stationary_cdf": lambda x: narula_stationary_cdf(x, 2.0),
+    "marchenko_pastur_pdf": lambda x: marchenko_pastur_pdf(x, 2),
+    "marchenko_pastur_cdf": lambda x: marchenko_pastur_cdf(x, 2),
+    "exp_integral": exp_integral,
+    "_e1_scaled": _e1_scaled,
+}
+
+
+@pytest.mark.parametrize("name", POINTWISE)
+@pytest.mark.parametrize("x", [1.5, np.float64(1.5), np.array(1.5), [[1.5, 2.5]]],
+                         ids=["float", "numpy_scalar", "0d_array", "list_1x2"])
+def test_pointwise_functions_keep_the_argument_shape(name, x):
+    f = POINTWISE[name]
+    got = f(x)
+    if np.isscalar(x):
+        assert type(got) is float
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(x)
+    assert np.array_equal(np.ravel(got), [f(float(v)) for v in np.ravel(x)])
+
+
 class TestExpIntegral:
     def test_against_mpmath(self):
         xs = np.logspace(-3, np.log10(500), 200)

@@ -1,6 +1,7 @@
 """The bulk CSV number formatter against Python's own ``%.17g`` and ``%d``."""
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ def floats_text(values) -> bytes:
 
 def ints_text(values) -> bytes:
     return lines(str(int(v)) for v in values)
+
+
+def spy_text():
+    """Patch ``harness._text`` with a mock that records each value it formats."""
+    return mock.patch.object(harness, "_text", wraps=harness._text)
+
+
+def texted(spy) -> list[str]:
+    """The values ``spy`` saw, as reprs (so NaN and signed zeros compare)."""
+    return [repr(float(call.args[0])) for call in spy.call_args_list]
 
 
 def powers_of_ten():
@@ -53,38 +64,68 @@ def test_fixed_families_take_the_kernel():
     values = np.array(list(powers_of_ten()) + [v for _, v in exact_ties()])
     values = np.concatenate([values, -values])
     in_range = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)]
-    assert harness._float_cells(in_range) is not None
-    assert harness._format_block([in_range]) == floats_text(in_range)
-    # one value per block: each in-range value alone, each other one on the % path
+    with spy_text() as text:
+        assert harness._format_block([in_range]) == floats_text(in_range)
+    assert text.call_count == 0
+    # one value per block: each in-range value in bulk, each other one through _text
     for v in values:
         assert harness._format_block([np.array([v])]) == floats_text([v])
 
 
-@pytest.mark.parametrize("value", [
+ODD_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e16, -1e16,
     np.nextafter(1e-4, 0.0), 1e300, np.inf, -np.inf, np.nan,
-])
+]
+
+
+@pytest.mark.parametrize("value", ODD_VALUES)
 def test_values_outside_the_kernel_fall_back(value):
+    # a nonzero value outside the digit arithmetic goes through _text in its
+    # own cell; a zero is written by the kernel; the other cells stay in bulk
     column = np.array([1.5, value, 2.5])
-    assert harness._float_cells(column) is None
-    assert harness._format_block([column]) == floats_text(column)
+    with spy_text() as text:
+        assert harness._format_block([column]) == floats_text(column)
+    assert texted(text) == ([] if value == 0 else [repr(float(value))])
+
+
+def test_one_value_of_each_odd_family_per_block():
+    rng = np.random.default_rng(3)
+    column = rng.standard_normal(BLOCK) * 100.0
+    rows = rng.choice(BLOCK, len(ODD_VALUES), replace=False)
+    column[rows] = ODD_VALUES
+    with spy_text() as text:
+        assert harness._format_block([column]) == floats_text(column)
+    nonzero = np.sort(rows[[v != 0 for v in ODD_VALUES]])
+    assert texted(text) == [repr(float(v)) for v in column[nonzero]]
 
 
 def test_mixed_blocks(tmp_path):
-    # block 0 takes the kernels, block 1 holds a zero and an integer beyond
-    # int64, block 2 ends in a NaN
+    # block 0 is all in the kernel's range, block 1 holds a zero and an
+    # integer beyond int64, block 2 ends in a NaN
     rng = np.random.default_rng(7)
     floats = rng.standard_normal(3 * BLOCK) * 100.0
     floats[BLOCK + 17] = 0.0
     floats[-1] = np.nan
     ints = rng.integers(0, 2**62, 3 * BLOCK).astype(np.uint64)
     ints[BLOCK + 5] = 2**64 - 1
-    assert harness._float_cells(floats[:BLOCK]) is not None
-    assert harness._float_cells(floats[BLOCK:2 * BLOCK]) is None
-    assert harness._float_cells(floats[2 * BLOCK:]) is None
-    path = harness._write_csv(tmp_path / "mixed.csv", ("x", "n"), (floats, ints), {})
+    for block, odd in ((floats[:BLOCK], []), (floats[BLOCK:2 * BLOCK], []),
+                       (floats[2 * BLOCK:], ["nan"])):
+        with spy_text() as text:
+            harness._float_cells(block)
+        assert texted(text) == odd
+    # signed integers beside the floats: one bulk path, only the NaN through _text
+    signed = ints.astype(np.int64)
+    with spy_text() as text:
+        path = harness._write_csv(tmp_path / "signed.csv", ("x", "n"), (floats, signed), {})
+    expected = [f"{format(float(f), '.17g')},{int(n)}" for f, n in zip(floats, signed)]
+    assert path.read_bytes() == lines(["x,n"] + expected)
+    assert texted(text) == ["nan"]
+    # an unsigned column sends every block to the per-value join
+    with spy_text() as text:
+        path = harness._write_csv(tmp_path / "mixed.csv", ("x", "n"), (floats, ints), {})
     expected = [f"{format(float(f), '.17g')},{int(n)}" for f, n in zip(floats, ints)]
     assert path.read_bytes() == lines(["x,n"] + expected)
+    assert text.call_count == 2 * len(floats)
 
 
 @settings(max_examples=300, deadline=None)
@@ -107,8 +148,9 @@ kernel_floats = st.builds(
 @given(st.lists(kernel_floats, min_size=1, max_size=64))
 def test_kernel_range_matches_percent(values):
     column = np.array(values)
-    assert harness._float_cells(column) is not None
-    assert harness._format_block([column]) == floats_text(values)
+    with spy_text() as text:
+        assert harness._format_block([column]) == floats_text(values)
+    assert text.call_count == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -121,3 +163,35 @@ def test_int64_matches_str(values):
 def test_int64_extremes():
     column = np.array([0, 1, -1, 9, 10, -10, 9999, 10_000, 10**18, -(2**63), 2**63 - 1])
     assert harness._format_block([column]) == ints_text(column)
+
+
+RAYLEIGH_WYNER = {"users_per_cell": 1, "alpha": 0.5, "beta": 0.5, "fading": "rayleigh",
+                  "power": 10.0}
+
+
+def text_calls(tmp_path, config) -> int:
+    """How many values a run formats through ``_text``."""
+    config = harness.ExperimentConfig.from_dict({**config, "out_dir": str(tmp_path)})
+    with spy_text() as text:
+        harness.run_experiment(config)
+    return text.call_count
+
+
+def test_wyner_spectrum_formats_few_values_through_text(tmp_path):
+    # the benchmark's wyner-spectrum run: 6 pooled eigenvalues lie below
+    # 1e-4 and ecdf.csv's bin_left starts at 0; whole blocks used to take %
+    calls = text_calls(tmp_path, {
+        "kind": "spectrum", "channel": {**RAYLEIGH_WYNER, "n_cells": 2048},
+        "p_grid": [1.0, 10.0, 100.0], "replications": 8, "seed": 3,
+    })
+    assert calls <= 25
+
+
+def test_power_profile_grid_needs_no_text(tmp_path):
+    # profile_n*.csv is mostly zeros; only power_profile.csv's Python
+    # sequences (two cells per N) go through _text
+    calls = text_calls(tmp_path, {
+        "kind": "power_profile", "channel": {**RAYLEIGH_WYNER, "n_cells": 64},
+        "n_grid": [64], "seed": 3,
+    })
+    assert calls == 2

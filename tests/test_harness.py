@@ -81,6 +81,8 @@ INVALID_CONFIGS = [
     ("narula", {"kind": "narula", "burn_in": 100, "n_steps": 100}),
     ("extreme-snr", {"kind": "extreme_snr", "low_p": [1e-3]}),
     ("mp-compare", {"kind": "mp_compare"}),
+    # narula_capacity(0) raised ValueError after the output directory was made
+    ("narula", {"kind": "narula", "p_grid": [0.0, 1.0], "n_steps": 2000, "burn_in": 10}),
 ]
 
 
@@ -314,7 +316,7 @@ class TestCsvWriter:
 
     @staticmethod
     def fmt(value) -> str:
-        if isinstance(value, (int, np.integer)):
+        if isinstance(value, (int, np.integer, np.bool_)):
             return str(int(value))
         if isinstance(value, (float, np.floating)):
             return format(float(value), ".17g")
@@ -332,7 +334,6 @@ class TestCsvWriter:
                   np.float32(0.1), np.float64(-2.5)]
         ints = [np.int64(-7), True, 2**63 + 5, 0, np.uint64(2**64 - 1)]
         normals = np.random.default_rng(n_rows).standard_normal(n_rows)
-        # numpy columns go through the bulk kernels wherever a block allows
         spiky = normals * 1e3
         spiky[5000::1000] = np.resize(np.array(floats[:6] + [1e-5]), len(spiky[5000::1000]))
         unsigned = np.arange(n_rows, dtype=np.uint64) * np.uint64(2**40)
@@ -354,6 +355,10 @@ class TestCsvWriter:
         meta = {"experiment": "writer", "master_seed": 1}
         path = harness._write_csv(tmp_path / "t.csv", names, columns, meta)
         assert path.read_text() == self.expected(names, columns, meta)
+        # the numpy signed-integer and float columns alone take the bulk kernels
+        names, columns = names[5:8], columns[5:8]
+        path = harness._write_csv(tmp_path / "bulk.csv", names, columns, meta)
+        assert path.read_text() == self.expected(names, columns, meta)
 
     @pytest.mark.parametrize("where", [0, 1023, 1024, 2999])
     def test_mixed_int_and_float_column(self, tmp_path, where):
@@ -364,6 +369,13 @@ class TestCsvWriter:
         path = harness._write_csv(tmp_path / "m.csv", ("v", "i"), columns, {})
         assert path.read_text().splitlines()[1 + where] == f"2.5,{where}"
         assert path.read_text() == self.expected(("v", "i"), columns, {})
+
+    def test_numpy_and_python_bools_write_alike(self, tmp_path):
+        flags = np.arange(10) % 3 == 0
+        numpy_path = harness._write_csv(tmp_path / "np.csv", ("b",), [flags], {})
+        python_path = harness._write_csv(tmp_path / "py.csv", ("b",), [flags.tolist()], {})
+        assert numpy_path.read_bytes() == python_path.read_bytes()
+        assert numpy_path.read_text().split() == ["b"] + ["1", "0", "0"] * 3 + ["1"]
 
 
 class TestFits:
