@@ -1,8 +1,9 @@
 """Experiment runner: seeded, replicated Monte Carlo with CSV artifacts.
 
-Reruns are byte-reproducible: replicate ``r`` always draws from a Philox
-stream keyed by ``(master seed, index)``, results are reduced in replicate
-order whatever the number of jobs, floats are printed with a fixed
+Reruns are byte-reproducible: replicate ``r`` of group ``g`` (a grid
+position, or a ``narula`` power) always draws from a Philox stream keyed by
+``(master seed, g << 32 | r)``, results are reduced in replicate order
+whatever the number of jobs, floats are printed with a fixed
 17-significant-digit format, and every output file carries the config hash
 and master seed in comment lines.
 
@@ -15,11 +16,12 @@ magnitude from its own digit arithmetic, and puts the ``%`` text of each
 other value (not finite, tiny or huge) in that value's own cell.
 
 Each experiment kind is declared once, in ``_RUNNERS``: its runner, how
-many of its files get a gnuplot script, and the config fields it needs
-nonempty.  Only :func:`run_experiment` knows the output directory, the
-metadata lines and the job count; it hands each runner two closures, one
-that maps a statistic of the Gram matrix over the replicates and one that
-writes a CSV file.
+many of its files get a gnuplot script, the config fields it reads and
+those it needs nonempty.  A config may set no other field, so its hash
+covers only what the run computes.  Only :func:`run_experiment` knows the
+output directory, the metadata lines and the job count; it hands each
+runner two closures, one that maps a worker over the replicates of a group
+and one that writes a CSV file.
 
 Shannon transforms come from shifted LDL pivots in O(N b^2); the O(N^2)
 band eigensolve runs only where the eigenvalue list is itself the output
@@ -28,8 +30,9 @@ band eigensolve runs only where the eigenvalue list is itself the output
 Replicates run in ``min(jobs, replications, os.cpu_count())`` forked worker
 processes (threads would wait on the interpreter lock that scipy's LAPACK
 wrappers hold), or serially when that is 1 or the platform cannot fork.  A
-replicate dropped for a numerical failure is logged at WARNING on the
-``bandspec.harness`` logger with its index, stream key and exception.
+replicate (or ``narula`` chain) dropped for a numerical failure is logged at
+WARNING on the ``bandspec.harness`` logger with its index, stream key and
+exception.
 """
 from __future__ import annotations
 
@@ -157,43 +160,37 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        kind = _RUNNERS[self.kind]
+        for f in fields(self):
+            if f.name not in kind.reads + _COMMON and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{self.kind} does not read {f.name}: leave it out")
+        for name in kind.needs:
+            if not getattr(self, name):
+                raise ConfigError(f"{self.kind} needs a nonempty {name}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.histogram_bins < 1:
             raise ConfigError("histogram_bins must be >= 1")
-        for name, grid in (("p_grid", self.p_grid), ("n_grid", self.n_grid),
-                           ("low_p", self.low_p), ("high_p", self.high_p)):
+        for name in ("p_grid", "n_grid", "low_p", "high_p"):
+            grid = getattr(self, name)
+            if not all(math.isfinite(v) and v >= 0 for v in grid):
+                raise ConfigError(f"{name} must hold finite nonnegative numbers")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
-        for name, powers in (("p_grid", self.p_grid), ("low_p", self.low_p),
-                             ("high_p", self.high_p)):
-            if not all(math.isfinite(p) and p >= 0 for p in powers):
-                raise ConfigError(f"{name} must hold finite nonnegative powers")
-        needs_channel = self.kind != "narula"
-        if needs_channel and self.channel is None:
-            raise ConfigError(f"{self.kind} experiment needs a channel section")
-        for name in _RUNNERS[self.kind].needs:
-            if not getattr(self, name):
-                raise ConfigError(f"{self.kind} needs a nonempty {name}")
-        if self.kind == "narula" and not 0 <= self.burn_in < self.n_steps:
+        if not 0 <= self.burn_in < self.n_steps:
             raise ConfigError("need 0 <= burn_in < n_steps")
         if self.kind == "narula" and min(self.p_grid) <= 0:  # the chain's law needs P > 0
             raise ConfigError("narula needs positive p_grid powers")
-        if self.kind == "extreme_snr":
-            # the fits read exactly two points at each end
-            if len(self.low_p) != 2 or len(self.high_p) != 2:
-                raise ConfigError("extreme_snr needs exactly two low_p and two high_p points")
-            # the low-SNR fit divides by P, the high-SNR fits by log P
-            if min(self.low_p + self.high_p) <= 0 or 1.0 in self.high_p:
-                raise ConfigError("extreme_snr needs positive low_p/high_p and no high_p of 1")
+        # the extreme-SNR fits read two points at each end and divide by P (low) or log P (high)
+        two_each = len(self.low_p) == len(self.high_p) == 2
+        if not two_each or min(self.low_p + self.high_p) <= 0 or 1.0 in self.high_p:
+            raise ConfigError("low_p and high_p need two positive points each, and no high_p of 1")
         # build every channel the run builds; power_profile's 2N fits wherever N does
         try:
-            if self.kind in ("capacity_vs_N", "power_profile"):
-                for n in self.n_grid:
-                    self.channel.with_size(n)
-            if self.kind == "mp_compare":
-                for alpha in self.alphas:
-                    _mp_channel(self.channel, alpha)
+            for n in self.n_grid:
+                self.channel.with_size(n)
+            for alpha in self.alphas:
+                _mp_channel(self.channel, alpha)
         except ValueError as exc:
             raise ConfigError(f"{self.kind} channel: {exc}") from exc
 
@@ -314,38 +311,34 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"experiment": config.kind, "config_sha256": config.sha256(), "master_seed": config.seed}
 
-    def gram_stats(params: ChannelParams, group: int, stat) -> list:
-        """``stat(gram(generate_channel(params, rng)))`` for each surviving replicate."""
-        return _replicate_map(
-            config, group, jobs, lambda rng: stat(gram(generate_channel(params, rng)))
-        )
+    def replicate(group: int, count: int, worker) -> list:
+        """``worker(rng)`` for each of ``count`` replicates that survives."""
+        return _replicate_map(config.seed, group, count, jobs, worker)
 
     def write(name: str, names, columns) -> Path:
         return _write_csv(out_dir / name, names, columns, meta)
 
     kind = _RUNNERS[config.kind]
-    results, files = kind.run(config, gram_stats, write)
+    results, files = kind.run(config, replicate, write)
     if emit_gnuplot:
         files += _gnuplot_scripts(files[:kind.n_plotted])
     return ExperimentOutput(tuple(results), tuple(files))
 
 
-def _replicate_map(config: ExperimentConfig, group: int, jobs: int, worker):
-    """Run ``worker(rng)`` once per replicate, collected in index order.
+def _replicate_map(seed: int, group: int, count: int, jobs: int, worker):
+    """Run ``worker(rng)`` for ``count`` replicates of ``group``, in index order.
 
     A replicate that raises a numerical failure is dropped and logged."""
-    indices = range(config.replications)
-
     def call(r):
         try:
-            return worker(derive_stream(config.seed, _stream_index(group, r)))
+            return worker(derive_stream(seed, _stream_index(group, r)))
         except _NUMERICAL_FAILURES as exc:
             # without its frames, or those of the error it chains, which
             # would keep the replicate's arrays alive
             exc.__cause__ = exc.__context__ = None
             return exc.with_traceback(None)
 
-    workers = min(jobs, config.replications, os.cpu_count() or 1)
+    workers = min(jobs, count, os.cpu_count() or 1)
     if workers > 1 and hasattr(os, "fork"):
         import multiprocessing
         from concurrent.futures.process import ProcessPoolExecutor
@@ -353,22 +346,16 @@ def _replicate_map(config: ExperimentConfig, group: int, jobs: int, worker):
         # workers inherit the closure ``call``: only indices and results are pickled
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, fork, _install_call, (call,)) as pool:
-            slots = list(pool.map(_call_in_worker, indices))
+            slots = list(pool.map(_call_in_worker, range(count)))
     else:
-        slots = [call(r) for r in indices]
-    ok = []
+        slots = [call(r) for r in range(count)]
     for r, slot in enumerate(slots):
         if isinstance(slot, _NUMERICAL_FAILURES):
-            _log.warning(
-                "dropped replicate %d (stream key seed=%d, index=%d): %r",
-                r, config.seed, _stream_index(group, r), slot,
-            )
-        else:
-            ok.append(slot)
+            _log.warning("dropped replicate %d (stream key seed=%d, index=%d): %r",
+                         r, seed, _stream_index(group, r), slot)
+    ok = [slot for slot in slots if not isinstance(slot, _NUMERICAL_FAILURES)]
     if not ok:
-        raise AllReplicatesFailedError(
-            f"all {config.replications} replicates failed numerically"
-        )
+        raise AllReplicatesFailedError(f"{count} of {count} replicates failed numerically")
     return ok
 
 
@@ -382,6 +369,11 @@ def _install_call(call) -> None:
 
 def _call_in_worker(r: int):
     return _worker_call(r)
+
+
+def _gram_worker(params: ChannelParams, stat):
+    """Replicate worker: ``stat`` of the Gram matrix of one channel draw."""
+    return lambda rng: stat(gram(generate_channel(params, rng)))
 
 
 def _shannon(params: ChannelParams, powers):
@@ -416,13 +408,14 @@ def _table(write, name: str, grid_name: str, blocks):
 
 
 # -- per-kind runners --------------------------------------------------------
-# runner(config, gram_stats, write) -> (results, files), with the closures
+# runner(config, replicate, write) -> (results, files), with the closures
 # that run_experiment makes
 
-def _run_spectrum(config, gram_stats, write):
+def _run_spectrum(config, replicate, write):
     params = config.channel
     shannon = _shannon(params, config.p_grid)
-    replicates = gram_stats(params, 0, lambda a: (eigenvalues(a).eigenvalues, shannon(a)))
+    worker = _gram_worker(params, lambda a: (eigenvalues(a).eigenvalues, shannon(a)))
+    replicates = replicate(0, config.replications, worker)
     pooled = np.sort(np.concatenate([eigs for eigs, _ in replicates]))
     files = [
         write("spectrum.csv", ("index", "eigenvalue"), (np.arange(1, len(pooled) + 1), pooled)),
@@ -438,42 +431,42 @@ def _run_spectrum(config, gram_stats, write):
     return results, files
 
 
-def _run_capacity_vs_p(config, gram_stats, write):
+def _run_capacity_vs_p(config, replicate, write):
     params = config.channel
-    replicates = gram_stats(params, 0, _shannon(params, config.p_grid))
+    worker = _gram_worker(params, _shannon(params, config.p_grid))
+    replicates = replicate(0, config.replications, worker)
     block = (config.p_grid, replicates, _capacity_reference(params, config.p_grid))
     return _table(write, "capacity_vs_P.csv", "P", [block])
 
 
-def _run_capacity_vs_n(config, gram_stats, write):
+def _run_capacity_vs_n(config, replicate, write):
     base = config.channel
     stat = _shannon(base, [base.power])
     refs = _capacity_reference(base, [base.power])
     blocks = [
-        ([n], gram_stats(base.with_size(n), gi, stat), refs)
+        ([n], replicate(gi, config.replications, _gram_worker(base.with_size(n), stat)), refs)
         for gi, n in enumerate(config.n_grid)
     ]
     return _table(write, "capacity_vs_N.csv", "N", blocks)
 
 
-def _run_moments(config, gram_stats, write):
+def _run_moments(config, replicate, write):
     params = config.channel
     orders = (1, 2, 3)
-    replicates = gram_stats(params, 0, lambda a: np.array([trace_moment(a, p) for p in orders]))
+    worker = _gram_worker(params, lambda a: np.array([trace_moment(a, p) for p in orders]))
+    replicates = replicate(0, config.replications, worker)
     refs = _moment_reference(params) or (float("nan"),) * len(orders)
     return _table(write, "moments.csv", "p", [(orders, replicates, refs)])
 
 
-def _run_narula(config, gram_stats, write):
+def _run_narula(config, replicate, write):
     rows, results, files = [], [], []
     for i, p in enumerate(config.p_grid):
-        rng = derive_stream(config.seed, _stream_index(i, 0))
-        run = simulate_chain(p, config.n_steps, config.burn_in, rng)
-        rows.append((p, run.ergodic_log_mean, run.log_mean_stderr, config.n_steps))
-        ref = closed_forms.narula_capacity(p)
-        results.append(ExperimentResult(
-            p, run.ergodic_log_mean, run.log_mean_stderr, len(run.samples), ref,
-        ))
+        # each chain is the one replicate of its group
+        (run,) = replicate(i, 1, lambda rng: simulate_chain(p, config.n_steps, config.burn_in, rng))
+        estimate = (p, run.ergodic_log_mean, run.log_mean_stderr)
+        rows.append((*estimate, config.n_steps))
+        results.append(ExperimentResult(*estimate, len(run.samples), closed_forms.narula_capacity(p)))
         # written as each chain finishes: one chain's samples in memory at a time
         steps = np.arange(config.burn_in + 1, config.n_steps + 1)
         files.append(write(
@@ -485,9 +478,10 @@ def _run_narula(config, gram_stats, write):
     return results, files
 
 
-def _run_extreme_snr(config, gram_stats, write):
+def _run_extreme_snr(config, replicate, write):
     params = config.channel
-    replicates = gram_stats(params, 0, _shannon(params, config.low_p + config.high_p))
+    worker = _gram_worker(params, _shannon(params, config.low_p + config.high_p))
+    replicates = replicate(0, config.replications, worker)
     mean, _ = _mean_se(replicates)
     eb_est, s0_est = fit_low_snr_params(config.low_p, mean[:2])
     s_inf_est, l_inf_est = fit_high_snr_params(config.high_p, mean[2:])
@@ -519,14 +513,15 @@ def _mp_channel(base: ChannelParams, alpha: float) -> ChannelParams:
     return wyner(base.n_cells, base.users_per_cell, alpha, alpha, center, base.power)
 
 
-def _run_mp_compare(config, gram_stats, write):
+def _run_mp_compare(config, replicate, write):
     base = config.channel
     k = base.users_per_cell
     m2 = _diagonal_gain_spec(base, 0)[1].amplitude_moment(2)
     rows, results = [], []
     for gi, alpha in enumerate(config.alphas):
         scale = 1.0 / (k * (1.0 + 2.0 * alpha**2))
-        replicates = gram_stats(_mp_channel(base, alpha), gi, lambda a: eigenvalues(a).eigenvalues)
+        worker = _gram_worker(_mp_channel(base, alpha), lambda a: eigenvalues(a).eigenvalues)
+        replicates = replicate(gi, config.replications, worker)
         pooled = EmpiricalSpectrum(np.concatenate(replicates) * scale)
         ks = pooled.ks_distance(lambda x: closed_forms.marchenko_pastur_cdf(x, k, m2))
         rows.append((alpha, k, ks, pooled.n))
@@ -535,7 +530,7 @@ def _run_mp_compare(config, gram_stats, write):
     return results, [write("mp_compare.csv", names, list(zip(*rows)))]
 
 
-def _run_power_profile(config, gram_stats, write):
+def _run_power_profile(config, replicate, write):
     base = config.channel
     diffs = [power_profile_sup_diff(base.with_size(n), base.with_size(2 * n))
              for n in config.n_grid]
@@ -551,22 +546,26 @@ def _run_power_profile(config, gram_stats, write):
 
 class _Kind(NamedTuple):
     """One experiment kind: its runner, how many of its leading files get a
-    gnuplot script (None = all), and the config fields it needs nonempty."""
+    gnuplot script (None = all), the config fields it reads besides
+    ``_COMMON``, and those it needs nonempty; the rest keep their defaults."""
 
     run: Callable
     n_plotted: int | None
-    needs: tuple[str, ...] = ()
+    reads: tuple[str, ...]
+    needs: tuple[str, ...]
 
 
+_COMMON = ("kind", "seed", "out_dir")
+_GRAM = ("channel", "replications")  # read by every kind that draws Gram matrices
 _RUNNERS = {
-    "spectrum": _Kind(_run_spectrum, None),
-    "capacity_vs_P": _Kind(_run_capacity_vs_p, None, ("p_grid",)),
-    "capacity_vs_N": _Kind(_run_capacity_vs_n, None, ("n_grid",)),
-    "moments": _Kind(_run_moments, None),
-    "narula": _Kind(_run_narula, 1, ("p_grid",)),
-    "extreme_snr": _Kind(_run_extreme_snr, 0),
-    "mp_compare": _Kind(_run_mp_compare, 0, ("alphas",)),
-    "power_profile": _Kind(_run_power_profile, 0, ("n_grid",)),
+    "spectrum": _Kind(_run_spectrum, None, _GRAM + ("p_grid", "histogram_bins"), ("channel",)),
+    "capacity_vs_P": _Kind(_run_capacity_vs_p, None, _GRAM + ("p_grid",), ("channel", "p_grid")),
+    "capacity_vs_N": _Kind(_run_capacity_vs_n, None, _GRAM + ("n_grid",), ("channel", "n_grid")),
+    "moments": _Kind(_run_moments, None, _GRAM, ("channel",)),
+    "narula": _Kind(_run_narula, 1, ("p_grid", "n_steps", "burn_in"), ("p_grid",)),
+    "extreme_snr": _Kind(_run_extreme_snr, 0, _GRAM + ("low_p", "high_p"), ("channel",)),
+    "mp_compare": _Kind(_run_mp_compare, 0, _GRAM + ("alphas",), ("channel", "alphas")),
+    "power_profile": _Kind(_run_power_profile, 0, ("channel", "n_grid"), ("channel", "n_grid")),
 }
 KINDS = tuple(_RUNNERS)
 

@@ -74,9 +74,10 @@ def simulate_chain(
         raise ValueError("need 0 <= burn_in < n_steps")
     if not (np.isfinite(power) and power >= 0):
         raise ValueError("power must be finite and nonnegative")
-    pa = power * np.abs(RAYLEIGH.sample(rng, n_steps)) ** 2
-    pb = power * np.abs(RAYLEIGH.sample(rng, n_steps)) ** 2
-    samples = _pivots(pa, pb)[burn_in:]
+    with np.errstate(over="ignore"):  # an overflow shows as a non-finite pivot: PivotError
+        pa = power * np.abs(RAYLEIGH.sample(rng, n_steps)) ** 2
+        pb = power * np.abs(RAYLEIGH.sample(rng, n_steps)) ** 2
+        samples = _pivots(pa, pb)[burn_in:]
     logs = np.log(samples)
     stderr = float("nan")
     if len(logs) >= _N_BATCHES:

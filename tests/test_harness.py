@@ -54,36 +54,10 @@ def spectrum_config(tmp_path, **overrides):
     return data
 
 
-# explicit diagonals with no offset-0 diagonal: mp_compare has no center law
-NO_CENTER_CHANNEL = {"n_cells": 32, "diagonals": [
-    {"offset": 1, "gain": 1.0, "fading": "rayleigh"}]}
-
-
-# a patch value that removes its key; a patch that is not a dict is the whole config
-DROP = "<drop>"
-
-
-def patched_config(tmp_path, patch):
-    if not isinstance(patch, dict):
-        return patch
-    data = spectrum_config(tmp_path, **patch)
-    return {key: value for key, value in data.items() if value != DROP}
-
-
-# configs that fail validation, with the CLI subcommand each belongs to
-INVALID_CONFIGS = [
-    ("spectrum", [1, 2]),
-    ("spectrum", {"kind": DROP}),
-    ("capacity", {"kind": "capacity_vs_P", "p_grid": []}),
-    ("capacity", {"kind": "capacity_vs_N"}),
-    ("power-profile", {"kind": "power_profile"}),
-    ("narula", {"kind": "narula", "p_grid": []}),
-    ("narula", {"kind": "narula", "burn_in": 100, "n_steps": 100}),
-    ("extreme-snr", {"kind": "extreme_snr", "low_p": [1e-3]}),
-    ("mp-compare", {"kind": "mp_compare"}),
-    # narula_capacity(0) raised ValueError after the output directory was made
-    ("narula", {"kind": "narula", "p_grid": [0.0, 1.0], "n_steps": 2000, "burn_in": 10}),
-]
+def capacity_p_config(tmp_path, **overrides):
+    data = spectrum_config(tmp_path, kind="capacity_vs_P", **overrides)
+    del data["histogram_bins"]  # capacity_vs_P does not read it
+    return data
 
 
 def capacity_n_config(tmp_path, **overrides):
@@ -109,6 +83,131 @@ def extreme_snr_config(tmp_path, **overrides):
     }
     data.update(overrides)
     return data
+
+
+def moments_config(tmp_path):
+    return {"kind": "moments", "replications": 2, "seed": 11, "out_dir": str(tmp_path / "mom"),
+            "channel": {"n_cells": 32, "alpha": 0.5, "fading": "rayleigh"}}
+
+
+def narula_config(tmp_path):
+    return {"kind": "narula", "p_grid": [1.0, 10.0], "n_steps": 2000, "burn_in": 10,
+            "seed": 2, "out_dir": str(tmp_path / "nar")}
+
+
+def mp_compare_config(tmp_path):
+    return {"kind": "mp_compare", "alphas": [0.1, 0.9], "replications": 2, "seed": 9,
+            "out_dir": str(tmp_path / "mp"),
+            "channel": {"n_cells": 32, "users_per_cell": 1, "fading": "rayleigh"}}
+
+
+def power_profile_config(tmp_path):
+    return {"kind": "power_profile", "n_grid": [8, 16], "seed": 0, "out_dir": str(tmp_path / "pp"),
+            "channel": {"n_cells": 16, "alpha": 0.5, "fading": "rayleigh"}}
+
+
+# a small valid config of each kind, setting only fields the kind reads
+CONFIGS = {
+    "spectrum": spectrum_config,
+    "capacity_vs_P": capacity_p_config,
+    "capacity_vs_N": capacity_n_config,
+    "moments": moments_config,
+    "narula": narula_config,
+    "extreme_snr": extreme_snr_config,
+    "mp_compare": mp_compare_config,
+    "power_profile": power_profile_config,
+}
+SUBCOMMANDS = {kind: command for command, kinds in cli._SUBCOMMAND_KINDS.items() for kind in kinds}
+COMMON_FIELDS = {"kind", "seed", "out_dir"}
+# a value other than its default for every field that not every kind reads
+NON_DEFAULT = {
+    "channel": {"n_cells": 8, "alpha": 0.5},
+    "p_grid": [1.0],
+    "n_grid": [8],
+    "replications": 2,
+    "histogram_bins": 7,
+    "n_steps": 2000,
+    "burn_in": 10,
+    "low_p": [1e-3, 4e-3],
+    "high_p": [1e4, 1e5],
+    "alphas": [0.5],
+}
+UNREAD_FIELDS = [(kind, field) for kind in harness.KINDS for field in NON_DEFAULT
+                 if field not in harness._RUNNERS[kind].reads]
+
+# explicit diagonals with no offset-0 diagonal: mp_compare has no center law
+NO_CENTER_CHANNEL = {"n_cells": 32, "diagonals": [
+    {"offset": 1, "gain": 1.0, "fading": "rayleigh"}]}
+
+
+# a patch value that removes its key; a patch that is not a dict is the whole config
+DROP = "<drop>"
+
+
+def patched_config(tmp_path, patch):
+    """``patch`` applied to the config of its kind (spectrum's if it names none)."""
+    if not isinstance(patch, dict):
+        return patch
+    data = {**CONFIGS.get(patch.get("kind"), spectrum_config)(tmp_path), **patch}
+    return {key: value for key, value in data.items() if value != DROP}
+
+
+def numbered(cases, command=False):
+    # the test ids these cases had before they carried their messages
+    return [f"{case[0]}-patch{i}" if command else f"patch{i}" for i, case in enumerate(cases)]
+
+
+# configs that fail validation, with the CLI subcommand each belongs to and
+# the message that names the reason
+INVALID_CONFIGS = [
+    ("spectrum", [1, 2], "config must be a JSON object"),
+    ("spectrum", {"kind": DROP}, "config needs a kind"),
+    ("capacity", {"kind": "capacity_vs_P", "p_grid": []}, "capacity_vs_P needs a nonempty p_grid"),
+    ("capacity", {"kind": "capacity_vs_N", "n_grid": DROP},
+     "capacity_vs_N needs a nonempty n_grid"),
+    ("power-profile", {"kind": "power_profile", "n_grid": DROP},
+     "power_profile needs a nonempty n_grid"),
+    ("narula", {"kind": "narula", "p_grid": []}, "narula needs a nonempty p_grid"),
+    ("narula", {"kind": "narula", "burn_in": 100, "n_steps": 100}, "need 0 <= burn_in < n_steps"),
+    ("extreme-snr", {"kind": "extreme_snr", "low_p": [1e-3]},
+     "low_p and high_p need two positive points each"),
+    ("mp-compare", {"kind": "mp_compare", "alphas": DROP}, "mp_compare needs a nonempty alphas"),
+    # narula_capacity(0) raised ValueError after the output directory was made
+    ("narula", {"kind": "narula", "p_grid": [0.0, 1.0], "n_steps": 2000, "burn_in": 10},
+     "narula needs positive p_grid powers"),
+]
+INVALID_PATCHES = [
+    ({"kind": "nope"}, "unknown experiment kind 'nope'"),
+    ({"p_grid": [2.0, 1.0]}, "p_grid must be strictly increasing"),
+    ({"replications": 0}, "replications must be >= 1"),
+    ({"channel": None}, "spectrum needs a nonempty channel"),
+    ({"bogus_field": 1}, "unknown config fields: ['bogus_field']"),
+    ({"channel": {"n_cells": 2, "alpha": 0.5, "fading": "rayleigh"}}, "bad channel: "),
+    ({"histogram_bins": 0}, "histogram_bins must be >= 1"),
+    ({"histogram_bins": -3}, "histogram_bins must be >= 1"),
+    ({"kind": "capacity_vs_N", "n_grid": [0, 8]}, "capacity_vs_N channel: "),
+    # too small for offsets +-1
+    ({"kind": "power_profile", "n_grid": [1, 2]}, "power_profile channel: "),
+    ({"kind": "mp_compare", "alphas": [2.0]}, "mp_compare channel: alpha 2.0 outside [0, 1]"),
+    ({"kind": "mp_compare", "alphas": [-0.5]}, "mp_compare channel: alpha -0.5 outside [0, 1]"),
+    ({"kind": "mp_compare", "alphas": [0.5], "channel": NO_CENTER_CHANNEL},
+     "mp_compare channel: mp_compare needs a channel with an offset-0 diagonal"),
+    # values that used to be coerced: "12" ran as (1.0, 2.0), 2.7 as 2
+    ({"p_grid": "12"}, "bad p_grid: expected a list of numbers, got '12'"),
+    ({"p_grid": ["10.0"]}, "bad p_grid: '10.0' is not a number"),
+    ({"replications": 2.7}, "bad replications: 2.7 is not an integer"),
+    ({"replications": True}, "bad replications: True is not an integer"),
+    ({"kind": "capacity_vs_N", "n_grid": [8.5]}, "bad n_grid: 8.5 is not an integer"),
+    ({"channel": {"n_cells": 32.5, "alpha": 0.5}}, "bad channel: 32.5 is not an integer"),
+    *((patch, message) for _, patch, message in INVALID_CONFIGS),
+]
+INVALID_COMMANDS = [
+    ("spectrum", {"histogram_bins": 0}, "histogram_bins must be >= 1"),
+    ("mp-compare", {"kind": "mp_compare", "alphas": [0.5], "channel": NO_CENTER_CHANNEL},
+     "mp_compare channel: mp_compare needs a channel with an offset-0 diagonal"),
+    ("spectrum", {"replications": 2.7}, "bad replications: 2.7 is not an integer"),
+    *INVALID_CONFIGS,
+]
 
 
 class TestStreams:
@@ -169,49 +268,36 @@ class TestConfig:
         assert with_phase.sha256() != rician_config("0.3").sha256()
         assert ExperimentConfig.from_dict(with_phase.to_dict()).sha256() == with_phase.sha256()
 
-    @pytest.mark.parametrize(
-        "patch",
-        [
-            {"kind": "nope"},
-            {"p_grid": [2.0, 1.0]},
-            {"replications": 0},
-            {"channel": None},
-            {"bogus_field": 1},
-            {"channel": {"n_cells": 2, "alpha": 0.5, "fading": "rayleigh"}},
-            {"histogram_bins": 0},
-            {"histogram_bins": -3},
-            {"kind": "capacity_vs_N", "n_grid": [0, 8]},
-            {"kind": "power_profile", "n_grid": [1, 2]},  # too small for offsets +-1
-            {"kind": "mp_compare", "alphas": [2.0]},
-            {"kind": "mp_compare", "alphas": [-0.5]},
-            {"kind": "mp_compare", "alphas": [0.5], "channel": NO_CENTER_CHANNEL},
-            # values that used to be coerced: "12" ran as (1.0, 2.0), 2.7 as 2
-            {"p_grid": "12"},
-            {"p_grid": ["10.0"]},
-            {"replications": 2.7},
-            {"replications": True},
-            {"kind": "capacity_vs_N", "n_grid": [8.5]},
-            {"channel": {"n_cells": 32.5, "alpha": 0.5}},
-            *(patch for _, patch in INVALID_CONFIGS),
-        ],
-    )
-    def test_invalid_configs_rejected(self, tmp_path, patch):
+    @pytest.mark.parametrize("patch,message", INVALID_PATCHES, ids=numbered(INVALID_PATCHES))
+    def test_invalid_configs_rejected(self, tmp_path, patch, message):
         data = patched_config(tmp_path, patch)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             ExperimentConfig.from_dict(data)
+        assert str(info.value).startswith(message)
 
-    @pytest.mark.parametrize("command,patch", [
-        ("spectrum", {"histogram_bins": 0}),
-        ("mp-compare", {"kind": "mp_compare", "alphas": [0.5], "channel": NO_CENTER_CHANNEL}),
-        ("spectrum", {"replications": 2.7}),
-        *INVALID_CONFIGS,
-    ])
-    def test_invalid_config_exits_2(self, tmp_path, capsys, command, patch):
+    @pytest.mark.parametrize("command,patch,message", INVALID_COMMANDS,
+                             ids=numbered(INVALID_COMMANDS, command=True))
+    def test_invalid_config_exits_2(self, tmp_path, capsys, command, patch, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(patched_config(tmp_path, patch)))
         assert main([command, str(path)]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("kind,field", UNREAD_FIELDS)
+    def test_unread_field_exits_2(self, tmp_path, capsys, kind, field):
+        # accepted, it would run as if unset yet change the config hash
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**CONFIGS[kind](tmp_path), field: NON_DEFAULT[field]}))
+        assert main([SUBCOMMANDS[kind], str(path)]) == 2
+        expected = f"config error: {kind} does not read {field}: leave it out\n"
+        assert capsys.readouterr().err == expected
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_unread_field_at_its_default_is_accepted(self, tmp_path):
+        plain = ExperimentConfig.from_dict(narula_config(tmp_path))
+        data = {**narula_config(tmp_path), "low_p": [1e-3, 2e-3], "channel": None, "alphas": []}
+        assert ExperimentConfig.from_dict(data).sha256() == plain.sha256()
 
     # sha256 of each config at the commit that introduced this test: every
     # CSV's config_sha256 line depends on to_dict, so these must not drift
@@ -262,9 +348,10 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["p_grid", "low_p", "high_p"])
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_bad_powers_rejected(self, tmp_path, field, bad):
-        data = spectrum_config(tmp_path, kind="extreme_snr")
+        # each in a config of a kind that reads the field
+        data = capacity_p_config(tmp_path) if field == "p_grid" else extreme_snr_config(tmp_path)
         data[field] = [bad, 1e7]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^{field} must hold finite nonnegative numbers$"):
             ExperimentConfig.from_dict(data)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
@@ -328,6 +415,18 @@ class TestCsvWriter:
         lines += [",".join(map(cls.fmt, row)) + "\n" for row in zip(*columns)]
         return "".join(lines)
 
+    @staticmethod
+    def assert_text(path, expected: str):
+        """The file holds ``expected``; on failure, report the line counts and
+        the first differing line only (pytest's diff of two long texts takes
+        minutes)."""
+        got, want = path.read_text().splitlines(True), expected.splitlines(True)
+        if got != want:
+            differing = (i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+            i = next(differing, min(len(got), len(want)))
+            pytest.fail(f"{len(got)} lines, expected {len(want)}; line {i + 1} is "
+                        f"{got[i:i + 1]}, expected {want[i:i + 1]}")
+
     @pytest.mark.parametrize("n_rows", [0, 1, 1024, 1025, 3000, 4096, 4097, 9000])
     def test_bytes_match_per_value_rule(self, tmp_path, n_rows):
         floats = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 0.1,
@@ -354,11 +453,11 @@ class TestCsvWriter:
                  "int64", "float64", "float32", "bool", "uint64")
         meta = {"experiment": "writer", "master_seed": 1}
         path = harness._write_csv(tmp_path / "t.csv", names, columns, meta)
-        assert path.read_text() == self.expected(names, columns, meta)
+        self.assert_text(path, self.expected(names, columns, meta))
         # the numpy signed-integer and float columns alone take the bulk kernels
         names, columns = names[5:8], columns[5:8]
         path = harness._write_csv(tmp_path / "bulk.csv", names, columns, meta)
-        assert path.read_text() == self.expected(names, columns, meta)
+        self.assert_text(path, self.expected(names, columns, meta))
 
     @pytest.mark.parametrize("where", [0, 1023, 1024, 2999])
     def test_mixed_int_and_float_column(self, tmp_path, where):
@@ -368,7 +467,7 @@ class TestCsvWriter:
         columns = [column, [np.int64(i) for i in range(3000)]]
         path = harness._write_csv(tmp_path / "m.csv", ("v", "i"), columns, {})
         assert path.read_text().splitlines()[1 + where] == f"2.5,{where}"
-        assert path.read_text() == self.expected(("v", "i"), columns, {})
+        self.assert_text(path, self.expected(("v", "i"), columns, {}))
 
     def test_numpy_and_python_bools_write_alike(self, tmp_path):
         flags = np.arange(10) % 3 == 0
@@ -554,7 +653,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "eigenvalues", no_eigensolve)
         for data in (
-            spectrum_config(tmp_path, kind="capacity_vs_P", p_grid=[0.1, 10.0]),
+            capacity_p_config(tmp_path, p_grid=[0.1, 10.0]),
             capacity_n_config(tmp_path),
             extreme_snr_config(tmp_path),
         ):
@@ -577,8 +676,8 @@ class TestRunExperiment:
             raise AssertionError("bandwidth-1 Shannon transforms must use dpttrf")
 
         monkeypatch.setattr(band_matrix, "cholesky_banded", no_cholesky)
-        data = spectrum_config(
-            tmp_path, kind="capacity_vs_P", p_grid=[0.1, 10.0],
+        data = capacity_p_config(
+            tmp_path, p_grid=[0.1, 10.0],
             channel={"n_cells": 32, "alpha": 1.0, "beta": 0.0, "fading": "rayleigh"},
         )
         output = run_experiment(ExperimentConfig.from_dict(data))
@@ -598,8 +697,8 @@ class TestRunExperiment:
             return cholesky_banded(ab, **kwargs)
 
         monkeypatch.setattr(band_matrix, "cholesky_banded", counted)
-        run_experiment(ExperimentConfig.from_dict(spectrum_config(
-            tmp_path, kind="capacity_vs_P", p_grid=[0.1, 10.0], channel=channel)))
+        run_experiment(ExperimentConfig.from_dict(capacity_p_config(
+            tmp_path, p_grid=[0.1, 10.0], channel=channel)))
         assert bandwidths == [2] * 6
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -609,8 +708,8 @@ class TestRunExperiment:
         # factorizing replicate 1's matrix fails; it is told apart by its data,
         # since a forked worker's calls never reach this process
         powers = [0.1, 1.0, 10.0]
-        config = ExperimentConfig.from_dict(spectrum_config(
-            tmp_path, kind="capacity_vs_P", p_grid=powers, replications=4,
+        config = ExperimentConfig.from_dict(capacity_p_config(
+            tmp_path, p_grid=powers, replications=4,
             channel={"n_cells": 32, "alpha": 0.5, "fading": "rayleigh"},
         ))
         grams = [
@@ -703,7 +802,7 @@ class TestReplicateWorkers:
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", StandInPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         config = ExperimentConfig.from_dict(spectrum_config(tmp_path, replications=replications))
-        draws = harness._replicate_map(config, 0, jobs, lambda rng: rng.random())
+        draws = harness._replicate_map(config.seed, 0, replications, jobs, lambda rng: rng.random())
         assert made == ([] if workers is None else [workers])
         assert draws == [derive_stream(config.seed, r).random() for r in range(replications)]
 
@@ -718,7 +817,7 @@ class TestReplicateWorkers:
             return os.getpid()
 
         config = ExperimentConfig.from_dict(spectrum_config(tmp_path, replications=4))
-        pids = harness._replicate_map(config, 0, 2, pid)
+        pids = harness._replicate_map(config.seed, 0, config.replications, 2, pid)
         assert len(set(pids)) >= 2
         assert os.getpid() not in pids
 
@@ -728,7 +827,7 @@ class TestReplicateWorkers:
             raise KeyError("not a numerical failure")
 
         monkeypatch.setattr(harness, "log_ldl_shifted", broken)
-        config = ExperimentConfig.from_dict(spectrum_config(tmp_path, kind="capacity_vs_P"))
+        config = ExperimentConfig.from_dict(capacity_p_config(tmp_path))
         with pytest.raises(KeyError, match="not a numerical failure"):
             run_experiment(config, jobs=2)
 
@@ -837,9 +936,33 @@ class TestCli:
 
         monkeypatch.setattr(harness, "log_ldl_shifted", explode)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(spectrum_config(tmp_path, kind="capacity_vs_P")))
+        path.write_text(json.dumps(capacity_p_config(tmp_path)))
         assert main(["capacity", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_failing_chain_exits_3(self, tmp_path, capsys, caplog):
+        # the chain's tap powers overflow; it used to end in a traceback and exit 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"kind": "narula", "p_grid": [1e200], "n_steps": 2000,
+                                    "burn_in": 10, "out_dir": str(tmp_path / "out")}))
+        with caplog.at_level(logging.WARNING, logger="bandspec.harness"):
+            assert main(["narula", str(path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        (record,) = caplog.records
+        assert record.getMessage().startswith(
+            "dropped replicate 0 (stream key seed=0, index=0): PivotError(")
+
+
+class RecordingConfig(ExperimentConfig):
+    """A config that notes each field read while ``recording`` is set."""
+
+    FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    recording = False
+
+    def __getattribute__(self, name):
+        if name in RecordingConfig.FIELDS and object.__getattribute__(self, "recording"):
+            object.__getattribute__(self, "__dict__").setdefault("read", set()).add(name)
+        return object.__getattribute__(self, name)
 
 
 class TestDeclarations:
@@ -851,8 +974,26 @@ class TestDeclarations:
 
     def test_kind_needs_are_config_fields(self):
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(harness._COMMON) == COMMON_FIELDS
+        assert set(NON_DEFAULT) == names - COMMON_FIELDS  # the unread-field cases cover them all
         for kind in harness._RUNNERS.values():
-            assert set(kind.needs) <= names
+            assert set(kind.needs) <= set(kind.reads) <= names - COMMON_FIELDS
+
+    @pytest.mark.parametrize("kind", harness.KINDS)
+    def test_runner_reads_its_declared_fields(self, tmp_path, monkeypatch, kind):
+        entry = harness._RUNNERS[kind]
+
+        def recorded(config, *closures):
+            config.recording = True
+            try:
+                return entry.run(config, *closures)
+            finally:
+                config.recording = False
+
+        monkeypatch.setitem(harness._RUNNERS, kind, entry._replace(run=recorded))
+        config = RecordingConfig.from_dict(CONFIGS[kind](tmp_path))
+        run_experiment(config)
+        assert config.read - COMMON_FIELDS == set(entry.reads)
 
     def test_formulas_are_argparse_choices(self):
         (sub,) = [a for a in cli._build_parser()._actions

@@ -69,6 +69,13 @@ def test_pivots_reject_non_finite_taps():
         _pivots(np.array([1.0, np.inf, 1.0]), np.ones(3))
 
 
+@pytest.mark.parametrize("power", [1e200, 1.7e308])
+def test_overflowing_power_raises_pivot_error(power):
+    # the tap powers or their products overflow; that is a PivotError, not a RuntimeWarning
+    with pytest.raises(PivotError):
+        simulate_chain(power, 1000, 10, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("power", [-1.0, np.nan, np.inf])
 def test_bad_power_rejected(power):
     with pytest.raises(ValueError):
