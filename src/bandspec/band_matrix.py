@@ -269,33 +269,32 @@ def _pivot_excess(a: BandedHermitian, rho: float) -> np.ndarray:
     # On a tridiagonal, |C_{i,i-1}|^2 = (rho |s_{i-1}|)^2 / d_{i-1}.
     if not (np.isfinite(rho) and rho >= 0):
         raise ValueError("rho must be finite and nonnegative")
-    # An infinite entry times zero is NaN, with a RuntimeWarning: check before
-    # scaling where that can happen, at rho = 0 and in the complex products of
-    # wider bands.  At bandwidth <= 1 and rho > 0 a non-finite entry reaches
-    # the pivots instead, and raises there (the check would cost a quarter of
-    # a factorization at N = 512).
-    if (rho == 0 or a.bandwidth > 1) and not all(
+    # The banded Cholesky is handed the band unchecked.  At bandwidth <= 1 a
+    # non-finite entry reaches the pivots instead, and raises there (the check
+    # would cost a quarter of a factorization at N = 512).
+    if a.bandwidth > 1 and not all(
         np.isfinite(arr).all() for arr in (a.diag, *a.sub)
     ):
         raise PivotError("band entries must be finite")
-    excess = rho * a.diag
-    if a.bandwidth <= 1:
-        off = np.abs(a.sub[0]) if a.sub else np.zeros(a.n - 1)
-        off *= rho
-        sq = off * off  # dpttrf overwrites off
-        pivots = _tridiagonal_pivots(excess + 1.0, off)
-        excess[1:] -= np.divide(sq, pivots[:-1], out=sq)
-    else:
-        ab = a.lower_band()
-        ab *= rho
-        ab[0] += 1.0
-        try:
-            factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-        except LinAlgError as exc:
-            raise PivotError(f"shifted matrix lost positive definiteness: {exc}") from exc
-        for j in range(1, a.bandwidth + 1):
-            # lower band storage: factor[j, k] = C[k + j, k]
-            excess[j:] -= np.abs(factor[j, : a.n - j]) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # huge rho: PivotError, not a warning
+        excess = rho * a.diag
+        if a.bandwidth <= 1:
+            off = np.abs(a.sub[0]) if a.sub else np.zeros(a.n - 1)
+            off *= rho
+            sq = off * off  # dpttrf overwrites off
+            pivots = _tridiagonal_pivots(excess + 1.0, off)
+            excess[1:] -= np.divide(sq, pivots[:-1], out=sq)
+        else:
+            ab = a.lower_band()
+            ab *= rho
+            ab[0] += 1.0
+            try:
+                factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+            except LinAlgError as exc:
+                raise PivotError(f"shifted matrix lost positive definiteness: {exc}") from exc
+            for j in range(1, a.bandwidth + 1):
+                # lower band storage: factor[j, k] = C[k + j, k]
+                excess[j:] -= np.abs(factor[j, : a.n - j]) ** 2
     bad = ~np.isfinite(excess) | (excess < PIVOT_FLOOR - 1.0)
     if bad.any():
         raise PivotError(

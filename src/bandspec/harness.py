@@ -18,10 +18,11 @@ other value (not finite, tiny or huge) in that value's own cell.
 Each experiment kind is declared once, in ``_RUNNERS``: its runner, how
 many of its files get a gnuplot script, the config fields it reads and
 those it needs nonempty.  A config may set no other field, so its hash
-covers only what the run computes.  Only :func:`run_experiment` knows the
-output directory, the metadata lines and the job count; it hands each
-runner two closures, one that maps a worker over the replicates of a group
-and one that writes a CSV file.
+covers only what the run computes.  A runner maps workers over replicates
+through a closure and returns its results and tables, each a ``(file name,
+column names, columns)`` triple; only :func:`run_experiment` knows the job
+count, the output directory and the metadata lines, and it writes the
+tables after the runner returns, so a failed run writes no file.
 
 Shannon transforms come from shifted LDL pivots in O(N b^2); the O(N^2)
 band eigensolve runs only where the eigenvalue list is itself the output
@@ -167,6 +168,8 @@ class ExperimentConfig:
         for name in kind.needs:
             if not getattr(self, name):
                 raise ConfigError(f"{self.kind} needs a nonempty {name}")
+        if not 0 <= self.seed < 2**64:  # derive_stream keys Philox with a uint64
+            raise ConfigError("seed must lie in [0, 2^64)")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.histogram_bins < 1:
@@ -297,29 +300,27 @@ class ExperimentOutput:
 def run_experiment(
     config: ExperimentConfig, jobs: int = 1, emit_gnuplot: bool = False
 ) -> ExperimentOutput:
-    """Run one experiment and write its CSV artifacts.
+    """Run one experiment, then write its CSV artifacts.
 
     Identical (config, seed) pairs produce byte-identical files; replicates
     that raise a numerical failure are dropped and reported through the
     ``n_used`` column.  Raises :class:`AllReplicatesFailedError` if nothing
-    survives.
+    survives, before the output directory or any file is made.
     """
     config.validate()
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    meta = {"experiment": config.kind, "config_sha256": config.sha256(), "master_seed": config.seed}
 
     def replicate(group: int, count: int, worker) -> list:
         """``worker(rng)`` for each of ``count`` replicates that survives."""
         return _replicate_map(config.seed, group, count, jobs, worker)
 
-    def write(name: str, names, columns) -> Path:
-        return _write_csv(out_dir / name, names, columns, meta)
-
     kind = _RUNNERS[config.kind]
-    results, files = kind.run(config, replicate, write)
+    results, tables = kind.run(config, replicate)
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    meta = {"experiment": config.kind, "config_sha256": config.sha256(), "master_seed": config.seed}
+    files = [_write_csv(out_dir / name, names, columns, meta) for name, names, columns in tables]
     if emit_gnuplot:
         files += _gnuplot_scripts(files[:kind.n_plotted])
     return ExperimentOutput(tuple(results), tuple(files))
@@ -393,9 +394,9 @@ def _mean_se(rows: list[np.ndarray]):
     return mean, se
 
 
-def _table(write, name: str, grid_name: str, blocks):
-    """Write a ``grid,estimate,std_err,n_used,reference`` table with one row
-    per grid point of each ``(grid, replicates, refs)`` block: the replicate
+def _table(name: str, grid_name: str, blocks):
+    """A ``grid,estimate,std_err,n_used,reference`` table with one row per
+    grid point of each ``(grid, replicates, refs)`` block: the replicate
     mean and standard error of the statistic at that position, the number of
     replicates and the reference."""
     rows = []
@@ -403,43 +404,42 @@ def _table(write, name: str, grid_name: str, blocks):
         mean, se = _mean_se(replicates)
         rows += zip(grid, mean, se, itertools.repeat(len(replicates)), refs)
     names = (grid_name, "estimate", "std_err", "n_used", "reference")
-    path = write(name, names, list(zip(*rows)))
-    return [ExperimentResult(*row) for row in rows], [path]
+    return [ExperimentResult(*row) for row in rows], [(name, names, list(zip(*rows)))]
 
 
 # -- per-kind runners --------------------------------------------------------
-# runner(config, replicate, write) -> (results, files), with the closures
-# that run_experiment makes
+# runner(config, replicate) -> (results, tables), with the replicate closure
+# that run_experiment makes and a table per file, in file order
 
-def _run_spectrum(config, replicate, write):
+def _run_spectrum(config, replicate):
     params = config.channel
     shannon = _shannon(params, config.p_grid)
     worker = _gram_worker(params, lambda a: (eigenvalues(a).eigenvalues, shannon(a)))
     replicates = replicate(0, config.replications, worker)
     pooled = np.sort(np.concatenate([eigs for eigs, _ in replicates]))
-    files = [
-        write("spectrum.csv", ("index", "eigenvalue"), (np.arange(1, len(pooled) + 1), pooled)),
-        write("ecdf.csv", ("bin_left", "bin_right", "count", "cum_fraction"),
-              _histogram_columns(pooled, config.histogram_bins)),
+    tables = [
+        ("spectrum.csv", ("index", "eigenvalue"), (np.arange(1, len(pooled) + 1), pooled)),
+        ("ecdf.csv", ("bin_left", "bin_right", "count", "cum_fraction"),
+         _histogram_columns(pooled, config.histogram_bins)),
     ]
     results = []
     if config.p_grid:
         transforms = [t for _, t in replicates]
         block = (config.p_grid, transforms, _capacity_reference(params, config.p_grid))
-        results, table = _table(write, "shannon.csv", "P", [block])
-        files += table
-    return results, files
+        results, table = _table("shannon.csv", "P", [block])
+        tables += table
+    return results, tables
 
 
-def _run_capacity_vs_p(config, replicate, write):
+def _run_capacity_vs_p(config, replicate):
     params = config.channel
     worker = _gram_worker(params, _shannon(params, config.p_grid))
     replicates = replicate(0, config.replications, worker)
     block = (config.p_grid, replicates, _capacity_reference(params, config.p_grid))
-    return _table(write, "capacity_vs_P.csv", "P", [block])
+    return _table("capacity_vs_P.csv", "P", [block])
 
 
-def _run_capacity_vs_n(config, replicate, write):
+def _run_capacity_vs_n(config, replicate):
     base = config.channel
     stat = _shannon(base, [base.power])
     refs = _capacity_reference(base, [base.power])
@@ -447,38 +447,34 @@ def _run_capacity_vs_n(config, replicate, write):
         ([n], replicate(gi, config.replications, _gram_worker(base.with_size(n), stat)), refs)
         for gi, n in enumerate(config.n_grid)
     ]
-    return _table(write, "capacity_vs_N.csv", "N", blocks)
+    return _table("capacity_vs_N.csv", "N", blocks)
 
 
-def _run_moments(config, replicate, write):
+def _run_moments(config, replicate):
     params = config.channel
     orders = (1, 2, 3)
     worker = _gram_worker(params, lambda a: np.array([trace_moment(a, p) for p in orders]))
     replicates = replicate(0, config.replications, worker)
     refs = _moment_reference(params) or (float("nan"),) * len(orders)
-    return _table(write, "moments.csv", "p", [(orders, replicates, refs)])
+    return _table("moments.csv", "p", [(orders, replicates, refs)])
 
 
-def _run_narula(config, replicate, write):
-    rows, results, files = [], [], []
+def _run_narula(config, replicate):
+    rows, results, samples = [], [], []
+    steps = np.arange(config.burn_in + 1, config.n_steps + 1)
     for i, p in enumerate(config.p_grid):
         # each chain is the one replicate of its group
         (run,) = replicate(i, 1, lambda rng: simulate_chain(p, config.n_steps, config.burn_in, rng))
         estimate = (p, run.ergodic_log_mean, run.log_mean_stderr)
         rows.append((*estimate, config.n_steps))
         results.append(ExperimentResult(*estimate, len(run.samples), closed_forms.narula_capacity(p)))
-        # written as each chain finishes: one chain's samples in memory at a time
-        steps = np.arange(config.burn_in + 1, config.n_steps + 1)
-        files.append(write(
-            f"narula_samples_p{i}.csv", ("step", "d", "log_d"),
-            (steps, run.samples, np.log(run.samples)),
-        ))
+        samples.append((f"narula_samples_p{i}.csv", ("step", "d", "log_d"),
+                        (steps, run.samples, np.log(run.samples))))
     names = ("P", "capacity_estimate", "std_err", "n_steps")
-    files.insert(0, write("narula_summary.csv", names, list(zip(*rows))))
-    return results, files
+    return results, [("narula_summary.csv", names, list(zip(*rows)))] + samples
 
 
-def _run_extreme_snr(config, replicate, write):
+def _run_extreme_snr(config, replicate):
     params = config.channel
     worker = _gram_worker(params, _shannon(params, config.low_p + config.high_p))
     replicates = replicate(0, config.replications, worker)
@@ -499,7 +495,7 @@ def _run_extreme_snr(config, replicate, write):
         for name, est, ref in quantities
     ]
     names = ("quantity", "estimate", "reference")
-    return results, [write("extreme_snr.csv", names, list(zip(*quantities)))]
+    return results, [("extreme_snr.csv", names, list(zip(*quantities)))]
 
 
 def _mp_channel(base: ChannelParams, alpha: float) -> ChannelParams:
@@ -513,7 +509,7 @@ def _mp_channel(base: ChannelParams, alpha: float) -> ChannelParams:
     return wyner(base.n_cells, base.users_per_cell, alpha, alpha, center, base.power)
 
 
-def _run_mp_compare(config, replicate, write):
+def _run_mp_compare(config, replicate):
     base = config.channel
     k = base.users_per_cell
     m2 = _diagonal_gain_spec(base, 0)[1].amplitude_moment(2)
@@ -527,10 +523,10 @@ def _run_mp_compare(config, replicate, write):
         rows.append((alpha, k, ks, pooled.n))
         results.append(ExperimentResult(alpha, ks, float("nan"), len(replicates), float("nan")))
     names = ("alpha", "K", "ks_distance", "n_eigenvalues")
-    return results, [write("mp_compare.csv", names, list(zip(*rows)))]
+    return results, [("mp_compare.csv", names, list(zip(*rows)))]
 
 
-def _run_power_profile(config, replicate, write):
+def _run_power_profile(config, replicate):
     base = config.channel
     diffs = [power_profile_sup_diff(base.with_size(n), base.with_size(2 * n))
              for n in config.n_grid]
@@ -539,15 +535,15 @@ def _run_power_profile(config, replicate, write):
     grid = power_profile(base.with_size(n0))
     row, col = np.indices(grid.shape).reshape(2, -1) + 1
     return results, [
-        write("power_profile.csv", ("N", "sup_cell_diff_to_2N"), (config.n_grid, diffs)),
-        write(f"profile_n{n0}.csv", ("row", "col", "value"), (row, col, grid.ravel())),
+        ("power_profile.csv", ("N", "sup_cell_diff_to_2N"), (config.n_grid, diffs)),
+        (f"profile_n{n0}.csv", ("row", "col", "value"), (row, col, grid.ravel())),
     ]
 
 
 class _Kind(NamedTuple):
-    """One experiment kind: its runner, how many of its leading files get a
-    gnuplot script (None = all), the config fields it reads besides
-    ``_COMMON``, and those it needs nonempty; the rest keep their defaults."""
+    """One experiment kind: its runner (which writes nothing), how many of its
+    leading files get a gnuplot script (None = all), the config fields it reads
+    besides ``_COMMON``, and those it needs nonempty; the rest keep their defaults."""
 
     run: Callable
     n_plotted: int | None

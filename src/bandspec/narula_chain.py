@@ -36,6 +36,13 @@ def _pivots(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return _tridiagonal_pivots(d, np.sqrt(e, out=e))
 
 
+def _tap_pivots(power: float, a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """:func:`_pivots` of the tap powers ``P a2``, ``P b2``, scaled in place from
+    the squared tap moduli; an overflow is a non-finite pivot: :class:`PivotError`."""
+    with np.errstate(over="ignore"):
+        return _pivots(np.multiply(a2, power, out=a2), np.multiply(b2, power, out=b2))
+
+
 # batches behind the batch-means standard error of a chain's log-mean
 _N_BATCHES = 100
 
@@ -74,10 +81,8 @@ def simulate_chain(
         raise ValueError("need 0 <= burn_in < n_steps")
     if not (np.isfinite(power) and power >= 0):
         raise ValueError("power must be finite and nonnegative")
-    with np.errstate(over="ignore"):  # an overflow shows as a non-finite pivot: PivotError
-        pa = power * np.abs(RAYLEIGH.sample(rng, n_steps)) ** 2
-        pb = power * np.abs(RAYLEIGH.sample(rng, n_steps)) ** 2
-        samples = _pivots(pa, pb)[burn_in:]
+    a2, b2 = (np.abs(RAYLEIGH.sample(rng, n_steps)) ** 2 for _ in range(2))
+    samples = _tap_pivots(power, a2, b2)[burn_in:]
     logs = np.log(samples)
     stderr = float("nan")
     if len(logs) >= _N_BATCHES:
@@ -98,8 +103,7 @@ def chain_vs_ldl(n: int, power: float, rng: np.random.Generator) -> float:
     """
     params = wyner(n, 1, alpha=1.0, beta=0.0, fading=RAYLEIGH, power=power)
     channel = generate_channel(params, rng)
-    pa = power * np.abs(channel.blocks[0][:, 0]) ** 2
-    pb = power * np.abs(channel.blocks[-1][:, 0]) ** 2  # pb[0] == 0 structurally
-    d_rec = _pivots(pa, pb)
+    a2, b2 = (np.abs(channel.blocks[d][:, 0]) ** 2 for d in (0, -1))  # b2[0] == 0 structurally
+    d_rec = _tap_pivots(power, a2, b2)
     d_ldl = ldl_shifted(gram(channel), power)
     return float(np.abs(d_ldl - d_rec).max())

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,23 @@ def test_ldl_rejects_non_finite_pivots(bandwidth, rng):
     for rho in (np.inf, np.nan):
         with pytest.raises(ValueError):
             ldl_shifted(psd, rho)
+
+
+@pytest.mark.parametrize("rho", [1e200, 1e300, 1.7e308])
+@pytest.mark.parametrize("bandwidth", [0, 1, 2])
+def test_ldl_at_huge_rho_factors_or_raises_pivot_error(bandwidth, rho, rng):
+    # the scaled band overflows (at bandwidth <= 1 from rho ~ 1e154, through
+    # (rho |s|)^2); that is a PivotError, never a RuntimeWarning
+    alpha, beta = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5)][bandwidth]
+    a = gram(generate_channel(wyner(64, 1, alpha, beta, RAYLEIGH), rng))
+    assert a.bandwidth == bandwidth
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            pivots = log_ldl_shifted(a, rho)
+        except PivotError:
+            return
+    assert np.isfinite(pivots).all()
 
 
 def cholesky_excess(a, rho):

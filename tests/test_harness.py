@@ -175,6 +175,9 @@ INVALID_CONFIGS = [
     # narula_capacity(0) raised ValueError after the output directory was made
     ("narula", {"kind": "narula", "p_grid": [0.0, 1.0], "n_steps": 2000, "burn_in": 10},
      "narula needs positive p_grid powers"),
+    # derive_stream reduces the seed mod 2^64: these ran as seeds 0 and 2^64 - 1
+    ("spectrum", {"seed": 2**64}, "seed must lie in [0, 2^64)"),
+    ("moments", {"kind": "moments", "seed": -1}, "seed must lie in [0, 2^64)"),
 ]
 INVALID_PATCHES = [
     ({"kind": "nope"}, "unknown experiment kind 'nope'"),
@@ -857,6 +860,14 @@ class TestCli:
         meta = (out / "shannon.csv").read_text().splitlines()[:3]
         assert any("master_seed=7" in line for line in meta)
 
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_override_outside_uint64_exits_2(self, tmp_path, capsys, seed):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(spectrum_config(tmp_path)))
+        assert main(["spectrum", str(path), "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err == "config error: seed must lie in [0, 2^64)\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_negative_jobs_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(spectrum_config(tmp_path)))
@@ -941,16 +952,19 @@ class TestCli:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_failing_chain_exits_3(self, tmp_path, capsys, caplog):
-        # the chain's tap powers overflow; it used to end in a traceback and exit 1
+        # the second chain's tap powers overflow; it used to end in a traceback
+        # and exit 1, and then to leave the first chain's samples file behind
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"kind": "narula", "p_grid": [1e200], "n_steps": 2000,
+        path.write_text(json.dumps({"kind": "narula", "p_grid": [1.0, 1e200], "n_steps": 2000,
                                     "burn_in": 10, "out_dir": str(tmp_path / "out")}))
         with caplog.at_level(logging.WARNING, logger="bandspec.harness"):
             assert main(["narula", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
         (record,) = caplog.records
         assert record.getMessage().startswith(
-            "dropped replicate 0 (stream key seed=0, index=0): PivotError(")
+            f"dropped replicate 0 (stream key seed=0, index={harness._stream_index(1, 0)}): "
+            "PivotError(")
+        assert not (tmp_path / "out").exists()
 
 
 class RecordingConfig(ExperimentConfig):
@@ -994,6 +1008,23 @@ class TestDeclarations:
         config = RecordingConfig.from_dict(CONFIGS[kind](tmp_path))
         run_experiment(config)
         assert config.read - COMMON_FIELDS == set(entry.reads)
+
+    @pytest.mark.parametrize("kind", harness.KINDS)
+    def test_runner_returns_tables_and_writes_nothing(self, tmp_path, kind):
+        config = ExperimentConfig.from_dict(CONFIGS[kind](tmp_path))
+
+        def replicate(group, count, worker):
+            return harness._replicate_map(config.seed, group, count, 1, worker)
+
+        results, tables = harness._RUNNERS[kind].run(config, replicate)
+        assert list(tmp_path.iterdir()) == []
+        for name, names, columns in tables:
+            assert len(names) == len(columns)
+            assert len({len(column) for column in columns}) == 1
+        # run_experiment writes exactly these tables, in this order
+        output = run_experiment(config)
+        assert [path.name for path in output.files] == [name for name, _, _ in tables]
+        assert repr(output.results) == repr(tuple(results))
 
     def test_formulas_are_argparse_choices(self):
         (sub,) = [a for a in cli._build_parser()._actions

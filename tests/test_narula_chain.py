@@ -76,6 +76,12 @@ def test_overflowing_power_raises_pivot_error(power):
         simulate_chain(power, 1000, 10, np.random.default_rng(0))
 
 
+def test_chain_vs_ldl_overflow_raises_pivot_error():
+    # the recursion's tap powers overflow before the Gram matrix is factored
+    with pytest.raises(PivotError):
+        chain_vs_ldl(64, 1e200, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("power", [-1.0, np.nan, np.inf])
 def test_bad_power_rejected(power):
     with pytest.raises(ValueError):
