@@ -1,8 +1,8 @@
 """Command line front end.
 
-Subcommands mirror the experiment kinds; ``closed-form`` evaluates any of
-the analytic baselines directly from flags without simulation.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure in every replicate.
+Subcommands mirror the experiment kinds; ``closed-form`` prints analytic
+baselines from flags, as :func:`bandspec.output.text` writes each number.
+Exit codes: 0 success, 2 config error, 3 numerical failure in every replicate.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from .harness import (
     ExperimentConfig,
     run_experiment,
 )
+from .output import text
 
 _SUBCOMMAND_KINDS = {
     "spectrum": ("spectrum",),
@@ -126,7 +127,7 @@ def _run_closed_form(args) -> int:
         raise ConfigError(str(exc)) from exc
     print("quantity,value")
     for name, value in rows:
-        print(f"{name},{format(float(np.real(value)), '.17g')}")
+        print(f"{name},{text(float(np.real(value)))}")
     return 0
 
 

@@ -1,19 +1,10 @@
-"""Experiment runner: seeded, replicated Monte Carlo with CSV artifacts.
+"""Experiment runner: seeded, replicated Monte Carlo, config plus runners.
 
 Reruns are byte-reproducible: replicate ``r`` of group ``g`` (a grid
 position, or a ``narula`` power) always draws from a Philox stream keyed by
 ``(master seed, g << 32 | r)``, results are reduced in replicate order
-whatever the number of jobs, floats are printed with a fixed
-17-significant-digit format, and every output file carries the config hash
-and master seed in comment lines.
-
-CSV files are written from columns, in blocks of rows, and every cell holds
-the ``%d``/``%.17g`` text of its value.  A block whose columns are all numpy
-signed-integer or float arrays is formatted in bulk by vectorized kernels;
-any other block is joined one value at a time.  In bulk, the float kernel
-decides per cell: it writes zeros and every value in [1e-4, 1e16) in
-magnitude from its own digit arithmetic, and puts the ``%`` text of each
-other value (not finite, tiny or huge) in that value's own cell.
+whatever the number of jobs, and :mod:`bandspec.output` writes every file,
+with the config hash and master seed in comment lines.
 
 Each experiment kind is declared once, in ``_RUNNERS``: its runner, how
 many of its files get a gnuplot script, the config fields it reads and
@@ -61,7 +52,8 @@ from .band_matrix import (
 )
 from .eig import eigenvalues
 from .fading import parse_spec_tag
-from .narula_chain import simulate_chain
+from .narula_chain import N_BATCHES, simulate_chain
+from .output import gnuplot_scripts, write_csv
 from .spectral import EmpiricalSpectrum, power_profile, power_profile_sup_diff, trace_moment
 
 __all__ = [
@@ -182,6 +174,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be strictly increasing")
         if not 0 <= self.burn_in < self.n_steps:
             raise ConfigError("need 0 <= burn_in < n_steps")
+        if self.kind == "narula" and self.n_steps - self.burn_in < N_BATCHES:
+            raise ConfigError(f"narula needs n_steps - burn_in >= {N_BATCHES}, a step per batch")
         if self.kind == "narula" and min(self.p_grid) <= 0:  # the chain's law needs P > 0
             raise ConfigError("narula needs positive p_grid powers")
         # the extreme-SNR fits read two points at each end and divide by P (low) or log P (high)
@@ -230,13 +224,24 @@ def _list_of(convert):
     return parse
 
 
+def _reads_only(data: dict, what: str, keys) -> None:
+    unread = sorted(set(data) - set(keys))
+    if unread:
+        raise ValueError(f"{what} does not read {unread}")
+
+
 def _channel_from_dict(data: dict) -> ChannelParams | None:
     if not data:
         return None
+    # a channel gives its diagonals or the three-diagonal sugar, not both
+    shape = ("diagonals",) if "diagonals" in data else ("alpha", "beta", "fading")
+    _reads_only(data, "channel", ("n_cells", "users_per_cell", "power") + shape)
     n = _int(data["n_cells"])
     k = _int(data.get("users_per_cell", 1))
     power = _float(data.get("power", 1.0))
     if "diagonals" in data:
+        for d in data["diagonals"]:
+            _reads_only(d, "diagonal", ("offset", "gain", "fading"))
         diagonals = tuple(
             DiagonalSpec(_int(d["offset"]), _float(d["gain"]), parse_spec_tag(d["fading"]))
             for d in data["diagonals"]
@@ -320,9 +325,9 @@ def run_experiment(
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"experiment": config.kind, "config_sha256": config.sha256(), "master_seed": config.seed}
-    files = [_write_csv(out_dir / name, names, columns, meta) for name, names, columns in tables]
+    files = [write_csv(out_dir / name, names, columns, meta) for name, names, columns in tables]
     if emit_gnuplot:
-        files += _gnuplot_scripts(files[:kind.n_plotted])
+        files += gnuplot_scripts(files[:kind.n_plotted])
     return ExperimentOutput(tuple(results), tuple(files))
 
 
@@ -405,6 +410,17 @@ def _table(name: str, grid_name: str, blocks):
         rows += zip(grid, mean, se, itertools.repeat(len(replicates)), refs)
     names = (grid_name, "estimate", "std_err", "n_used", "reference")
     return [ExperimentResult(*row) for row in rows], [(name, names, list(zip(*rows)))]
+
+
+def _histogram_columns(values: np.ndarray, n_bins: int):
+    """``bin_left, bin_right, count, cum_fraction`` columns of ``values``."""
+    # bins start at 0 unless round-off put eigenvalues below it, so every
+    # value lands in a bin and the last cum_fraction is exactly 1
+    lo = min(0.0, float(values.min())) if len(values) else 0.0
+    hi = float(values.max()) if len(values) and values.max() > 0 else 1.0
+    counts, edges = np.histogram(values, bins=n_bins, range=(lo, hi))
+    cum = np.cumsum(counts) / max(len(values), 1)
+    return edges[:-1], edges[1:], counts, cum
 
 
 # -- per-kind runners --------------------------------------------------------
@@ -680,233 +696,3 @@ def _extreme_snr_reference(params: ChannelParams):
         if g_side == 1.0 and g0 == 1.0:
             s_inf, l_inf = closed_forms.high_snr_params(spec0, spec_side)
     return eb, s0, s_inf, l_inf
-
-
-# ---------------------------------------------------------------------------
-# CSV plumbing
-# ---------------------------------------------------------------------------
-
-# rows formatted and written per block: one write per block, and memory that
-# stays flat however many rows a file has
-_BLOCK_ROWS = 4096
-
-
-def _write_csv(path: Path, names, columns, meta: dict) -> Path:
-    """Write ``meta`` as ``# key=value`` lines, a header of ``names`` and one
-    row per position of the equal-length ``columns``.
-
-    Every cell holds what :func:`_text` writes for its value: integers in
-    full, floats to 17 significant digits (``%.17g``), anything else as
-    ``str``.  Rows go out in blocks of ``_BLOCK_ROWS``, one ``write`` each,
-    formatted as :func:`_format_block` says.
-    """
-    with open(path, "wb") as fh:
-        head = "".join(f"# {key}={value}\n" for key, value in meta.items())
-        fh.write((head + ",".join(names) + "\n").encode())
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            fh.write(_format_block([c[start:start + _BLOCK_ROWS] for c in columns]))
-    return path
-
-
-def _format_block(columns) -> bytes:
-    """CSV rows of equal-length column slices, by one of two paths chosen by
-    column type.
-
-    When every column is a numpy signed-integer or float array, each becomes
-    a NUL-padded uint8 matrix of cells (:func:`_int_cells`,
-    :func:`_float_cells`), the matrices and the separators sit side by side,
-    and one masked gather drops the padding.  Otherwise (Python sequences,
-    text, bools, unsigned integers) the rows are joined as :func:`_text`
-    writes them."""
-    if not all(isinstance(c, np.ndarray) and c.dtype.kind in "if" for c in columns):
-        return "".join(",".join(map(_text, row)) + "\n" for row in zip(*columns)).encode()
-    n = len(columns[0])
-    parts = []
-    for column in columns:
-        if column.dtype.kind == "f":
-            cells = _float_cells(column.astype(np.float64, copy=False))
-        else:
-            cells = _int_cells(column.astype(np.int64, copy=False))
-        parts += [cells, np.full((n, 1), ord(","), np.uint8)]
-    parts[-1] = np.full((n, 1), ord("\n"), np.uint8)
-    block = np.concatenate(parts, axis=1)
-    return block[block != 0].tobytes()
-
-
-def _text(value) -> str:
-    """One value as every CSV cell is written: integers and bools (Python or
-    numpy) in full, floats to 17 significant digits, anything else as
-    ``str``."""
-    if isinstance(value, (int, np.integer, np.bool_)):
-        return "%d" % value
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % value
-    return str(value)
-
-
-# 10^0 .. 10^22, every one an exact double
-_POW10 = np.array([float(10**k) for k in range(23)])
-# place values of the five four-digit groups of a uint64, most significant first
-_GROUP_PLACES = np.uint64(10_000) ** np.arange(4, -1, -1, dtype=np.uint64)[:, None]
-# 10^1 .. 10^19: a magnitude has searchsorted(_TENS, m, "right") + 1 digits
-_TENS = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)
-
-
-def _group_tables():
-    """``"0000"`` .. ``"9999"``, the four ASCII digits of each group packed
-    in a uint32, and the trailing zero digits of each group (4 for 0000)."""
-    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    places = np.ix_(digit, digit, digit, digit)  # thousands .. ones
-    ascii_groups = np.stack(np.broadcast_arrays(*places), axis=-1).view(np.uint32).ravel()
-    thousands, hundreds, tens, ones = (place == ord("0") for place in places)
-    zeros = ones * (1 + tens * (1 + hundreds * (1 + thousands)))
-    return ascii_groups, zeros.ravel()
-
-
-_ASCII_GROUPS, _GROUP_ZEROS = _group_tables()
-# row d keeps the last d of an integer's 20 digit bytes
-_INT_KEEP = (np.arange(20) >= 20 - np.arange(21)[:, None]) * np.uint8(0xFF)
-
-
-def _float_keep() -> np.ndarray:
-    """Byte masks of the float cell for each decimal exponent X in [-4, 15]
-    and each count L of significant digits left after stripping trailing
-    zeros, at row ``(X + 4) * 17 + L - 1``.
-
-    A cell is 41 bytes: the sign, the prefix ``0.000``, the 17 digits (read
-    as the integer part), the point, and the 17 digits again (read as the
-    fraction)."""
-    x = np.arange(-4, 16)[:, None, None]
-    n_sig = np.arange(1, 18)[None, :, None]
-    i = np.arange(17)
-    parts = (
-        np.ones((1, 1, 1), bool),                      # sign, NUL when positive
-        np.arange(5) < np.where(x < 0, 1 - x, 0),      # "0." and zeros after it
-        i <= x,                                        # integer digits
-        (x >= 0) & (n_sig > x + 1),                    # point, if a fraction
-        (i > x) & (i < n_sig),                         # fraction digits
-    )
-    keep = np.concatenate([np.broadcast_to(p, (20, 17, p.shape[-1])) for p in parts], axis=2)
-    return (keep * np.uint8(0xFF)).reshape(20 * 17, 41)
-
-
-_FLOAT_KEEP = _float_keep()
-
-
-def _digit_groups(magnitude: np.ndarray, n_groups: int) -> np.ndarray:
-    """The last ``n_groups`` four-digit groups of each uint64, shape
-    ``(n_groups, n)``, most significant first."""
-    return magnitude // _GROUP_PLACES[-n_groups:] % np.uint64(10_000)
-
-
-def _ascii(groups: np.ndarray) -> np.ndarray:
-    """ASCII digits of ``groups``, shape ``(n, 4 * n_groups)``."""
-    return np.ascontiguousarray(_ASCII_GROUPS[groups].T).view(np.uint8)
-
-
-def _int_cells(x: np.ndarray) -> np.ndarray:
-    """``%d`` of each int64 as a NUL-padded uint8 matrix: a sign byte, then
-    as many four-digit groups as the largest magnitude needs, leading zeros
-    masked."""
-    magnitude = x.astype(np.uint64)
-    np.negative(magnitude, out=magnitude, where=x < 0)  # exact for -2^63 too
-    n_digits = np.searchsorted(_TENS, magnitude, side="right") + 1
-    n_groups = (int(n_digits.max()) + 3) // 4
-    cells = np.empty((len(x), 1 + 4 * n_groups), np.uint8)
-    cells[:, 0] = np.where(x < 0, ord("-"), 0)
-    cells[:, 1:] = _ascii(_digit_groups(magnitude, n_groups))
-    cells[:, 1:] &= _INT_KEEP[n_digits, 20 - 4 * n_groups:]
-    return cells
-
-
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """``%.17g`` of each float64 as a NUL-padded (n, 41) uint8 matrix laid
-    out as :func:`_float_keep` says, decided cell by cell.
-
-    For ``1e-4 <= |x| < 1e16`` ``%.17g`` is the 17-digit integer
-    ``D = round_half_even(|x| 10^(16 - X))``, X = floor(log10 |x|), in fixed
-    point with trailing zeros stripped.  ``10^(16 - X)`` is an exact double,
-    and Dekker's TwoProduct gives the product exactly as a double ``p`` plus
-    its rounding error.  ``p >= 1e16 > 2^53`` is an even integer, so rounding
-    the error half-even rounds D correctly, as Python's ``%`` does.  Next to
-    a power of ten ``log10`` can put X one off, and rounding can carry D up
-    to 10^17; either shows as a D of 16 or 18 digits, and X is corrected by
-    one.  An exact zero is X = 0 and D = 0, with the sign of its sign bit
-    (``-0.0`` writes ``-0``).  Each other value (not finite, or nonzero below
-    1e-4 or at least 1e16 in magnitude, where ``%.17g`` writes ``nan``,
-    ``inf`` or an exponent) gets :func:`_text` of itself in its own cell.
-    """
-    a = np.abs(x)
-    inside = (a >= 1e-4) & (a < 1e16)
-    a[~inside] = 1.0  # X = 0: keeps log10 and the scaling finite
-    exp = np.floor(np.log10(a)).astype(np.int64)
-    digits = _round_scaled(a, exp)
-    low, high = digits < 10**16, digits >= 10**17
-    off = low | high
-    if off.any():
-        exp += high
-        exp -= low
-        digits[off] = _round_scaled(a[off], exp[off])
-    zero = x == 0
-    digits[zero] = 0
-    groups = _digit_groups(digits.astype(np.uint64), 5)
-    zeros = _GROUP_ZEROS[groups[4]]
-    all_zero = groups[4] == 0
-    for group in groups[3:0:-1]:  # groups[0], the leading digit, is always written
-        zeros += all_zero * _GROUP_ZEROS[group]
-        all_zero &= group == 0
-    cells = np.empty((len(x), 41), np.uint8)
-    cells[:, 0] = np.where(np.signbit(x), ord("-"), 0)
-    cells[:, 1:6] = np.frombuffer(b"0.000", np.uint8)
-    cells[:, 6:23] = _ascii(groups)[:, 3:]
-    cells[:, 23] = ord(".")
-    cells[:, 24:] = cells[:, 6:23]
-    cells &= _FLOAT_KEEP[(exp + 4) * 17 + 16 - zeros]
-    odd = ~(inside | zero)
-    text = np.array([_text(v) for v in x[odd]], dtype="S41")
-    cells[odd] = text.view(np.uint8).reshape(-1, 41)
-    return cells
-
-
-_SPLITTER = 2.0**27 + 1  # Dekker's split of a double into two 26-bit halves
-
-
-def _split(v: np.ndarray):
-    c = v * _SPLITTER
-    hi = c - (c - v)
-    return hi, v - hi
-
-
-def _round_scaled(a: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """``round_half_even(a * 10^(16 - exp))`` as int64: exact where the
-    product is at least 2^53, and below 1e16 wherever the product is, which
-    is all the exponent correction reads there."""
-    scale = _POW10[16 - exp]
-    p = a * scale
-    a_hi, a_lo = _split(a)
-    s_hi, s_lo = _split(scale)
-    err = a_lo * s_lo - (((p - a_hi * s_hi) - a_lo * s_hi) - a_hi * s_lo)
-    return p.astype(np.int64) + np.rint(err).astype(np.int64)
-
-
-def _histogram_columns(values: np.ndarray, n_bins: int):
-    """``bin_left, bin_right, count, cum_fraction`` columns of ``values``."""
-    # bins start at 0 unless round-off put eigenvalues below it, so every
-    # value lands in a bin and the last cum_fraction is exactly 1
-    lo = min(0.0, float(values.min())) if len(values) else 0.0
-    hi = float(values.max()) if len(values) and values.max() > 0 else 1.0
-    counts, edges = np.histogram(values, bins=n_bins, range=(lo, hi))
-    cum = np.cumsum(counts) / max(len(values), 1)
-    return edges[:-1], edges[1:], counts, cum
-
-
-def _gnuplot_scripts(csv_files) -> list[Path]:
-    scripts = []
-    for csv_path in csv_files:
-        gp = csv_path.with_suffix(".gp")
-        with open(gp, "w", newline="\n") as fh:
-            fh.write("set datafile separator ','\n")
-            fh.write(f"set title '{csv_path.stem}'\n")
-            fh.write(f"plot '{csv_path.name}' every ::1 using 1:2 with linespoints\n")
-        scripts.append(gp)
-    return scripts

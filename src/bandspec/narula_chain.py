@@ -44,7 +44,7 @@ def _tap_pivots(power: float, a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
 
 
 # batches behind the batch-means standard error of a chain's log-mean
-_N_BATCHES = 100
+N_BATCHES = 100
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class ChainRun:
 
     ``samples`` holds the retained pivots (after ``burn_in`` discarded
     steps); every retained value is >= 1.  The standard error comes from
-    batch means over ``_N_BATCHES`` batches, the simplest defensible
+    batch means over ``N_BATCHES`` batches, the simplest defensible
     estimator for correlated chain output.
     """
 
@@ -85,10 +85,10 @@ def simulate_chain(
     samples = _tap_pivots(power, a2, b2)[burn_in:]
     logs = np.log(samples)
     stderr = float("nan")
-    if len(logs) >= _N_BATCHES:
-        usable = (len(logs) // _N_BATCHES) * _N_BATCHES
-        batches = logs[:usable].reshape(_N_BATCHES, -1).mean(axis=1)
-        stderr = float(batches.std(ddof=1) / np.sqrt(_N_BATCHES))
+    if len(logs) >= N_BATCHES:
+        usable = (len(logs) // N_BATCHES) * N_BATCHES
+        batches = logs[:usable].reshape(N_BATCHES, -1).mean(axis=1)
+        stderr = float(batches.std(ddof=1) / np.sqrt(N_BATCHES))
     return ChainRun(power, n_steps, burn_in, samples, float(logs.mean()), stderr)
 
 

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bandspec.harness as harness
+import bandspec.output as output
 
-BLOCK = harness._BLOCK_ROWS
+BLOCK = output._BLOCK_ROWS
 
 
 def lines(texts) -> bytes:
@@ -26,8 +27,8 @@ def ints_text(values) -> bytes:
 
 
 def spy_text():
-    """Patch ``harness._text`` with a mock that records each value it formats."""
-    return mock.patch.object(harness, "_text", wraps=harness._text)
+    """Patch ``output.text`` with a mock that records each value it formats."""
+    return mock.patch.object(output, "text", wraps=output.text)
 
 
 def texted(spy) -> list[str]:
@@ -65,11 +66,11 @@ def test_fixed_families_take_the_kernel():
     values = np.concatenate([values, -values])
     in_range = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)]
     with spy_text() as text:
-        assert harness._format_block([in_range]) == floats_text(in_range)
+        assert output._format_block([in_range]) == floats_text(in_range)
     assert text.call_count == 0
-    # one value per block: each in-range value in bulk, each other one through _text
+    # one value per block: each in-range value in bulk, each other one through text
     for v in values:
-        assert harness._format_block([np.array([v])]) == floats_text([v])
+        assert output._format_block([np.array([v])]) == floats_text([v])
 
 
 ODD_VALUES = [
@@ -80,11 +81,11 @@ ODD_VALUES = [
 
 @pytest.mark.parametrize("value", ODD_VALUES)
 def test_values_outside_the_kernel_fall_back(value):
-    # a nonzero value outside the digit arithmetic goes through _text in its
+    # a nonzero value outside the digit arithmetic goes through text in its
     # own cell; a zero is written by the kernel; the other cells stay in bulk
     column = np.array([1.5, value, 2.5])
     with spy_text() as text:
-        assert harness._format_block([column]) == floats_text(column)
+        assert output._format_block([column]) == floats_text(column)
     assert texted(text) == ([] if value == 0 else [repr(float(value))])
 
 
@@ -94,7 +95,7 @@ def test_one_value_of_each_odd_family_per_block():
     rows = rng.choice(BLOCK, len(ODD_VALUES), replace=False)
     column[rows] = ODD_VALUES
     with spy_text() as text:
-        assert harness._format_block([column]) == floats_text(column)
+        assert output._format_block([column]) == floats_text(column)
     nonzero = np.sort(rows[[v != 0 for v in ODD_VALUES]])
     assert texted(text) == [repr(float(v)) for v in column[nonzero]]
 
@@ -111,30 +112,48 @@ def test_mixed_blocks(tmp_path):
     for block, odd in ((floats[:BLOCK], []), (floats[BLOCK:2 * BLOCK], []),
                        (floats[2 * BLOCK:], ["nan"])):
         with spy_text() as text:
-            harness._float_cells(block)
+            output._float_cells(block)
         assert texted(text) == odd
-    # signed integers beside the floats: one bulk path, only the NaN through _text
+    # signed integers beside the floats: one bulk path, only the NaN through text
     signed = ints.astype(np.int64)
     with spy_text() as text:
-        path = harness._write_csv(tmp_path / "signed.csv", ("x", "n"), (floats, signed), {})
+        path = output.write_csv(tmp_path / "signed.csv", ("x", "n"), (floats, signed), {})
     expected = [f"{format(float(f), '.17g')},{int(n)}" for f, n in zip(floats, signed)]
     assert path.read_bytes() == lines(["x,n"] + expected)
     assert texted(text) == ["nan"]
-    # an unsigned column sends every block to the per-value join
+    # an unsigned column goes through text value by value; the floats beside
+    # it stay in bulk, so of them only the NaN reaches text
     with spy_text() as text:
-        path = harness._write_csv(tmp_path / "mixed.csv", ("x", "n"), (floats, ints), {})
+        path = output.write_csv(tmp_path / "mixed.csv", ("x", "n"), (floats, ints), {})
     expected = [f"{format(float(f), '.17g')},{int(n)}" for f, n in zip(floats, ints)]
     assert path.read_bytes() == lines(["x,n"] + expected)
-    assert text.call_count == 2 * len(floats)
+    seen = [call.args[0] for call in text.call_args_list]
+    assert [v for v in seen if isinstance(v, np.uint64)] == list(ints)
+    assert [repr(float(v)) for v in seen if not isinstance(v, np.uint64)] == ["nan"]
+
+
+def test_python_column_leaves_numpy_columns_in_bulk(tmp_path):
+    # one Python list beside numpy float columns, over three blocks: only the
+    # list's values reach text, and the bytes are the per-value rule's
+    rng = np.random.default_rng(11)
+    n_rows = 9000
+    left, right = rng.standard_normal((2, n_rows)) * 100.0
+    labels = [i * 3 - 5000 for i in range(n_rows)]
+    with spy_text() as text:
+        path = output.write_csv(tmp_path / "t.csv", ("a", "i", "b"), (left, labels, right), {})
+    expected = [f"{format(float(a), '.17g')},{i},{format(float(b), '.17g')}"
+                for a, i, b in zip(left, labels, right)]
+    assert path.read_bytes() == lines(["a,i,b"] + expected)
+    assert [call.args[0] for call in text.call_args_list] == labels
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(width=64), min_size=1, max_size=16))
 def test_float64_matches_percent(values):
     column = np.array(values, dtype=np.float64)
-    assert harness._format_block([column]) == floats_text(values)
+    assert output._format_block([column]) == floats_text(values)
     for v in values:
-        assert harness._format_block([np.array([v])]) == floats_text([v])
+        assert output._format_block([np.array([v])]) == floats_text([v])
 
 
 kernel_floats = st.builds(
@@ -149,7 +168,7 @@ kernel_floats = st.builds(
 def test_kernel_range_matches_percent(values):
     column = np.array(values)
     with spy_text() as text:
-        assert harness._format_block([column]) == floats_text(values)
+        assert output._format_block([column]) == floats_text(values)
     assert text.call_count == 0
 
 
@@ -157,12 +176,12 @@ def test_kernel_range_matches_percent(values):
 @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
 def test_int64_matches_str(values):
     column = np.array(values, dtype=np.int64)
-    assert harness._format_block([column]) == ints_text(values)
+    assert output._format_block([column]) == ints_text(values)
 
 
 def test_int64_extremes():
     column = np.array([0, 1, -1, 9, 10, -10, 9999, 10_000, 10**18, -(2**63), 2**63 - 1])
-    assert harness._format_block([column]) == ints_text(column)
+    assert output._format_block([column]) == ints_text(column)
 
 
 RAYLEIGH_WYNER = {"users_per_cell": 1, "alpha": 0.5, "beta": 0.5, "fading": "rayleigh",
@@ -170,7 +189,7 @@ RAYLEIGH_WYNER = {"users_per_cell": 1, "alpha": 0.5, "beta": 0.5, "fading": "ray
 
 
 def text_calls(tmp_path, config) -> int:
-    """How many values a run formats through ``_text``."""
+    """How many values a run formats through ``text``."""
     config = harness.ExperimentConfig.from_dict({**config, "out_dir": str(tmp_path)})
     with spy_text() as text:
         harness.run_experiment(config)
@@ -189,7 +208,7 @@ def test_wyner_spectrum_formats_few_values_through_text(tmp_path):
 
 def test_power_profile_grid_needs_no_text(tmp_path):
     # profile_n*.csv is mostly zeros; only power_profile.csv's Python
-    # sequences (two cells per N) go through _text
+    # sequences (two cells per N) go through text
     calls = text_calls(tmp_path, {
         "kind": "power_profile", "channel": {**RAYLEIGH_WYNER, "n_cells": 64},
         "n_grid": [64], "seed": 3,

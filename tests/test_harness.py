@@ -13,6 +13,7 @@ from scipy.linalg import cholesky_banded
 import bandspec.band_matrix as band_matrix
 import bandspec.cli as cli
 import bandspec.harness as harness
+import bandspec.output as output
 from bandspec import closed_forms
 from bandspec import (
     AllReplicatesFailedError,
@@ -178,6 +179,19 @@ INVALID_CONFIGS = [
     # derive_stream reduces the seed mod 2^64: these ran as seeds 0 and 2^64 - 1
     ("spectrum", {"seed": 2**64}, "seed must lie in [0, 2^64)"),
     ("moments", {"kind": "moments", "seed": -1}, "seed must lie in [0, 2^64)"),
+    # channel keys that were dropped unread, and never reached the config hash:
+    # the misspelt fading ran as Rayleigh
+    ("moments", {"kind": "moments", "channel": {"n_cells": 64, "alpha": 0.5,
+                                                "fadng": "deterministic"}},
+     "bad channel: channel does not read ['fadng']"),
+    ("spectrum", {"channel": {**NO_CENTER_CHANNEL, "alpha": 0.5}},
+     "bad channel: channel does not read ['alpha']"),
+    ("spectrum", {"channel": {"n_cells": 32, "diagonals": [
+        {"offset": 0, "gain": 1.0, "fading": "rayleigh", "phase": 0.3}]}},
+     "bad channel: diagonal does not read ['phase']"),
+    # too few retained steps for the batch-means standard error: it was nan
+    ("narula", {"kind": "narula", "p_grid": [1.0], "n_steps": 50, "burn_in": 0},
+     "narula needs n_steps - burn_in >= 100"),
 ]
 INVALID_PATCHES = [
     ({"kind": "nope"}, "unknown experiment kind 'nope'"),
@@ -401,7 +415,7 @@ class TestConfig:
 
 
 class TestCsvWriter:
-    """``_write_csv`` writes the bytes of the per-value rule below, whichever
+    """``write_csv`` writes the bytes of the per-value rule below, whichever
     path formats a column."""
 
     @staticmethod
@@ -455,11 +469,11 @@ class TestCsvWriter:
         names = ("i", "odd_float", "normal", "odd_int", "label",
                  "int64", "float64", "float32", "bool", "uint64")
         meta = {"experiment": "writer", "master_seed": 1}
-        path = harness._write_csv(tmp_path / "t.csv", names, columns, meta)
+        path = output.write_csv(tmp_path / "t.csv", names, columns, meta)
         self.assert_text(path, self.expected(names, columns, meta))
         # the numpy signed-integer and float columns alone take the bulk kernels
         names, columns = names[5:8], columns[5:8]
-        path = harness._write_csv(tmp_path / "bulk.csv", names, columns, meta)
+        path = output.write_csv(tmp_path / "bulk.csv", names, columns, meta)
         self.assert_text(path, self.expected(names, columns, meta))
 
     @pytest.mark.parametrize("where", [0, 1023, 1024, 2999])
@@ -468,14 +482,14 @@ class TestCsvWriter:
         column = [3] * 3000
         column[where] = 2.5
         columns = [column, [np.int64(i) for i in range(3000)]]
-        path = harness._write_csv(tmp_path / "m.csv", ("v", "i"), columns, {})
+        path = output.write_csv(tmp_path / "m.csv", ("v", "i"), columns, {})
         assert path.read_text().splitlines()[1 + where] == f"2.5,{where}"
         self.assert_text(path, self.expected(("v", "i"), columns, {}))
 
     def test_numpy_and_python_bools_write_alike(self, tmp_path):
         flags = np.arange(10) % 3 == 0
-        numpy_path = harness._write_csv(tmp_path / "np.csv", ("b",), [flags], {})
-        python_path = harness._write_csv(tmp_path / "py.csv", ("b",), [flags.tolist()], {})
+        numpy_path = output.write_csv(tmp_path / "np.csv", ("b",), [flags], {})
+        python_path = output.write_csv(tmp_path / "py.csv", ("b",), [flags.tolist()], {})
         assert numpy_path.read_bytes() == python_path.read_bytes()
         assert numpy_path.read_text().split() == ["b"] + ["1", "0", "0"] * 3 + ["1"]
 
