@@ -102,13 +102,13 @@ def wyner(
     """Three-diagonal cellular uplink: local gain 1, neighbors alpha / beta,
     every diagonal with the same fading law.
 
-    Zero-gain neighbor diagonals are dropped so that e.g. ``beta = 0`` yields
-    a genuinely two-diagonal channel.
+    A neighbor diagonal of gain exactly 0 is dropped, so that ``beta = 0``
+    yields a two-diagonal channel; every other gain must lie in [0, 1].
     """
     if isinstance(fading, str):
         fading = parse_spec_tag(fading)
     gains = ((-1, alpha), (0, 1.0), (+1, beta))
-    diagonals = tuple(DiagonalSpec(o, g, fading) for o, g in gains if o == 0 or g > 0)
+    diagonals = tuple(DiagonalSpec(o, g, fading) for o, g in gains if o == 0 or g != 0)
     return ChannelParams(n_cells, users_per_cell, diagonals, power)
 
 
@@ -127,17 +127,6 @@ class BlockBandedChannel:
     @property
     def offsets(self) -> tuple[int, ...]:
         return tuple(sorted(self.blocks))
-
-    def dense(self) -> np.ndarray:
-        """Dense ``N x N*K`` expansion (test-scale instances only)."""
-        n, k = self.n_cells, self.users_per_cell
-        out = np.zeros((n, n * k), dtype=complex)
-        for offset, rows in self.blocks.items():
-            for i in range(n):
-                j = i + offset
-                if 0 <= j < n:
-                    out[i, j * k : (j + 1) * k] = rows[i]
-        return out
 
 
 def generate_channel(params: ChannelParams, rng: np.random.Generator) -> BlockBandedChannel:
@@ -190,14 +179,6 @@ class BandedHermitian:
         for arr in self.sub:
             total += 2.0 * float(np.sum(np.abs(arr) ** 2))
         return total
-
-    def to_dense(self) -> np.ndarray:
-        out = np.diag(self.diag.astype(complex))
-        for k, arr in enumerate(self.sub, start=1):
-            idx = np.arange(self.n - k)
-            out[idx + k, idx] = arr
-            out[idx, idx + k] = np.conj(arr)
-        return out
 
     def lower_band(self) -> np.ndarray:
         """LAPACK lower band storage, shape ``(bandwidth + 1, n)``, Fortran order."""
@@ -266,7 +247,8 @@ def log_ldl_shifted(a: BandedHermitian, rho: float) -> np.ndarray:
 def _pivot_excess(a: BandedHermitian, rho: float) -> np.ndarray:
     # d_i - 1 = rho * a_ii - sum_j |C_ij|^2 over the off-diagonal entries of
     # row i of the Cholesky factor C: both terms scale with rho * A, not I.
-    # On a tridiagonal, |C_{i,i-1}|^2 = (rho |s_{i-1}|)^2 / d_{i-1}.
+    # On a tridiagonal, |C_{i,i-1}|^2 = l_{i-1} rho |s_{i-1}| with the LDL
+    # multiplier l = rho |s| / d, which never forms (rho |s|)^2 to overflow.
     if not (np.isfinite(rho) and rho >= 0):
         raise ValueError("rho must be finite and nonnegative")
     # The banded Cholesky is handed the band unchecked.  At bandwidth <= 1 a
@@ -281,9 +263,8 @@ def _pivot_excess(a: BandedHermitian, rho: float) -> np.ndarray:
         if a.bandwidth <= 1:
             off = np.abs(a.sub[0]) if a.sub else np.zeros(a.n - 1)
             off *= rho
-            sq = off * off  # dpttrf overwrites off
-            pivots = _tridiagonal_pivots(excess + 1.0, off)
-            excess[1:] -= np.divide(sq, pivots[:-1], out=sq)
+            _, multipliers = _tridiagonal_pivots(excess + 1.0, off.copy())  # dpttrf overwrites e
+            excess[1:] -= np.multiply(multipliers, off, out=off)
         else:
             ab = a.lower_band()
             ab *= rho
@@ -304,12 +285,13 @@ def _pivot_excess(a: BandedHermitian, rho: float) -> np.ndarray:
     return excess
 
 
-def _tridiagonal_pivots(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """LDL^T pivots of the real tridiagonal (``d``, ``e``) by LAPACK ``dpttrf``,
-    which overwrites both.  :class:`PivotError` if one is not positive or not
-    finite (``dpttrf`` stops only at a pivot ``<= 0``, so a NaN runs through)."""
+def _tridiagonal_pivots(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LDL^T pivots and multipliers of the real tridiagonal (``d``, ``e``) by
+    LAPACK ``dpttrf``, which overwrites both.  :class:`PivotError` if a pivot is
+    not positive or not finite (``dpttrf`` stops only at a pivot ``<= 0``, so a
+    NaN runs through)."""
     # the wrapper wants a nonempty e even for n = 1, where LAPACK never reads it
-    d, _, info = dpttrf(d, e if len(e) else np.zeros(1), overwrite_d=True, overwrite_e=True)
+    d, l, info = dpttrf(d, e if len(e) else np.zeros(1), overwrite_d=True, overwrite_e=True)
     if info != 0 or not np.isfinite(d).all():
         raise PivotError(f"tridiagonal LDL broke down (dpttrf info={info})")
-    return d
+    return d, l[: len(e)]

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure in every replicate.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -87,10 +88,9 @@ def _run_simulation(args) -> int:
             f"config kind {config.kind!r} does not belong to subcommand "
             f"{args.command!r}"
         )
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out_dir = args.out
+    overrides = {k: v for k, v in (("seed", args.seed), ("out_dir", args.out)) if v is not None}
+    if overrides:  # a new config, checked as it is built
+        config = dataclasses.replace(config, **overrides)
     output = run_experiment(config, jobs=args.jobs, emit_gnuplot=args.emit_gnuplot)
     for path in output.files:
         print(path)

@@ -11,6 +11,7 @@ Gaussian ("rayleigh") law that normalization is ``E|h|^2 = 1``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,8 @@ class FadingSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown fading kind {self.kind!r}")
         if self.kind == "rician":
-            if self.s2 < 0:
-                raise ValueError("rician diffuse variance s2 must be >= 0")
+            if not (np.isfinite(self.nu) and 0 <= self.s2 < np.inf):
+                raise ValueError("rician needs a finite nu and a finite s2 >= 0")
             if self.s2 == 0 and self.nu == 0:
                 raise ValueError("rician with nu=0, s2=0 is an atom at zero")
 
@@ -99,6 +100,12 @@ class FadingSpec:
             # |h|^2 is unit-mean exponential: E|h|^i = Gamma(i/2 + 1).
             return float(_gamma_fn(order / 2 + 1))
         if self.kind == "rician":
+            if order % 2 == 0:
+                # E|h|^2m = sum_k C(m, k) m!/k! s2^(m-k) |nu|^2k: exact, also at
+                # s2 = 0, where 1F1 below overflows once s2 is tiny next to |nu|^2
+                m = order // 2
+                return float(sum(math.comb(m, k) * math.perm(m, m - k) * self.s2 ** (m - k)
+                                 * abs(self.nu) ** (2 * k) for k in range(m + 1)))
             if self.s2 == 0:
                 return float(abs(self.nu) ** order)
             # Rice amplitude moments via the confluent hypergeometric function.
@@ -170,14 +177,11 @@ def parse_spec_tag(tag: str) -> FadingSpec:
     if tag in ("deterministic", "rayleigh", "uniform-phase"):
         return FadingSpec(tag)
     if tag.startswith("rician:"):
-        fields = {}
-        for part in tag[len("rician:"):].split(","):
-            key, _, value = part.partition("=")
-            fields[key.strip()] = value.strip()
-        try:
-            return rician(complex(fields["nu"]), float(fields["s2"]))
-        except KeyError as exc:
-            raise ValueError(f"rician tag missing field {exc}") from exc
+        pairs = [part.partition("=") for part in tag[len("rician:"):].split(",")]
+        fields = {key.strip(): value.strip() for key, _, value in pairs}
+        if len(pairs) != 2 or set(fields) != {"nu", "s2"}:
+            raise ValueError(f"rician tag needs nu and s2, once each: {tag!r}")
+        return rician(complex(fields["nu"]), float(fields["s2"]))
     raise ValueError(f"unrecognized fading tag {tag!r}")
 
 

@@ -103,9 +103,10 @@ def _stream_index(group: int, replicate: int) -> int:
 # configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a kind, an ensemble, grids, and replication control."""
+    """One experiment: a kind, an ensemble, grids, and replication control.
+    Checked as it is built; override a field with ``dataclasses.replace``."""
 
     kind: str
     channel: ChannelParams | None = None
@@ -146,11 +147,9 @@ class ExperimentConfig:
                     values[f.name] = _CONVERTERS[f.type](data[f.name])
                 except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"bad {f.name}: {exc}") from exc
-        config = cls(**values)
-        config.validate()
-        return config
+        return cls(**values)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         kind = _RUNNERS[self.kind]
@@ -312,7 +311,6 @@ def run_experiment(
     ``n_used`` column.  Raises :class:`AllReplicatesFailedError` if nothing
     survives, before the output directory or any file is made.
     """
-    config.validate()
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 

@@ -33,7 +33,7 @@ def _pivots(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     powers ``pa``, ``pb``; :class:`PivotError` if one is non-finite or not positive."""
     d = 1.0 + pa + pb
     e = pb[1:] * pa[:-1]
-    return _tridiagonal_pivots(d, np.sqrt(e, out=e))
+    return _tridiagonal_pivots(d, np.sqrt(e, out=e))[0]
 
 
 def _tap_pivots(power: float, a2: np.ndarray, b2: np.ndarray) -> np.ndarray:

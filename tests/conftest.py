@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bandspec
-from bandspec import BandedHermitian
+from bandspec import BandedHermitian, BlockBandedChannel
 
 
 def pytest_report_header(config):
@@ -20,9 +20,31 @@ def random_banded(n: int, bandwidth: int, rng: np.random.Generator) -> BandedHer
     return BandedHermitian(diag, sub)
 
 
+def dense_band(a: BandedHermitian) -> np.ndarray:
+    """Dense Hermitian matrix of ``a``."""
+    out = np.diag(a.diag.astype(complex))
+    for k, arr in enumerate(a.sub, start=1):
+        idx = np.arange(a.n - k)
+        out[idx + k, idx] = arr
+        out[idx, idx + k] = np.conj(arr)
+    return out
+
+
+def dense_channel(channel: BlockBandedChannel) -> np.ndarray:
+    """Dense ``N x N*K`` expansion of a channel realization."""
+    n, k = channel.n_cells, channel.users_per_cell
+    out = np.zeros((n, n * k), dtype=complex)
+    for offset, rows in channel.blocks.items():
+        for i in range(n):
+            j = i + offset
+            if 0 <= j < n:
+                out[i, j * k : (j + 1) * k] = rows[i]
+    return out
+
+
 def dense_eigenvalues(a: BandedHermitian) -> np.ndarray:
     """Brute-force oracle: dense Hermitian solve."""
-    return np.linalg.eigvalsh(a.to_dense())
+    return np.linalg.eigvalsh(dense_band(a))
 
 
 @pytest.fixture

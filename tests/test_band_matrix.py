@@ -26,7 +26,7 @@ from bandspec import (
     wyner,
 )
 
-from conftest import random_banded
+from conftest import dense_band, dense_channel, random_banded
 
 
 def test_zero_gain_neighbors_give_diagonal_matrix(rng):
@@ -38,14 +38,14 @@ def test_zero_gain_neighbors_give_diagonal_matrix(rng):
             DiagonalSpec(1, 0.0, RAYLEIGH),
         ),
     )
-    dense = generate_channel(params, rng).dense()
+    dense = dense_channel(generate_channel(params, rng))
     assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
     assert np.count_nonzero(np.diag(dense)) == 3
 
 
 def test_deterministic_structure_is_all_ones(rng):
     params = wyner(3, 2, alpha=1.0, beta=1.0, fading=DETERMINISTIC)
-    dense = generate_channel(params, rng).dense()
+    dense = dense_channel(generate_channel(params, rng))
     # every in-range block is a run of ones; corners stay zero
     assert dense.shape == (3, 6)
     expected = np.array(
@@ -61,7 +61,7 @@ def test_deterministic_structure_is_all_ones(rng):
 
 def test_nonzero_count_matches_block_structure(rng):
     params = wyner(6, 3, alpha=0.7, beta=0.4, fading=RAYLEIGH)
-    dense = generate_channel(params, rng).dense()
+    dense = dense_channel(generate_channel(params, rng))
     in_range = sum(
         1
         for i in range(6)
@@ -132,10 +132,10 @@ def test_gram_matches_dense_oracle(offsets, gains, rng):
     )
     params = ChannelParams(8, 2, diagonals)
     channel = generate_channel(params, rng)
-    dense = channel.dense()
+    dense = dense_channel(channel)
     oracle = dense @ dense.conj().T
     a = gram(channel)
-    assert np.abs(a.to_dense() - oracle).max() < 1e-12
+    assert np.abs(dense_band(a) - oracle).max() < 1e-12
     # bandedness beyond the offset spread
     spread = max(offsets) - min(offsets)
     n = params.n_cells
@@ -149,10 +149,10 @@ def test_gram_symmetry_and_trace_conservation(rng):
     params = wyner(12, 2, 0.6, 0.4, rician(0.5, 0.75))
     channel = generate_channel(params, rng)
     a = gram(channel)
-    dense = a.to_dense()
+    dense = dense_band(a)
     assert np.abs(dense - dense.conj().T).max() == 0
     assert a.diag.min() >= 0
-    frob_h = np.sum(np.abs(channel.dense()) ** 2)
+    frob_h = np.sum(np.abs(dense_channel(channel)) ** 2)
     assert a.diag.sum() == pytest.approx(frob_h, rel=1e-13)
 
 
@@ -267,8 +267,8 @@ def test_ldl_rejects_non_finite_pivots(bandwidth, rng):
 @pytest.mark.parametrize("rho", [1e200, 1e300, 1.7e308])
 @pytest.mark.parametrize("bandwidth", [0, 1, 2])
 def test_ldl_at_huge_rho_factors_or_raises_pivot_error(bandwidth, rho, rng):
-    # the scaled band overflows (at bandwidth <= 1 from rho ~ 1e154, through
-    # (rho |s|)^2); that is a PivotError, never a RuntimeWarning
+    # where the scaled band or a pivot overflows, that is a PivotError, never
+    # a RuntimeWarning
     alpha, beta = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5)][bandwidth]
     a = gram(generate_channel(wyner(64, 1, alpha, beta, RAYLEIGH), rng))
     assert a.bandwidth == bandwidth
@@ -307,7 +307,8 @@ def test_tridiagonal_route_matches_cholesky_oracle(bandwidth, off, n, rng):
         diag[:-1] += np.abs(s)
     a = BandedHermitian(diag, subs)
     assert a.bandwidth == bandwidth
-    for rho in (0.0, 1e-6, 1.0, 1e6):
+    # from rho ~ 1e154 the (rho |s|)^2 form overflowed; the multipliers do not
+    for rho in (0.0, 1e-6, 1.0, 1e6, 1e200, 1e300):
         want = cholesky_excess(a, rho)
         assert np.max(np.abs(ldl_shifted(a, rho) - (1.0 + want)) / (1.0 + want)) <= 1e-11
         assert log_ldl_shifted(a, rho).mean() == pytest.approx(

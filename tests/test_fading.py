@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gamma, hyp1f1
 
 from bandspec import DETERMINISTIC, RAYLEIGH, UNIFORM_PHASE, FadingSpec, parse_spec_tag, rician
 
@@ -61,6 +62,20 @@ def test_rician_moments_closed_form_and_monte_carlo(rng):
     for order in (1, 2, 3, 4):
         est, se = batched_mc_moment(spec, order, 10**6, rng)
         assert abs(est - spec.amplitude_moment(order)) < 3 * se
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3 + 0.4j, 1.0, 2.0, 5.0])
+@pytest.mark.parametrize("s2", [1e-3, 0.36, 1.0, 10.0])
+def test_even_rician_moments_match_hyp1f1(nu, s2):
+    for m in range(1, 6):
+        want = s2**m * gamma(m + 1) * hyp1f1(-m, 1.0, -abs(nu) ** 2 / s2)
+        assert rician(nu, s2).amplitude_moment(2 * m) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_even_rician_moments_near_the_atom():
+    # 1F1 overflows once |nu|^2 / s2 does; the polynomial holds down to s2 = 0
+    for s2 in (1e-300, 1e-320, 0.0):
+        assert [rician(1.0, s2).amplitude_moment(o) for o in (2, 4, 6)] == [1.0, 1.0, 1.0]
 
 
 @given(

@@ -192,6 +192,23 @@ INVALID_CONFIGS = [
     # too few retained steps for the batch-means standard error: it was nan
     ("narula", {"kind": "narula", "p_grid": [1.0], "n_steps": 50, "burn_in": 0},
      "narula needs n_steps - burn_in >= 100"),
+    # neighbor gains that wyner dropped unchecked: alpha -0.5 ran, and hashed, as alpha 0
+    *(("moments", {"kind": "moments", "channel": {"n_cells": 8, **gains}},
+       f"bad channel: gain {bad} outside [0, 1]")
+      for bad in (-0.5, float("nan"))
+      for gains in ({"alpha": bad}, {"alpha": 0.5, "beta": bad})),
+    # Rician tags whose unknown keys were dropped, whose repeated key kept its
+    # last value, or whose NaN s2 failed only after the replicates ran
+    *(("moments", {"kind": "moments", "channel": {"n_cells": 8, "fading": f"rician:{fields}"}},
+       message)
+      for fields, message in (
+          ("nu=1,s2=0.5,foo=3", "bad channel: rician tag needs nu and s2, once each"),
+          ("nu=1,nu=2,s2=0.5", "bad channel: rician tag needs nu and s2, once each"),
+          ("nu=1,s2=NaN", "bad channel: rician needs a finite nu and a finite s2 >= 0"),
+          ("nu=1,s2=inf", "bad channel: rician needs a finite nu and a finite s2 >= 0"),
+          ("nu=nan,s2=0.5", "bad channel: rician needs a finite nu and a finite s2 >= 0"),
+          ("nu=inf,s2=0.5", "bad channel: rician needs a finite nu and a finite s2 >= 0"),
+      )),
 ]
 INVALID_PATCHES = [
     ({"kind": "nope"}, "unknown experiment kind 'nope'"),
@@ -273,6 +290,26 @@ class TestConfig:
         ))
         assert sugar.channel == explicit.channel
         assert sugar.sha256() == explicit.sha256()
+
+    def test_config_is_frozen(self, tmp_path):
+        # checked once, as it is built: a later edit would run unchecked
+        config = ExperimentConfig.from_dict(spectrum_config(tmp_path))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.seed = 1
+        assert dataclasses.replace(config, seed=1).seed == 1
+
+    @pytest.mark.parametrize("kind,s2", [
+        ("moments", "1e-300"), ("extreme_snr", "1e-300"), ("mp_compare", "1e-320")])
+    def test_near_atom_rician_runs(self, tmp_path, kind, s2):
+        # |nu|^2 / s2 overflowed 1F1 in the amplitude moments, and these runs
+        # ended in MomentUnavailableError after every replicate had run
+        def references(fading, out):
+            data = {**CONFIGS[kind](tmp_path / out), "channel": {"n_cells": 8, "fading": fading}}
+            return [r.reference for r in run_experiment(ExperimentConfig.from_dict(data)).results]
+
+        # all but the atom at 1: the deterministic law's moments, so its references
+        np.testing.assert_array_equal(references(f"rician:nu=1,s2={s2}", "rician"),
+                                      references("deterministic", "atom"))
 
     def test_hash_distinguishes_rician_phase(self, tmp_path):
         def rician_config(nu):
