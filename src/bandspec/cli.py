@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -121,6 +122,9 @@ _FORMULAS = {
 
 
 def _run_closed_form(args) -> int:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
     try:
         rows = list(_FORMULAS[args.formula](args))
     except ValueError as exc:  # a fading tag or a value outside the formula's domain

@@ -58,6 +58,8 @@ def wyner_capacity_large_k(power: float, alpha: float, m2: float, mu: complex) -
     the integrand is constant; deterministic entries (``m2 = mu = 1``) give
     :func:`wyner_capacity_nonfading`.
     """
+    if power < 0:
+        raise ValueError("power must be nonnegative")
     mu_sq = abs(mu) ** 2
     sigma2 = m2 - mu_sq
     if sigma2 < -1e-12:
@@ -212,6 +214,8 @@ def low_snr_params(k: int, alpha: float, m2: float, m4: float):
     """
     if m2 <= 0:
         raise ValueError("m2 must be positive")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     a2 = alpha**2
     eb_n0_min = np.log(2.0) / (m2 * (1.0 + 2.0 * a2))
     kur = m4 / m2**2

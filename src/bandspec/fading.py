@@ -62,6 +62,9 @@ class FadingSpec:
         if self.kind == "rician":
             if not (np.isfinite(self.nu) and 0 <= self.s2 < np.inf):
                 raise ValueError("rician needs a finite nu and a finite s2 >= 0")
+            m2 = self.nu.real * self.nu.real + self.nu.imag * self.nu.imag + self.s2
+            if not math.isfinite(m2):  # products: ** and abs(nu) raise OverflowError
+                raise ValueError("rician E|h|^2 = |nu|^2 + s2 overflows a double")
             if self.s2 == 0 and self.nu == 0:
                 raise ValueError("rician with nu=0, s2=0 is an atom at zero")
 
@@ -89,7 +92,7 @@ class FadingSpec:
         """Exact amplitude power moment ``E|h|^order`` (no sampling).
 
         Raises :class:`MomentUnavailableError` when no closed form is known
-        for the (kind, order) pair.
+        for the (kind, order) pair, or when an even moment overflows a double.
         """
         if order < 1 or order != int(order):
             raise ValueError("moment order must be a positive integer")
@@ -104,8 +107,14 @@ class FadingSpec:
                 # E|h|^2m = sum_k C(m, k) m!/k! s2^(m-k) |nu|^2k: exact, also at
                 # s2 = 0, where 1F1 below overflows once s2 is tiny next to |nu|^2
                 m = order // 2
-                return float(sum(math.comb(m, k) * math.perm(m, m - k) * self.s2 ** (m - k)
-                                 * abs(self.nu) ** (2 * k) for k in range(m + 1)))
+                try:
+                    val = float(sum(math.comb(m, k) * math.perm(m, m - k) * self.s2 ** (m - k)
+                                    * abs(self.nu) ** (2 * k) for k in range(m + 1)))
+                except OverflowError:  # Python float ** raises where * gives inf
+                    val = math.inf
+                if not math.isfinite(val):
+                    raise MomentUnavailableError(f"moment order {order} of {self.tag} overflows")
+                return val
             if self.s2 == 0:
                 return float(abs(self.nu) ** order)
             # Rice amplitude moments via the confluent hypergeometric function.

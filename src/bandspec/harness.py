@@ -9,25 +9,26 @@ with the config hash and master seed in comment lines.
 Each experiment kind is declared once, in ``_RUNNERS``: its runner, how
 many of its files get a gnuplot script, the config fields it reads and
 those it needs nonempty.  A config may set no other field, so its hash
-covers only what the run computes.  A runner maps workers over replicates
-through a closure and returns its results and tables, each a ``(file name,
-column names, columns)`` triple; only :func:`run_experiment` knows the job
-count, the output directory and the metadata lines, and it writes the
-tables after the runner returns, so a failed run writes no file.
+covers only what the run computes.  A runner hands one worker per group to
+one call of the replicate map and returns its results and tables, each a
+``(file name, column names, columns)`` triple; only :func:`run_experiment`
+knows the job count, the output directory and the metadata lines, and it
+writes the tables after the runner returns, so a failed run writes no file.
 
 Shannon transforms come from shifted LDL pivots in O(N b^2); the O(N^2)
 band eigensolve runs only where the eigenvalue list is itself the output
 (``spectrum.csv``, ``ecdf.csv``) or is compared whole (``mp_compare``).
 
-Replicates run in ``min(jobs, replications, os.cpu_count())`` forked worker
-processes (threads would wait on the interpreter lock that scipy's LAPACK
-wrappers hold), or serially when that is 1 or the platform cannot fork.  A
-replicate (or ``narula`` chain) dropped for a numerical failure is logged at
-WARNING on the ``bandspec.harness`` logger with its index, stream key and
-exception.
+Every replicate of a run goes through one pool of ``min(jobs, replicates in
+the run, os.cpu_count())`` forked worker processes (threads would wait on the
+interpreter lock that scipy's LAPACK wrappers hold), or runs serially when
+that is 1 or the platform cannot fork.  A replicate (or ``narula`` chain)
+dropped for a numerical failure is logged at WARNING on the
+``bandspec.harness`` logger with its index, stream key and exception.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -51,7 +52,7 @@ from .band_matrix import (
     wyner,
 )
 from .eig import eigenvalues
-from .fading import parse_spec_tag
+from .fading import MomentUnavailableError, parse_spec_tag
 from .narula_chain import N_BATCHES, simulate_chain
 from .output import gnuplot_scripts, write_csv
 from .spectral import EmpiricalSpectrum, power_profile, power_profile_sup_diff, trace_moment
@@ -70,7 +71,7 @@ __all__ = [
     "fit_high_snr_offset_extrapolated",
 ]
 
-_NUMERICAL_FAILURES = (PivotError, np.linalg.LinAlgError)
+_NUMERICAL_FAILURES = (PivotError, np.linalg.LinAlgError, FloatingPointError)
 
 _log = logging.getLogger(__name__)
 
@@ -313,13 +314,8 @@ def run_experiment(
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-
-    def replicate(group: int, count: int, worker) -> list:
-        """``worker(rng)`` for each of ``count`` replicates that survives."""
-        return _replicate_map(config.seed, group, count, jobs, worker)
-
     kind = _RUNNERS[config.kind]
-    results, tables = kind.run(config, replicate)
+    results, tables = kind.run(config, functools.partial(_replicate_map, config.seed, jobs))
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"experiment": config.kind, "config_sha256": config.sha256(), "master_seed": config.seed}
@@ -329,38 +325,43 @@ def run_experiment(
     return ExperimentOutput(tuple(results), tuple(files))
 
 
-def _replicate_map(seed: int, group: int, count: int, jobs: int, worker):
-    """Run ``worker(rng)`` for ``count`` replicates of ``group``, in index order.
+def _replicate_map(seed: int, jobs: int, workers, count: int) -> list[list]:
+    """Run ``workers[g](rng)`` for ``count`` replicates of each group ``g``, all
+    through one pool; return each group's survivors, in replicate order.
 
-    A replicate that raises a numerical failure is dropped and logged."""
-    def call(r):
+    A replicate that raises a numerical failure is dropped and logged; a group
+    with no survivor raises once every group has run."""
+    def call(i):
+        g, r = divmod(i, count)
         try:
-            return worker(derive_stream(seed, _stream_index(group, r)))
+            return workers[g](derive_stream(seed, _stream_index(g, r)))
         except _NUMERICAL_FAILURES as exc:
             # without its frames, or those of the error it chains, which
             # would keep the replicate's arrays alive
             exc.__cause__ = exc.__context__ = None
             return exc.with_traceback(None)
 
-    workers = min(jobs, count, os.cpu_count() or 1)
-    if workers > 1 and hasattr(os, "fork"):
+    total = len(workers) * count
+    procs = min(jobs, total, os.cpu_count() or 1)
+    if procs > 1 and hasattr(os, "fork"):
         import multiprocessing
         from concurrent.futures.process import ProcessPoolExecutor
 
         # workers inherit the closure ``call``: only indices and results are pickled
         fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, fork, _install_call, (call,)) as pool:
-            slots = list(pool.map(_call_in_worker, range(count)))
+        with ProcessPoolExecutor(procs, fork, _install_call, (call,)) as pool:
+            slots = list(pool.map(_call_in_worker, range(total)))
     else:
-        slots = [call(r) for r in range(count)]
-    for r, slot in enumerate(slots):
+        slots = [call(i) for i in range(total)]
+    for i, slot in enumerate(slots):
         if isinstance(slot, _NUMERICAL_FAILURES):
             _log.warning("dropped replicate %d (stream key seed=%d, index=%d): %r",
-                         r, seed, _stream_index(group, r), slot)
-    ok = [slot for slot in slots if not isinstance(slot, _NUMERICAL_FAILURES)]
-    if not ok:
+                         i % count, seed, _stream_index(*divmod(i, count)), slot)
+    groups = [[slot for slot in slots[i:i + count] if not isinstance(slot, _NUMERICAL_FAILURES)]
+              for i in range(0, total, count)]
+    if not all(groups):
         raise AllReplicatesFailedError(f"{count} of {count} replicates failed numerically")
-    return ok
+    return groups
 
 
 _worker_call = None  # a forked worker's replicate closure
@@ -371,8 +372,8 @@ def _install_call(call) -> None:
     _worker_call = call
 
 
-def _call_in_worker(r: int):
-    return _worker_call(r)
+def _call_in_worker(i: int):
+    return _worker_call(i)
 
 
 def _gram_worker(params: ChannelParams, stat):
@@ -422,14 +423,14 @@ def _histogram_columns(values: np.ndarray, n_bins: int):
 
 
 # -- per-kind runners --------------------------------------------------------
-# runner(config, replicate) -> (results, tables), with the replicate closure
-# that run_experiment makes and a table per file, in file order
+# runner(config, replicate) -> (results, tables), a table per file in file order;
+# replicate(workers, count) takes a worker per group and returns each group's survivors
 
 def _run_spectrum(config, replicate):
     params = config.channel
     shannon = _shannon(params, config.p_grid)
     worker = _gram_worker(params, lambda a: (eigenvalues(a).eigenvalues, shannon(a)))
-    replicates = replicate(0, config.replications, worker)
+    (replicates,) = replicate([worker], config.replications)
     pooled = np.sort(np.concatenate([eigs for eigs, _ in replicates]))
     tables = [
         ("spectrum.csv", ("index", "eigenvalue"), (np.arange(1, len(pooled) + 1), pooled)),
@@ -448,7 +449,7 @@ def _run_spectrum(config, replicate):
 def _run_capacity_vs_p(config, replicate):
     params = config.channel
     worker = _gram_worker(params, _shannon(params, config.p_grid))
-    replicates = replicate(0, config.replications, worker)
+    (replicates,) = replicate([worker], config.replications)
     block = (config.p_grid, replicates, _capacity_reference(params, config.p_grid))
     return _table("capacity_vs_P.csv", "P", [block])
 
@@ -457,18 +458,16 @@ def _run_capacity_vs_n(config, replicate):
     base = config.channel
     stat = _shannon(base, [base.power])
     refs = _capacity_reference(base, [base.power])
-    blocks = [
-        ([n], replicate(gi, config.replications, _gram_worker(base.with_size(n), stat)), refs)
-        for gi, n in enumerate(config.n_grid)
-    ]
-    return _table("capacity_vs_N.csv", "N", blocks)
+    workers = [_gram_worker(base.with_size(n), stat) for n in config.n_grid]
+    groups = zip(config.n_grid, replicate(workers, config.replications))
+    return _table("capacity_vs_N.csv", "N", [([n], reps, refs) for n, reps in groups])
 
 
 def _run_moments(config, replicate):
     params = config.channel
     orders = (1, 2, 3)
     worker = _gram_worker(params, lambda a: np.array([trace_moment(a, p) for p in orders]))
-    replicates = replicate(0, config.replications, worker)
+    (replicates,) = replicate([worker], config.replications)
     refs = _moment_reference(params) or (float("nan"),) * len(orders)
     return _table("moments.csv", "p", [(orders, replicates, refs)])
 
@@ -476,9 +475,10 @@ def _run_moments(config, replicate):
 def _run_narula(config, replicate):
     rows, results, samples = [], [], []
     steps = np.arange(config.burn_in + 1, config.n_steps + 1)
-    for i, p in enumerate(config.p_grid):
-        # each chain is the one replicate of its group
-        (run,) = replicate(i, 1, lambda rng: simulate_chain(p, config.n_steps, config.burn_in, rng))
+    # each chain is the one replicate of its group
+    chains = [functools.partial(simulate_chain, p, config.n_steps, config.burn_in)
+              for p in config.p_grid]
+    for i, (p, (run,)) in enumerate(zip(config.p_grid, replicate(chains, 1))):
         estimate = (p, run.ergodic_log_mean, run.log_mean_stderr)
         rows.append((*estimate, config.n_steps))
         results.append(ExperimentResult(*estimate, len(run.samples), closed_forms.narula_capacity(p)))
@@ -491,7 +491,7 @@ def _run_narula(config, replicate):
 def _run_extreme_snr(config, replicate):
     params = config.channel
     worker = _gram_worker(params, _shannon(params, config.low_p + config.high_p))
-    replicates = replicate(0, config.replications, worker)
+    (replicates,) = replicate([worker], config.replications)
     mean, _ = _mean_se(replicates)
     eb_est, s0_est = fit_low_snr_params(config.low_p, mean[:2])
     s_inf_est, l_inf_est = fit_high_snr_params(config.high_p, mean[2:])
@@ -528,10 +528,10 @@ def _run_mp_compare(config, replicate):
     k = base.users_per_cell
     m2 = _diagonal_gain_spec(base, 0)[1].amplitude_moment(2)
     rows, results = [], []
-    for gi, alpha in enumerate(config.alphas):
+    workers = [_gram_worker(_mp_channel(base, alpha), lambda a: eigenvalues(a).eigenvalues)
+               for alpha in config.alphas]
+    for alpha, replicates in zip(config.alphas, replicate(workers, config.replications)):
         scale = 1.0 / (k * (1.0 + 2.0 * alpha**2))
-        worker = _gram_worker(_mp_channel(base, alpha), lambda a: eigenvalues(a).eigenvalues)
-        replicates = replicate(gi, config.replications, worker)
         pooled = EmpiricalSpectrum(np.concatenate(replicates) * scale)
         ks = pooled.ks_distance(lambda x: closed_forms.marchenko_pastur_cdf(x, k, m2))
         rows.append((alpha, k, ks, pooled.n))
@@ -670,10 +670,11 @@ def _moment_reference(params: ChannelParams):
     alpha = shape[0]
     if alpha > 0 and spec.kind not in ("rayleigh", "uniform-phase"):
         return None
-    return closed_forms.limiting_moments(
-        spec.amplitude_moment(2), spec.amplitude_moment(4), spec.amplitude_moment(6),
-        alpha,
-    )
+    try:
+        moments = [spec.amplitude_moment(order) for order in (2, 4, 6)]
+    except MomentUnavailableError:  # an even moment past a double: no reference
+        return None
+    return closed_forms.limiting_moments(*moments, alpha)
 
 
 def _extreme_snr_reference(params: ChannelParams):
@@ -682,10 +683,11 @@ def _extreme_snr_reference(params: ChannelParams):
     shape = _wyner_shape(params)
     specs = [d.fading for d in params.diagonals]
     if shape is not None and shape[0] == shape[1] and len(set(specs)) == 1:
-        eb, s0 = closed_forms.low_snr_params(
-            params.users_per_cell, shape[0],
-            specs[0].amplitude_moment(2), specs[0].amplitude_moment(4),
-        )
+        try:
+            m2, m4 = specs[0].amplitude_moment(2), specs[0].amplitude_moment(4)
+            eb, s0 = closed_forms.low_snr_params(params.users_per_cell, shape[0], m2, m4)
+        except MomentUnavailableError:  # an even moment past a double: nan references
+            pass
     offs = set(params.offsets)
     if params.users_per_cell == 1 and offs in ({-1, 0}, {0, 1}):
         side = -1 if -1 in offs else 1

@@ -64,6 +64,7 @@ class EmpiricalSpectrum:
         return float(np.maximum(np.abs(f_hi - hi), np.abs(f_lo - lo)).max())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked below: a trace past a double raises
 def trace_moment(a: BandedHermitian, p: int) -> float:
     """Normalized trace ``trace(A^p) / n`` for p in {1, 2, 3}, in band storage
     in O(n * bandwidth^2); higher powers need the eigenvalues.
@@ -75,13 +76,14 @@ def trace_moment(a: BandedHermitian, p: int) -> float:
                    + 6 Re sum_{0<j<k<=b} sum_m conj(s_j[m] s_{k-j}[m+j]) s_k[m]:
 
     b real weighted sums and b(b-1)/2 complex triple products, no band copy.
+    Raises ``FloatingPointError`` when the trace overflows a double.
     """
     n = a.n
     if p == 1:
-        return float(a.diag.mean())
-    if p == 2:
-        return a.frobenius_sq() / n
-    if p == 3:
+        value = float(a.diag.mean())
+    elif p == 2:
+        value = a.frobenius_sq() / n
+    elif p == 3:
         d, sub = a.diag, a.sub
         total = np.einsum("i,i,i->", d, d, d)
         for k, s in enumerate(sub, start=1):
@@ -94,8 +96,12 @@ def trace_moment(a: BandedHermitian, p: int) -> float:
                 x = sub[j - 1][: n - k] * sub[k - j - 1][j:]
                 total += 6 * (np.einsum("i,i->", x.real, s.real)
                               + np.einsum("i,i->", x.imag, s.imag))
-        return float(total) / n
-    raise ValueError("trace_moment supports p in {1, 2, 3}")
+        value = float(total) / n
+    else:
+        raise ValueError("trace_moment supports p in {1, 2, 3}")
+    if not math.isfinite(value):
+        raise FloatingPointError(f"trace(A^{p}) / n = {value} is not finite")
+    return value
 
 
 def power_profile(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma, hyp1f1
 
 from bandspec import DETERMINISTIC, RAYLEIGH, UNIFORM_PHASE, FadingSpec, parse_spec_tag, rician
+from bandspec.fading import MomentUnavailableError
 
 
 def batched_mc_moment(spec, order, n, rng, n_batches=100):
@@ -78,6 +81,22 @@ def test_even_rician_moments_near_the_atom():
         assert [rician(1.0, s2).amplitude_moment(o) for o in (2, 4, 6)] == [1.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("nu,s2", [(1e200, 1.0), (1e154, 1e308), (1e200j, 0.0)])
+def test_rician_mean_power_must_fit_a_double(nu, s2):
+    # E|h|^2 = |nu|^2 + s2 past a double: its draws overflow |h|^2 too
+    with pytest.raises(ValueError, match="overflows a double"):
+        rician(nu, s2)
+
+
+@pytest.mark.parametrize("nu,order", [(1e100, 4), (1e60, 6), (1e60, 8)])
+def test_even_moment_past_a_double_is_unavailable(nu, order):
+    # Python float ** raised a bare OverflowError
+    spec = rician(nu, 1.0)
+    assert spec.amplitude_moment(2) == 1.0 + nu**2
+    with pytest.raises(MomentUnavailableError, match=f"moment order {order} .* overflows"):
+        spec.amplitude_moment(order)
+
+
 @given(
     nu=st.floats(min_value=0.0, max_value=5.0),
     s2=st.floats(min_value=1e-6, max_value=5.0),
@@ -133,7 +152,12 @@ def test_tag_round_trip_is_lossless(kind, nu_re, nu_im, s2):
     if kind == "rician":
         if nu_re == nu_im == s2 == 0:
             s2 = 1.0
-        spec = rician(complex(nu_re, nu_im), s2)
+        nu = complex(nu_re, nu_im)
+        if not math.isfinite(nu_re * nu_re + nu_im * nu_im + s2):  # E|h|^2 past a double
+            with pytest.raises(ValueError, match="overflows a double"):
+                rician(nu, s2)
+            return
+        spec = rician(nu, s2)
     else:
         spec = FadingSpec(kind)
     assert parse_spec_tag(spec.tag) == spec

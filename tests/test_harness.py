@@ -107,6 +107,14 @@ def power_profile_config(tmp_path):
             "channel": {"n_cells": 16, "alpha": 0.5, "fading": "rayleigh"}}
 
 
+# configs whose runs hold several replicate groups: an N, a chain or an alpha each
+MULTI_GROUP = {
+    "capacity_vs_N": lambda tmp_path: capacity_n_config(tmp_path, n_grid=[8, 12, 16]),
+    "narula": lambda tmp_path: {**narula_config(tmp_path), "p_grid": [1.0, 5.0, 10.0]},
+    "mp_compare": mp_compare_config,
+}
+
+
 # a small valid config of each kind, setting only fields the kind reads
 CONFIGS = {
     "spectrum": spectrum_config,
@@ -209,6 +217,12 @@ INVALID_CONFIGS = [
           ("nu=nan,s2=0.5", "bad channel: rician needs a finite nu and a finite s2 >= 0"),
           ("nu=inf,s2=0.5", "bad channel: rician needs a finite nu and a finite s2 >= 0"),
       )),
+    # E|h|^2 past a double: these ended in an OverflowError traceback (exit 1)
+    *((command, {"kind": kind, **extra,
+                 "channel": {"n_cells": 8, "fading": "rician:nu=1e200,s2=1"}},
+       "bad channel: rician E|h|^2 = |nu|^2 + s2 overflows a double")
+      for command, kind, extra in (("moments", "moments", {}),
+                                   ("mp-compare", "mp_compare", {"alphas": [0.5]}))),
 ]
 INVALID_PATCHES = [
     ({"kind": "nope"}, "unknown experiment kind 'nope'"),
@@ -596,14 +610,17 @@ class TestRunExperiment:
             assert fa.read_bytes() == fb.read_bytes()
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
-        data = spectrum_config(tmp_path, replications=6)
-        data["channel"]["fading"] = "rayleigh"
-        out_a = run_experiment(ExperimentConfig.from_dict(
-            {**data, "out_dir": str(tmp_path / "a")}), jobs=1)
-        out_b = run_experiment(ExperimentConfig.from_dict(
-            {**data, "out_dir": str(tmp_path / "b")}), jobs=4)
-        for fa, fb in zip(out_a.files, out_b.files):
-            assert fa.read_bytes() == fb.read_bytes()
+        spectrum = spectrum_config(tmp_path, replications=6)
+        spectrum["channel"]["fading"] = "rayleigh"
+        # and runs of several groups each: three N, three chains, two alphas
+        for data in (spectrum, *(make(tmp_path) for make in MULTI_GROUP.values())):
+            out_a = run_experiment(ExperimentConfig.from_dict(
+                {**data, "out_dir": str(tmp_path / data["kind"] / "a")}), jobs=1)
+            out_b = run_experiment(ExperimentConfig.from_dict(
+                {**data, "out_dir": str(tmp_path / data["kind"] / "b")}), jobs=4)
+            assert [f.name for f in out_a.files] == [f.name for f in out_b.files]
+            for fa, fb in zip(out_a.files, out_b.files):
+                assert fa.read_bytes() == fb.read_bytes()
 
     def test_capacity_grid_row_count(self, tmp_path):
         config = ExperimentConfig.from_dict({
@@ -825,6 +842,30 @@ def two_cpus(monkeypatch):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="replicate workers are forked")
 
 
+@pytest.fixture
+def stand_in_pool(monkeypatch):
+    """The worker count of each process pool made, in order; a serial
+    stand-in runs the pool's calls, so no process starts."""
+    made = []
+
+    class StandInPool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            made.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", StandInPool)
+    return made
+
+
 class TestReplicateWorkers:
     @pytest.mark.parametrize("jobs,replications,cpus,workers", [
         (8, 5, 3, 3),
@@ -835,30 +876,22 @@ class TestReplicateWorkers:
         (4, 5, None, None),
         (1, 5, 3, None),
     ])
-    def test_worker_cap(self, tmp_path, monkeypatch, jobs, replications, cpus, workers):
-        # a serial stand-in pool records the worker count; no process starts
-        made = []
-
-        class StandInPool:
-            def __init__(self, max_workers, mp_context, initializer, initargs):
-                made.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", StandInPool)
+    def test_worker_cap(
+        self, tmp_path, monkeypatch, stand_in_pool, jobs, replications, cpus, workers
+    ):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         config = ExperimentConfig.from_dict(spectrum_config(tmp_path, replications=replications))
-        draws = harness._replicate_map(config.seed, 0, replications, jobs, lambda rng: rng.random())
-        assert made == ([] if workers is None else [workers])
+        (draws,) = harness._replicate_map(config.seed, jobs, [lambda rng: rng.random()],
+                                          replications)
+        assert stand_in_pool == ([] if workers is None else [workers])
         assert draws == [derive_stream(config.seed, r).random() for r in range(replications)]
+
+    @pytest.mark.parametrize("kind", list(MULTI_GROUP))
+    def test_one_pool_per_run(self, tmp_path, stand_in_pool, two_cpus, kind):
+        # every replicate of every group goes through one pool: there was a
+        # pool per group, and none for narula, whose groups hold a chain each
+        run_experiment(ExperimentConfig.from_dict(MULTI_GROUP[kind](tmp_path)), jobs=2)
+        assert stand_in_pool == [2]
 
     @needs_fork
     def test_replicates_run_in_parallel_workers(self, tmp_path, two_cpus):
@@ -871,7 +904,7 @@ class TestReplicateWorkers:
             return os.getpid()
 
         config = ExperimentConfig.from_dict(spectrum_config(tmp_path, replications=4))
-        pids = harness._replicate_map(config.seed, 0, config.replications, 2, pid)
+        (pids,) = harness._replicate_map(config.seed, 2, [pid], config.replications)
         assert len(set(pids)) >= 2
         assert os.getpid() not in pids
 
@@ -985,6 +1018,15 @@ class TestCli:
         ["narula-capacity", "--pbar", "0"],
         ["mp-cdf", "--k", "0"],
         ["exp-integral", "--x", "-1"],
+        # the first ended in a ZeroDivisionError (exit 1); the others printed
+        # s0 = 2, -inf, nan, nan, nan and cdf 0
+        ["low-snr", "--k", "0"],
+        ["low-snr", "--k", "-2"],
+        ["wyner-nonfading", "--power", "-1"],
+        ["wyner-nonfading", "--power", "nan"],
+        ["narula-capacity", "--pbar", "nan"],
+        ["narula-capacity", "--pbar", "inf"],
+        ["mp-cdf", "--x", "nan"],
     ])
     def test_closed_form_bad_flags_exit_2(self, capsys, flags):
         assert main(["closed-form", "--formula", *flags]) == 2
@@ -1001,6 +1043,56 @@ class TestCli:
         path.write_text(json.dumps(capacity_p_config(tmp_path)))
         assert main(["capacity", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_group_exits_3_after_every_group_ran(
+        self, tmp_path, monkeypatch, capsys, caplog, two_cpus, jobs
+    ):
+        # every replicate of the first N fails: the other N still run (a
+        # forked worker's calls never reach this process), and no file is made
+        sizes = []
+
+        def flaky(a, rho):
+            sizes.append(a.n)
+            if a.n == 8:
+                raise PivotError("forced failure")
+            return log_ldl_shifted(a, rho)
+
+        monkeypatch.setattr(harness, "log_ldl_shifted", flaky)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(MULTI_GROUP["capacity_vs_N"](tmp_path)))
+        with caplog.at_level(logging.WARNING, logger="bandspec.harness"):
+            assert main(["capacity", str(path), "--jobs", str(jobs)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: 3 of 3 replicates failed numerically\n")
+        assert [record.getMessage() for record in caplog.records] == [
+            f"dropped replicate {r} (stream key seed=5, index={harness._stream_index(0, r)}): "
+            "PivotError('forced failure')" for r in range(3)]
+        assert list(tmp_path.iterdir()) == [path]
+        if jobs == 1:
+            assert sorted(set(sizes)) == [8, 12, 16]
+
+    @pytest.mark.parametrize("command,kind,nu,code", [
+        ("moments", "moments", "1e60", 3), ("extreme-snr", "extreme_snr", "1e100", 0)])
+    def test_large_rician_mean(self, tmp_path, capsys, caplog, command, kind, nu, code):
+        # both ended in an OverflowError traceback (exit 1): at 1e60 trace(A^3)
+        # overflows in every replicate, at 1e100 the reference's E|h|^4 does
+        data = {**CONFIGS[kind](tmp_path),
+                "channel": {"n_cells": 8, "fading": f"rician:nu={nu},s2=1"}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        with caplog.at_level(logging.WARNING, logger="bandspec.harness"):
+            assert main([command, str(path)]) == code
+        if code == 3:
+            assert "numerical failure" in capsys.readouterr().err
+            assert [record.getMessage().split(": ", 1)[1] for record in caplog.records] == [
+                "FloatingPointError('trace(A^3) / n = inf is not finite')"] * 2
+            assert list(tmp_path.iterdir()) == [path]
+        else:
+            lines = (tmp_path / "ext" / "extreme_snr.csv").read_text().splitlines()[4:]
+            rows = {line.split(",")[0]: line.split(",")[1:] for line in lines}
+            assert [rows[name][1] for name in ("eb_n0_min", "s0")] == ["nan", "nan"]
+            assert all(np.isfinite(float(estimate)) for estimate, _ in rows.values())
 
     def test_failing_chain_exits_3(self, tmp_path, capsys, caplog):
         # the second chain's tap powers overflow; it used to end in a traceback
@@ -1064,8 +1156,8 @@ class TestDeclarations:
     def test_runner_returns_tables_and_writes_nothing(self, tmp_path, kind):
         config = ExperimentConfig.from_dict(CONFIGS[kind](tmp_path))
 
-        def replicate(group, count, worker):
-            return harness._replicate_map(config.seed, group, count, 1, worker)
+        def replicate(workers, count):
+            return harness._replicate_map(config.seed, 1, workers, count)
 
         results, tables = harness._RUNNERS[kind].run(config, replicate)
         assert list(tmp_path.iterdir()) == []

@@ -13,6 +13,7 @@ from bandspec import (
     ldl_shifted,
     power_profile,
     power_profile_sup_diff,
+    rician,
     trace_moment,
     wyner,
 )
@@ -85,6 +86,14 @@ def test_trace_moment_cubed_dense_oracle(bandwidth, rng):
         dense = dense_band(a)
         want = np.trace(np.linalg.matrix_power(dense, 3)).real / a.n
         assert trace_moment(a, 3) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("nu,p", [(1e60, 3), (1e100, 2)])
+def test_trace_moment_past_a_double_raises(nu, p, rng):
+    # einsum overflowed to inf without a warning, and inf entered the mean
+    a = gram(generate_channel(wyner(16, 1, 0.5, 0.5, rician(nu, 1.0)), rng))
+    with pytest.raises(FloatingPointError, match=rf"trace\(A\^{p}\) / n = inf is not finite"):
+        trace_moment(a, p)
 
 
 def test_first_moment_ensemble_mean():
