@@ -6,6 +6,9 @@ Hermitian with bandwidth ``max(offsets) - min(offsets)`` and is assembled
 directly in band storage, so matrices with ``N`` up to about ``10^6`` never
 materialize densely.  Shifted LDL pivots come from LAPACK ``dpttrf`` at
 bandwidth 0 and 1, as in the pivot chain, and from ``zpbtrf`` at wider bands.
+A grid of shifts is factored in one call: the shifted matrices, placed back
+to back, form one block-diagonal matrix whose blocks factor exactly as they
+would alone.
 """
 from __future__ import annotations
 
@@ -221,36 +224,53 @@ def gram(channel: BlockBandedChannel) -> BandedHermitian:
     return BandedHermitian(diag, tuple(sub))
 
 
-def ldl_shifted(a: BandedHermitian, rho: float) -> np.ndarray:
+def ldl_shifted(a: BandedHermitian, rho) -> np.ndarray:
     """Diagonal of the unit-triangular LDL factorization of ``I + rho * A``.
 
+    ``rho`` is a number, which gives the ``(n,)`` pivots, or a 1-D grid, which
+    gives one row of pivots per value, shape ``(len(rho), n)``.
     ``sum(log(d))`` is the log-determinant of the shifted matrix.  Runs in
-    O(n * bandwidth^2) time.  Bandwidths 0 and 1 go to LAPACK ``dpttrf`` as
-    the real tridiagonal with off-diagonal ``rho |s_i|`` (a diagonal unitary
-    similarity removes the phases), wider bands to the banded Cholesky
-    ``zpbtrf``, scaled and shifted in place.  A band entry or pivot that is
-    not finite, or a pivot below ``PIVOT_FLOOR`` (analytically they are all
+    O(n * bandwidth^2) time per value of ``rho``.  Bandwidths 0 and 1 go to
+    LAPACK ``dpttrf`` as the real tridiagonal with off-diagonal ``rho |s_i|``
+    (a diagonal unitary similarity removes the phases), wider bands to the
+    banded Cholesky ``zpbtrf``; the shifted matrices of a grid are factored
+    together, up to ``2^18`` rows at a time.  A band entry or pivot that is not
+    finite, or a pivot below ``PIVOT_FLOOR`` (analytically they are all
     >= 1 for PSD ``A`` and ``rho >= 0``), raises :class:`PivotError`.
     A negative or non-finite ``rho`` raises ``ValueError``.
     """
     return 1.0 + _pivot_excess(a, rho)
 
 
-def log_ldl_shifted(a: BandedHermitian, rho: float) -> np.ndarray:
+def log_ldl_shifted(a: BandedHermitian, rho) -> np.ndarray:
     """``log(ldl_shifted(a, rho))`` as ``log1p`` of each pivot's excess over
     one, which keeps the digits that ``1 + rho * a_ii`` rounds away when
     ``rho * A`` is small against ``I`` (the plain log is off by up to ~1e-3
-    relative at ``rho = 1e-6``).  Factors and raises as :func:`ldl_shifted`."""
-    return np.log1p(_pivot_excess(a, rho))
+    relative at ``rho = 1e-6``).  Takes a number or a grid, and factors and
+    raises, as :func:`ldl_shifted`."""
+    excess = _pivot_excess(a, rho)
+    return np.log1p(excess, out=excess)
 
 
-def _pivot_excess(a: BandedHermitian, rho: float) -> np.ndarray:
+# At most this many rows in one stacked factorization: a few MB of band
+# storage, and at N >= 2^18 one shift per factorization.
+_STACK_ORDER = 2**18
+
+
+def _stack_slices(n: int, count: int) -> list[slice]:
+    """Consecutive slices of a grid of ``count`` shifts, each small enough
+    that its shifted matrices of order ``n``, placed back to back, go to one
+    factorization of order at most ``_STACK_ORDER`` (or hold one shift)."""
+    step = max(1, _STACK_ORDER // n)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _pivot_excess(a: BandedHermitian, rho) -> np.ndarray:
     # d_i - 1 = rho * a_ii - sum_j |C_ij|^2 over the off-diagonal entries of
     # row i of the Cholesky factor C: both terms scale with rho * A, not I.
-    # On a tridiagonal, |C_{i,i-1}|^2 = l_{i-1} rho |s_{i-1}| with the LDL
-    # multiplier l = rho |s| / d, which never forms (rho |s|)^2 to overflow.
-    if not (np.isfinite(rho) and rho >= 0):
-        raise ValueError("rho must be finite and nonnegative")
+    grid = np.asarray(rho, dtype=float)
+    if grid.ndim > 1 or not (np.isfinite(grid) & (grid >= 0)).all():
+        raise ValueError("rho must be finite and nonnegative: a number or a 1-D grid")
     # The banded Cholesky is handed the band unchecked.  At bandwidth <= 1 a
     # non-finite entry reaches the pivots instead, and raises there (the check
     # would cost a quarter of a factorization at N = 512).
@@ -258,31 +278,59 @@ def _pivot_excess(a: BandedHermitian, rho: float) -> np.ndarray:
         np.isfinite(arr).all() for arr in (a.diag, *a.sub)
     ):
         raise PivotError("band entries must be finite")
+    rhos = np.atleast_1d(grid)
+    stacked = _tridiagonal_excess if a.bandwidth <= 1 else _banded_excess
+    excess = np.empty((len(rhos), a.n))
     with np.errstate(over="ignore", invalid="ignore"):  # huge rho: PivotError, not a warning
-        excess = rho * a.diag
-        if a.bandwidth <= 1:
-            off = np.abs(a.sub[0]) if a.sub else np.zeros(a.n - 1)
-            off *= rho
-            _, multipliers = _tridiagonal_pivots(excess + 1.0, off.copy())  # dpttrf overwrites e
-            excess[1:] -= np.multiply(multipliers, off, out=off)
-        else:
-            ab = a.lower_band()
-            ab *= rho
-            ab[0] += 1.0
-            try:
-                factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-            except LinAlgError as exc:
-                raise PivotError(f"shifted matrix lost positive definiteness: {exc}") from exc
-            for j in range(1, a.bandwidth + 1):
-                # lower band storage: factor[j, k] = C[k + j, k]
-                excess[j:] -= np.abs(factor[j, : a.n - j]) ** 2
+        for rows in _stack_slices(a.n, len(rhos)):
+            stacked(a, rhos[rows], excess[rows])
     bad = ~np.isfinite(excess) | (excess < PIVOT_FLOOR - 1.0)
     if bad.any():
         raise PivotError(
             f"{bad.sum()} pivots non-finite or below {PIVOT_FLOOR:g} "
             f"(first {1.0 + excess[bad][0]:g})"
         )
-    return excess
+    return excess if grid.ndim else excess[0]
+
+
+# Both stacked factorizations take I + rho_j A for each rho_j of ``rhos`` as
+# one block-diagonal matrix of order len(rhos) * n, whose zero coupling
+# between blocks leaves each block's arithmetic as in a factorization alone.
+# They write the pivot excesses into the C-ordered (len(rhos), n) ``excess``.
+
+def _tridiagonal_excess(a: BandedHermitian, rhos: np.ndarray, excess: np.ndarray) -> None:
+    # |C_{i,i-1}|^2 = l_{i-1} rho |s_{i-1}| with the LDL multiplier
+    # l = rho |s| / d, which never forms (rho |s|)^2 to overflow
+    np.multiply.outer(rhos, a.diag, out=excess)
+    off = np.zeros_like(excess)  # its last column is the coupling to the next block
+    if a.sub:
+        np.multiply.outer(rhos, np.abs(a.sub[0]), out=off[:, :-1])
+    off = off.reshape(-1)[:-1]
+    _, multipliers = _tridiagonal_pivots((excess + 1.0).reshape(-1), off.copy())  # dpttrf overwrites e
+    # at a block boundary l = 0 / d and e = 0: subtracting their product is exact
+    excess.reshape(-1)[1:] -= np.multiply(multipliers, off, out=off)
+
+
+def _banded_excess(a: BandedHermitian, rhos: np.ndarray, excess: np.ndarray) -> None:
+    m, n, b = len(rhos), a.n, a.bandwidth
+    np.multiply.outer(rhos, a.diag, out=excess)
+    # lower band storage of the stack, built transposed so that its
+    # transpose is the Fortran-ordered (b + 1, m n) array LAPACK reads; the
+    # zeros past each sub-diagonal's end are the coupling between blocks
+    ab = np.zeros((m, n, b + 1), dtype=complex)
+    ab[:, :, 0] = excess
+    for k, arr in enumerate(a.sub, start=1):
+        np.multiply.outer(rhos, arr, out=ab[:, : n - k, k])
+    ab = ab.reshape(m * n, b + 1).T
+    ab[0] += 1.0
+    try:
+        factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise PivotError(f"shifted matrix lost positive definiteness: {exc}") from exc
+    flat = excess.reshape(-1)
+    for j in range(1, b + 1):
+        # lower band storage: factor[j, k] = C[k + j, k], zero across a block boundary
+        flat[j:] -= np.abs(factor[j, : m * n - j]) ** 2
 
 
 def _tridiagonal_pivots(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,6 +31,10 @@ _EULER_GAMMA = float(np.euler_gamma)
 
 _KINDS = ("deterministic", "rayleigh", "uniform-phase", "rician")
 
+# |nu|^2 / s2 past which odd Rician moments take the large-ratio series: its
+# first dropped term, O(ratio^-2), is below a double's rounding there
+_RICE_SERIES_RATIO = 1e17
+
 
 class MomentUnavailableError(ValueError):
     """No closed form is implemented for the requested amplitude moment."""
@@ -115,15 +119,23 @@ class FadingSpec:
                 if not math.isfinite(val):
                     raise MomentUnavailableError(f"moment order {order} of {self.tag} overflows")
                 return val
-            if self.s2 == 0:
-                return float(abs(self.nu) ** order)
-            # Rice amplitude moments via the confluent hypergeometric function.
-            ratio = abs(self.nu) ** 2 / self.s2
-            val = (
-                self.s2 ** (order / 2)
-                * _gamma_fn(order / 2 + 1)
-                * hyp1f1(-order / 2, 1.0, -ratio)
-            )
+            # Rice amplitude moments via the confluent hypergeometric function,
+            # s2^(p/2) Gamma(p/2 + 1) 1F1(-p/2, 1, -ratio); past
+            # _RICE_SERIES_RATIO (and at s2 = 0) its large-ratio series
+            # |nu|^p (1 + p^2 / (4 ratio) + O(ratio^-2)), which 1F1 of an
+            # overflowed ratio is not
+            ratio = abs(self.nu) ** 2 / self.s2 if self.s2 > 0 else math.inf
+            if ratio > _RICE_SERIES_RATIO:
+                try:
+                    val = abs(self.nu) ** order * (1.0 + order * order / (4.0 * ratio))
+                except OverflowError:  # Python float ** raises where * gives inf
+                    val = math.inf
+            else:
+                val = (
+                    self.s2 ** (order / 2)
+                    * _gamma_fn(order / 2 + 1)
+                    * hyp1f1(-order / 2, 1.0, -ratio)
+                )
             if not np.isfinite(val):
                 raise MomentUnavailableError(
                     f"moment order {order} unavailable for {self.tag}"

@@ -15,8 +15,9 @@ one call of the replicate map and returns its results and tables, each a
 knows the job count, the output directory and the metadata lines, and it
 writes the tables after the runner returns, so a failed run writes no file.
 
-Shannon transforms come from shifted LDL pivots in O(N b^2); the O(N^2)
-band eigensolve runs only where the eigenvalue list is itself the output
+Shannon transforms come from shifted LDL pivots in O(N b^2) per power, all
+powers of a replicate from one stacked factorization; the O(N^2) band
+eigensolve runs only where the eigenvalue list is itself the output
 (``spectrum.csv``, ``ecdf.csv``) or is compared whole (``mp_compare``).
 
 Every replicate of a run goes through one pool of ``min(jobs, replicates in
@@ -46,6 +47,7 @@ from .band_matrix import (
     ChannelParams,
     DiagonalSpec,
     PivotError,
+    _stack_slices,
     generate_channel,
     gram,
     log_ldl_shifted,
@@ -383,9 +385,18 @@ def _gram_worker(params: ChannelParams, stat):
 
 def _shannon(params: ChannelParams, powers):
     """Replicate statistic: the Shannon transform at per-user SNR ``P / K`` for
-    each total power P, as the mean log of the shifted LDL pivots (O(N b^2))."""
-    rhos = [p / params.users_per_cell for p in powers]
-    return lambda a: np.array([log_ldl_shifted(a, r).mean() for r in rhos])
+    each total power P, as the mean log of the shifted LDL pivots (O(N b^2)
+    per power), all powers from one stacked factorization.  At large N the
+    grid goes in slices, so the pivots held at once do not grow with it."""
+    rhos = np.divide(powers, params.users_per_cell, dtype=float)
+
+    def transforms(a):
+        out = np.empty(len(rhos))
+        for rows in _stack_slices(a.n, len(rhos)):
+            out[rows] = log_ldl_shifted(a, rhos[rows]).mean(axis=1)
+        return out
+
+    return transforms
 
 
 def _mean_se(rows: list[np.ndarray]):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cholesky_banded
 
+from bandspec import band_matrix
 from bandspec import (
     BandedHermitian,
     ChannelParams,
@@ -313,6 +314,75 @@ def test_tridiagonal_route_matches_cholesky_oracle(bandwidth, off, n, rng):
         assert np.max(np.abs(ldl_shifted(a, rho) - (1.0 + want)) / (1.0 + want)) <= 1e-11
         assert log_ldl_shifted(a, rho).mean() == pytest.approx(
             np.log1p(want).mean(), rel=1e-13, abs=0.0)
+
+
+GRID = (0.0, 1e-6, 1e-3, 1.0, 10.0, 1e4, 1e8)
+
+
+def offset_channel(n, k, bandwidth, fading):
+    # offsets 0..bandwidth: a Gram bandwidth of exactly ``bandwidth``
+    gains = (1.0, 0.7, 0.4, 0.3)
+    return ChannelParams(n, k, tuple(
+        DiagonalSpec(o, gains[o], fading) for o in range(bandwidth + 1)))
+
+
+@pytest.mark.parametrize("fading", [RAYLEIGH, rician(0.6 + 0.3j, 0.5)])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("bandwidth", [0, 1, 2, 3])
+def test_grid_rows_equal_scalar_calls_bit_for_bit(bandwidth, k, fading, rng):
+    a = gram(generate_channel(offset_channel(97, k, bandwidth, fading), rng))
+    assert a.bandwidth == bandwidth
+    pivots, logs = ldl_shifted(a, GRID), log_ldl_shifted(a, np.array(GRID))
+    assert pivots.shape == logs.shape == (len(GRID), a.n)
+    for i, rho in enumerate(GRID):
+        assert np.array_equal(pivots[i], ldl_shifted(a, rho))
+        assert np.array_equal(logs[i], log_ldl_shifted(a, rho))
+        if bandwidth >= 2:
+            # and the stack equals the banded Cholesky of one shift alone
+            assert np.array_equal(pivots[i], 1.0 + cholesky_excess(a, rho))
+
+
+@pytest.mark.parametrize("bandwidth", [0, 1, 2, 3])
+def test_grid_spanning_several_stacks_keeps_the_bits(bandwidth, rng, monkeypatch):
+    a = gram(generate_channel(offset_channel(64, 2, bandwidth, RAYLEIGH), rng))
+    whole = log_ldl_shifted(a, GRID)
+    # three shifts per factorization, then one (below the order of one shift)
+    for order in (3 * 64 + 5, 1):
+        monkeypatch.setattr(band_matrix, "_STACK_ORDER", order)
+        assert len(band_matrix._stack_slices(a.n, len(GRID))) > 2
+        assert np.array_equal(log_ldl_shifted(a, GRID), whole)
+
+
+@pytest.mark.parametrize("bandwidth", [0, 1, 2])
+def test_grid_with_an_overflowing_rho_raises_pivot_error(bandwidth, rng):
+    # the channels of the huge-rho test above, whose factorization at
+    # 1.7e308 overflows: one such rho fails the grid, with no RuntimeWarning
+    alpha, beta = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5)][bandwidth]
+    a = gram(generate_channel(wyner(64, 1, alpha, beta, RAYLEIGH), rng))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for huge in (1e300, 1.7e308):
+            try:
+                log_ldl_shifted(a, huge)
+            except PivotError:
+                with pytest.raises(PivotError):
+                    log_ldl_shifted(a, [1.0, huge, 10.0])
+            else:
+                assert np.array_equal(log_ldl_shifted(a, [1.0, huge, 10.0])[1],
+                                      log_ldl_shifted(a, huge))
+        with pytest.raises(PivotError):
+            log_ldl_shifted(a, [1.0, 1.7e308, 10.0])
+
+
+def test_scalar_rho_gives_one_row_and_bad_grids_are_rejected(rng):
+    a = random_banded(16, 2, rng)
+    psd = BandedHermitian(a.diag + 20.0, a.sub)
+    assert ldl_shifted(psd, 1.0).shape == log_ldl_shifted(psd, np.float64(1.0)).shape == (16,)
+    assert ldl_shifted(psd, [1.0]).shape == (1, 16)
+    assert ldl_shifted(psd, []).shape == (0, 16)
+    for bad in ([1.0, -1.0], [1.0, np.nan], [[1.0]]):
+        with pytest.raises(ValueError):
+            ldl_shifted(psd, bad)
 
 
 def test_channel_params_validation():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,34 @@ def test_even_moment_past_a_double_is_unavailable(nu, order):
     assert spec.amplitude_moment(2) == 1.0 + nu**2
     with pytest.raises(MomentUnavailableError, match=f"moment order {order} .* overflows"):
         spec.amplitude_moment(order)
+
+
+def rice_moment_mpmath(nu, s2, order):
+    """s2^(p/2) Gamma(p/2 + 1) 1F1(-p/2, 1, -|nu|^2 / s2) at 60 digits."""
+    with mp.workdps(60):
+        s2, half = mp.mpf(s2), mp.mpf(order) / 2
+        return float(s2**half * mp.gamma(half + 1) * mp.hyp1f1(-half, 1, -mp.mpf(abs(nu)) ** 2 / s2))
+
+
+@pytest.mark.parametrize("ratio", [1e2, 1e8, 1e16, 0.99e17, 1.01e17, 1e18, 1e30, 1e300])
+@pytest.mark.parametrize("order", [1, 3, 5, 7])
+def test_odd_rician_moments_on_both_sides_of_the_series_switch(ratio, order):
+    # fading._RICE_SERIES_RATIO = 1e17: 1F1 below it, its large-ratio series above
+    nu = 0.6 - 0.8j
+    want = rice_moment_mpmath(nu, 1.0 / ratio, order)
+    assert rician(nu, 1.0 / ratio).amplitude_moment(order) == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
+def test_odd_rician_moment_of_an_overflowed_ratio():
+    # |nu|^2 / s2 = 1e500 is past a double: 1F1 of it was not finite
+    spec = rician(1e100, 1e-300)
+    assert spec.amplitude_moment(3) == pytest.approx(rice_moment_mpmath(1e100, 1e-300, 3), rel=1e-15)
+    assert rician(2.0, 0.0).amplitude_moment(3) == 8.0
+    # past a double (about 1e500 and 1e360) is unavailable; at s2 = 0 it was
+    # a bare OverflowError from |nu|^p
+    for big, order in ((spec, 5), (rician(1e120, 0.0), 3)):
+        with pytest.raises(MomentUnavailableError):
+            big.amplitude_moment(order)
 
 
 @given(

@@ -765,12 +765,34 @@ class TestRunExperiment:
 
         def counted(ab, **kwargs):
             bandwidths.append(ab.shape[0] - 1)
+            assert ab.shape[1] == 2 * 32  # both powers' shifted matrices, stacked
             return cholesky_banded(ab, **kwargs)
 
         monkeypatch.setattr(band_matrix, "cholesky_banded", counted)
         run_experiment(ExperimentConfig.from_dict(capacity_p_config(
             tmp_path, p_grid=[0.1, 10.0], channel=channel)))
-        assert bandwidths == [2] * 6
+        # one factorization per replicate
+        assert bandwidths == [2] * 3
+
+    def test_power_grid_past_one_stack_goes_in_slices(self, tmp_path, monkeypatch):
+        # at large N the grid is factored a slice at a time, so the pivots
+        # held at once stay bounded; the bytes are those of one stack
+        powers = [0.1, 1.0, 10.0, 100.0, 1e3]
+        data = capacity_p_config(tmp_path, p_grid=powers, channel={
+            "n_cells": 32, "alpha": 0.5, "fading": "rician:nu=0.6+0.2j,s2=0.5"})
+        (whole,) = run_experiment(ExperimentConfig.from_dict(data)).files
+        expected = whole.read_bytes()
+        grids = []
+
+        def recorded(a, rho):
+            grids.append(len(rho))
+            return log_ldl_shifted(a, rho)
+
+        monkeypatch.setattr(harness, "log_ldl_shifted", recorded)
+        monkeypatch.setattr(band_matrix, "_STACK_ORDER", 2 * 32)
+        (sliced,) = run_experiment(ExperimentConfig.from_dict(data)).files
+        assert sliced.read_bytes() == expected
+        assert grids == [2, 2, 1] * 3
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_factorization_drops_its_replicate(
@@ -812,8 +834,9 @@ class TestRunExperiment:
         estimates = [float(row.split(",")[1]) for row in rows]
         assert estimates == pytest.approx(np.mean(survivors, axis=0), rel=1e-14)
         if jobs == 1:
-            # the failed replicate stops at its first factorization
-            assert len(calls) == 4 * len(powers) - (len(powers) - 1)
+            # one stacked factorization per replicate, of the whole power grid
+            assert len(calls) == 4
+            assert all(np.array_equal(rhos, powers) for rhos in calls)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_all_replicates_failing_raises(self, tmp_path, monkeypatch, two_cpus, jobs):
