@@ -11,6 +11,8 @@ give a float for a scalar ``x`` and an array of ``x``'s shape for an array.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import exp1
 
@@ -245,17 +247,27 @@ def _mp_edges(k: int, sigma2: float):
     return y, a, b
 
 
+def _mp_rescaled(x, sigma2: float):
+    """``x`` and ``sigma2`` divided by the power of two ``2^e <= sigma2 <
+    2^(e+1)``, and ``e``.  The division is exact, so the formulas below give
+    at the rescaled law what they give at the law itself, but their products
+    of two points, of order ``sigma2^2``, cannot overflow."""
+    e = math.frexp(sigma2)[1] - 1
+    return np.ldexp(np.atleast_1d(np.asarray(x, dtype=float)), -e), math.ldexp(sigma2, -e), e
+
+
 def marchenko_pastur_pdf(x, k: int, sigma2: float = 1.0):
     """Marchenko-Pastur density with ratio 1/k and scale sigma2 (mean
     sigma2, support ``sigma2 [(1 - k^-1/2)^2, (1 + k^-1/2)^2]``)."""
     if k < 1 or sigma2 <= 0:
         raise ValueError("k must be >= 1 and sigma2 > 0")
+    xs, sigma2, e = _mp_rescaled(x, sigma2)
     y, a, b = _mp_edges(k, sigma2)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(xs)
     inside = (xs > a) & (xs < b)
     xv = xs[inside]
-    out[inside] = np.sqrt((b - xv) * (xv - a)) / (2 * np.pi * sigma2 * y * xv)
+    # the density of the law scaled by 2^-e is 2^e times the law's
+    out[inside] = np.ldexp(np.sqrt((b - xv) * (xv - a)) / (2 * np.pi * sigma2 * y * xv), -e)
     return _shaped(out, x)
 
 
@@ -273,8 +285,8 @@ def marchenko_pastur_cdf(x, k: int, sigma2: float = 1.0):
     """
     if k < 1 or sigma2 <= 0:
         raise ValueError("k must be >= 1 and sigma2 > 0")
+    xs, sigma2, _ = _mp_rescaled(x, sigma2)
     y, a, b = _mp_edges(k, sigma2)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = (xs >= b).astype(float)
     inside = (xs > a) & (xs < b)
     lo = xs[inside] - a

@@ -18,10 +18,17 @@ __all__ = ["eigenvalues"]
 
 
 def eigenvalues(a: BandedHermitian) -> EmpiricalSpectrum:
-    """Full spectrum of a Hermitian band matrix as an EmpiricalSpectrum."""
+    """Full spectrum of a Hermitian band matrix as an EmpiricalSpectrum.
+
+    Raises ``np.linalg.LinAlgError`` when the solve returns a non-finite
+    eigenvalue, as it does once a finite band's rotations overflow.
+    """
     ab = a.lower_band()
     # the complex band reduction mis-rotates subnormal entries (eigenvalues off
     # by up to 1e-2 at unit scale); zeroing them moves each eigenvalue by at
     # most (2b + 1) * 2.2e-308
     ab[np.abs(ab) < np.finfo(float).tiny] = 0.0
-    return EmpiricalSpectrum(eigvals_banded(ab, lower=True, check_finite=False))
+    eigs = eigvals_banded(ab, lower=True, check_finite=False)
+    if not np.isfinite(eigs).all():
+        raise np.linalg.LinAlgError("band eigensolve returned a non-finite eigenvalue")
+    return EmpiricalSpectrum(eigs)

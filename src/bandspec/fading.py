@@ -1,10 +1,14 @@
 """Fading coefficient laws with exact amplitude-moment metadata.
 
 Every analytic baseline in :mod:`bandspec.closed_forms` is a function of a
-few amplitude power moments ``m_i = E|h|^i`` and the log-amplitude mean
+few even amplitude power moments ``E|h|^2m`` and the log-amplitude mean
 ``E log2|h|`` of an individual fading coefficient.  These are therefore
 carried as exact closed forms alongside the sampler, never estimated from
-draws.
+draws.  Both read the amplitude law only, and every law here has the
+amplitude of a Rician law ``nu + CN(0, s2)``: Rayleigh is ``(|nu|, s2) =
+(0, 1)``, and ``|h| = 1`` (deterministic, uniform phase) is ``(1, 0)``; so
+one Rician formula of ``(|nu|, s2)`` gives each (Lapidoth & Moser, IEEE
+Trans. IT 2003).
 
 All laws are normalized to a known second amplitude moment; for the complex
 Gaussian ("rayleigh") law that normalization is ``E|h|^2 = 1``.
@@ -15,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gamma as _gamma_fn, hyp1f1
+from scipy.special import exp1
 
 __all__ = [
     "FadingSpec",
@@ -30,10 +34,6 @@ __all__ = [
 _EULER_GAMMA = float(np.euler_gamma)
 
 _KINDS = ("deterministic", "rayleigh", "uniform-phase", "rician")
-
-# |nu|^2 / s2 past which odd Rician moments take the large-ratio series: its
-# first dropped term, O(ratio^-2), is below a double's rounding there
-_RICE_SERIES_RATIO = 1e17
 
 
 class MomentUnavailableError(ValueError):
@@ -63,6 +63,9 @@ class FadingSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown fading kind {self.kind!r}")
+        if self.kind != "rician" and (self.nu != 0 or self.s2 != 0):
+            # ignored by sample and the moments, they would still split its equality
+            raise ValueError(f"{self.kind} takes no nu or s2")
         if self.kind == "rician":
             if not (np.isfinite(self.nu) and 0 <= self.s2 < np.inf):
                 raise ValueError("rician needs a finite nu and a finite s2 >= 0")
@@ -93,55 +96,27 @@ class FadingSpec:
     # -- exact moment metadata ----------------------------------------------
 
     def amplitude_moment(self, order: int) -> float:
-        """Exact amplitude power moment ``E|h|^order`` (no sampling).
+        """Exact even amplitude power moment ``E|h|^order`` (no sampling).
 
-        Raises :class:`MomentUnavailableError` when no closed form is known
-        for the (kind, order) pair, or when an even moment overflows a double.
+        Raises :class:`MomentUnavailableError` for an odd order, which no
+        baseline reads, and when the moment overflows a double.
         """
         if order < 1 or order != int(order):
             raise ValueError("moment order must be a positive integer")
-        order = int(order)
-        if self.kind in ("deterministic", "uniform-phase"):
-            return 1.0
-        if self.kind == "rayleigh":
-            # |h|^2 is unit-mean exponential: E|h|^i = Gamma(i/2 + 1).
-            return float(_gamma_fn(order / 2 + 1))
-        if self.kind == "rician":
-            if order % 2 == 0:
-                # E|h|^2m = sum_k C(m, k) m!/k! s2^(m-k) |nu|^2k: exact, also at
-                # s2 = 0, where 1F1 below overflows once s2 is tiny next to |nu|^2
-                m = order // 2
-                try:
-                    val = float(sum(math.comb(m, k) * math.perm(m, m - k) * self.s2 ** (m - k)
-                                    * abs(self.nu) ** (2 * k) for k in range(m + 1)))
-                except OverflowError:  # Python float ** raises where * gives inf
-                    val = math.inf
-                if not math.isfinite(val):
-                    raise MomentUnavailableError(f"moment order {order} of {self.tag} overflows")
-                return val
-            # Rice amplitude moments via the confluent hypergeometric function,
-            # s2^(p/2) Gamma(p/2 + 1) 1F1(-p/2, 1, -ratio); past
-            # _RICE_SERIES_RATIO (and at s2 = 0) its large-ratio series
-            # |nu|^p (1 + p^2 / (4 ratio) + O(ratio^-2)), which 1F1 of an
-            # overflowed ratio is not
-            ratio = abs(self.nu) ** 2 / self.s2 if self.s2 > 0 else math.inf
-            if ratio > _RICE_SERIES_RATIO:
-                try:
-                    val = abs(self.nu) ** order * (1.0 + order * order / (4.0 * ratio))
-                except OverflowError:  # Python float ** raises where * gives inf
-                    val = math.inf
-            else:
-                val = (
-                    self.s2 ** (order / 2)
-                    * _gamma_fn(order / 2 + 1)
-                    * hyp1f1(-order / 2, 1.0, -ratio)
-                )
-            if not np.isfinite(val):
-                raise MomentUnavailableError(
-                    f"moment order {order} unavailable for {self.tag}"
-                )
-            return float(val)
-        raise MomentUnavailableError(f"moment order {order} unavailable for {self.kind}")
+        if order % 2:
+            raise MomentUnavailableError(
+                f"odd moment order {order} of {self.tag}: only even orders are implemented")
+        # E|h|^2m = sum_k C(m, k) m!/k! s2^(m-k) |nu|^2k: exact, also at s2 = 0
+        m = int(order) // 2
+        nu, s2 = self._rice
+        try:
+            val = float(sum(math.comb(m, k) * math.perm(m, m - k) * s2 ** (m - k) * nu ** (2 * k)
+                            for k in range(m + 1)))
+        except OverflowError:  # Python float ** raises where * gives inf
+            val = math.inf
+        if not math.isfinite(val):
+            raise MomentUnavailableError(f"moment order {order} of {self.tag} overflows")
+        return val
 
     def log2_amplitude_mean(self) -> float:
         """``E[log2 |h|]`` in closed form, for every law.
@@ -151,18 +126,21 @@ class FadingSpec:
         (Lapidoth & Moser, IEEE Trans. IT 2003); ``ln lam + E1(lam)`` tends
         to ``-euler_gamma`` as ``nu -> 0``, and ``s2 = 0`` is the atom ``nu``.
         """
-        if self.kind in ("deterministic", "uniform-phase"):
-            return 0.0
-        if self.kind == "rayleigh":
-            # E[ln |h|^2] = -euler_gamma for a unit-mean exponential power.
-            return -_EULER_GAMMA / (2.0 * np.log(2.0))
-        lam = abs(self.nu) ** 2 / self.s2 if self.s2 > 0 else np.inf
+        nu, s2 = self._rice
+        lam = nu ** 2 / s2 if s2 > 0 else np.inf
         if lam == np.inf:
             # s2 = 0 is the atom nu; an s2 so small that lam overflows leaves
             # E1(lam) = 0: both give log2|nu|
-            return float(np.log2(abs(self.nu)))
+            return float(np.log2(nu))
         tail = np.log(lam) + exp1(lam) if lam > 0 else -_EULER_GAMMA
-        return float((np.log(self.s2) + tail) / (2.0 * np.log(2.0)))
+        return float((np.log(s2) + tail) / (2.0 * np.log(2.0)))
+
+    @property
+    def _rice(self) -> tuple[float, float]:
+        """``(|nu|, s2)`` of the Rician law with this law's amplitude."""
+        if self.kind == "rician":
+            return abs(self.nu), self.s2
+        return (0.0, 1.0) if self.kind == "rayleigh" else (1.0, 0.0)
 
     # -- config-tag serialization -------------------------------------------
 

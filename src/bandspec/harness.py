@@ -526,18 +526,18 @@ def _run_extreme_snr(config, replicate):
 def _mp_channel(base: ChannelParams, alpha: float) -> ChannelParams:
     """Symmetric three-diagonal channel with neighbor gain ``alpha`` and the
     order, block width, power and offset-0 fading law of ``base``."""
-    center = _diagonal_gain_spec(base, 0)[1]
+    center = {d.offset: d for d in base.diagonals}.get(0)
     if center is None:
         raise ValueError("mp_compare needs a channel with an offset-0 diagonal")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha {alpha} outside [0, 1]")
-    return wyner(base.n_cells, base.users_per_cell, alpha, alpha, center, base.power)
+    return wyner(base.n_cells, base.users_per_cell, alpha, alpha, center.fading, base.power)
 
 
 def _run_mp_compare(config, replicate):
     base = config.channel
     k = base.users_per_cell
-    m2 = _diagonal_gain_spec(base, 0)[1].amplitude_moment(2)
+    m2 = {d.offset: d for d in base.diagonals}[0].fading.amplitude_moment(2)
     rows, results = [], []
     workers = [_gram_worker(_mp_channel(base, alpha), lambda a: eigenvalues(a).eigenvalues)
                for alpha in config.alphas]
@@ -641,48 +641,37 @@ def fit_high_snr_offset_extrapolated(p_points, capacities_nats):
 # closed-form reference plumbing
 # ---------------------------------------------------------------------------
 
-def _diagonal_gain_spec(params: ChannelParams, offset: int):
-    for d in params.diagonals:
-        if d.offset == offset:
-            return d.gain, d.fading
-    return 0.0, None
-
-
-def _wyner_shape(params: ChannelParams):
-    """(alpha, beta) when the channel is the three-diagonal uplink, else None."""
-    if not set(params.offsets) <= {-1, 0, 1}:
-        return None
-    g0, _ = _diagonal_gain_spec(params, 0)
-    if g0 != 1.0:
-        return None
-    alpha, _ = _diagonal_gain_spec(params, -1)
-    beta, _ = _diagonal_gain_spec(params, +1)
-    return alpha, beta
+def _symmetric_uplink(params: ChannelParams):
+    """``(alpha, law)`` when the channel is the symmetric three-diagonal uplink:
+    gains alpha, 1, alpha (a missing neighbor counts as gain 0) and one fading
+    law on every diagonal; else None."""
+    gains = {d.offset: d.gain for d in params.diagonals}
+    laws = {d.fading for d in params.diagonals}
+    alpha = gains.get(-1, 0.0)
+    if (set(gains) <= {-1, 0, 1} and gains.get(0) == 1.0 and gains.get(1, 0.0) == alpha
+            and len(laws) == 1):
+        return alpha, laws.pop()
+    return None
 
 
 def _capacity_reference(params: ChannelParams, powers) -> list[float]:
     """Non-fading Toeplitz-limit capacity at each total power; nan where that
     closed form does not apply."""
-    shape = _wyner_shape(params)
-    if (shape is None or shape[0] != shape[1]
-            or any(d.fading.kind != "deterministic" for d in params.diagonals)):
+    uplink = _symmetric_uplink(params)
+    if uplink is None or uplink[1].kind != "deterministic":
         return [float("nan")] * len(powers)
-    return [closed_forms.wyner_capacity_nonfading(p, shape[0]) for p in powers]
+    return [closed_forms.wyner_capacity_nonfading(p, uplink[0]) for p in powers]
 
 
 def _moment_reference(params: ChannelParams):
-    shape = _wyner_shape(params)
-    if shape is None or shape[0] != shape[1] or params.users_per_cell != 1:
+    uplink = _symmetric_uplink(params)
+    if uplink is None or params.users_per_cell != 1:
         return None
-    specs = {d.fading for d in params.diagonals}
-    if len(specs) != 1:
-        return None
-    spec = specs.pop()
-    alpha = shape[0]
-    if alpha > 0 and spec.kind not in ("rayleigh", "uniform-phase"):
+    alpha, law = uplink
+    if alpha > 0 and law.kind not in ("rayleigh", "uniform-phase"):
         return None
     try:
-        moments = [spec.amplitude_moment(order) for order in (2, 4, 6)]
+        moments = [law.amplitude_moment(order) for order in (2, 4, 6)]
     except MomentUnavailableError:  # an even moment past a double: no reference
         return None
     return closed_forms.limiting_moments(*moments, alpha)
@@ -691,19 +680,17 @@ def _moment_reference(params: ChannelParams):
 def _extreme_snr_reference(params: ChannelParams):
     nan = float("nan")
     eb = s0 = s_inf = l_inf = nan
-    shape = _wyner_shape(params)
-    specs = [d.fading for d in params.diagonals]
-    if shape is not None and shape[0] == shape[1] and len(set(specs)) == 1:
+    uplink = _symmetric_uplink(params)
+    if uplink is not None:
+        alpha, law = uplink
         try:
-            m2, m4 = specs[0].amplitude_moment(2), specs[0].amplitude_moment(4)
-            eb, s0 = closed_forms.low_snr_params(params.users_per_cell, shape[0], m2, m4)
+            m2, m4 = law.amplitude_moment(2), law.amplitude_moment(4)
+            eb, s0 = closed_forms.low_snr_params(params.users_per_cell, alpha, m2, m4)
         except MomentUnavailableError:  # an even moment past a double: nan references
             pass
-    offs = set(params.offsets)
-    if params.users_per_cell == 1 and offs in ({-1, 0}, {0, 1}):
-        side = -1 if -1 in offs else 1
-        g_side, spec_side = _diagonal_gain_spec(params, side)
-        g0, spec0 = _diagonal_gain_spec(params, 0)
-        if g_side == 1.0 and g0 == 1.0:
-            s_inf, l_inf = closed_forms.high_snr_params(spec0, spec_side)
+    diagonal = {d.offset: d for d in params.diagonals}
+    if (params.users_per_cell == 1 and set(diagonal) in ({-1, 0}, {0, 1})
+            and all(d.gain == 1.0 for d in diagonal.values())):
+        side = diagonal.get(-1) or diagonal[1]
+        s_inf, l_inf = closed_forms.high_snr_params(diagonal[0].fading, side.fading)
     return eb, s0, s_inf, l_inf

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -324,6 +325,29 @@ class TestMarchenkoPastur:
                     lambda t: marchenko_pastur_pdf(float(t), k, sigma2), [a, x]
                 ))
                 assert marchenko_pastur_cdf(x, k, sigma2) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("sigma2", [2.0**-60, 0.5, 8.0, 2.0**900])
+    def test_power_of_two_scale_is_exact(self, k, sigma2):
+        # the law at scale sigma2 is the unit law at x / sigma2, exactly when
+        # sigma2 is a power of two
+        xs = np.linspace(-0.5, 6.0, 301)
+        assert np.array_equal(marchenko_pastur_cdf(sigma2 * xs, k, sigma2),
+                              marchenko_pastur_cdf(xs, k, 1.0))
+        assert np.array_equal(marchenko_pastur_pdf(sigma2 * xs, k, sigma2),
+                              marchenko_pastur_pdf(xs, k, 1.0) / sigma2)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_huge_scale_is_finite(self, k):
+        # (b - x)(x - a) and a (b - x) are of order sigma2^2: at 1e300 they
+        # overflowed, with a RuntimeWarning, into a nan CDF
+        xs = np.linspace(0.01, 6.0, 301)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf = marchenko_pastur_cdf(1e300 * xs, k, 1e300)
+            pdf = marchenko_pastur_pdf(1e300 * xs, k, 1e300)
+        np.testing.assert_allclose(cdf, marchenko_pastur_cdf(xs, k, 1.0), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(1e300 * pdf, marchenko_pastur_pdf(xs, k, 1.0), rtol=1e-13)
 
     def test_cdf_monotone_in_bounds(self):
         # plus the first 2000 floats inside each edge, where rounding could

@@ -43,6 +43,15 @@ def test_subnormal_entries_do_not_derail_the_band_reduction():
     assert np.allclose(eigenvalues(a).eigenvalues, dense_eigenvalues(a), rtol=0, atol=1e-14)
 
 
+def test_non_finite_eigenvalue_raises():
+    # finite entries whose eigenvalue 2e308 overflows: the solve returns inf,
+    # which the histogram of a spectrum run could not bin
+    big = np.full(3, 1e308)
+    a = BandedHermitian(big, (big[:2].astype(complex),))
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite eigenvalue"):
+        eigenvalues(a)
+
+
 def test_tridiag_toeplitz_closed_form():
     n, alpha = 512, 0.37
     t = BandedHermitian(np.ones(n), (np.full(n - 1, alpha, dtype=complex),))

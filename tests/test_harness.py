@@ -5,6 +5,7 @@ import json
 import logging
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,62 @@ INVALID_COMMANDS = [
     ("spectrum", {"replications": 2.7}, "bad replications: 2.7 is not an integer"),
     *INVALID_CONFIGS,
 ]
+
+
+def three_diagonal(alpha, law, beta=None, k=1):
+    beta = alpha if beta is None else beta
+    return {"n_cells": 8, "users_per_cell": k, "alpha": alpha, "beta": beta, "fading": law}
+
+
+def taps(*taps, k=1):
+    """Explicit diagonals, each an ``(offset, gain, law)`` triple."""
+    return {"n_cells": 8, "users_per_cell": k, "diagonals": [
+        {"offset": o, "gain": g, "fading": law} for o, g, law in taps]}
+
+
+RICIAN = "rician:nu=0.8,s2=0.36"
+# which reference columns are finite ("T") for each channel shape: capacity_vs_P
+# at one power; moments p = 1, 2, 3; extreme_snr eb_n0_min, s0, s_inf, l_inf and
+# l_inf_extrapolated.  The low-SNR pair, the capacity and the moments need the
+# symmetric uplink (gains alpha, 1, alpha, a missing neighbour at gain 0) with
+# one law on every diagonal; the high-SNR pair needs K = 1 and two unit taps.
+REFERENCE_SHAPES = {
+    "symmetric-deterministic": (three_diagonal(0.5, "deterministic"), "T", "FFF", "TTFFF"),
+    "symmetric-rayleigh": (three_diagonal(0.5, "rayleigh"), "F", "TTT", "TTFFF"),
+    "symmetric-uniform-phase": (three_diagonal(0.5, "uniform-phase"), "F", "TTT", "TTFFF"),
+    "symmetric-rician": (three_diagonal(0.5, RICIAN), "F", "FFF", "TTFFF"),
+    "asymmetric": (three_diagonal(0.5, "rayleigh", beta=0.3), "F", "FFF", "FFFFF"),
+    "k2-deterministic": (three_diagonal(0.5, "deterministic", k=2), "T", "FFF", "TTFFF"),
+    "k2-rayleigh": (three_diagonal(0.5, "rayleigh", k=2), "F", "FFF", "TTFFF"),
+    "one-diagonal-deterministic": (three_diagonal(0.0, "deterministic"), "T", "TTT", "TTFFF"),
+    "one-diagonal-rician": (three_diagonal(0.0, RICIAN), "F", "TTT", "TTFFF"),
+    "two-tap-right": (taps((0, 1.0, "rayleigh"), (1, 1.0, RICIAN)), "F", "FFF", "FFTTT"),
+    "two-tap-left": (taps((-1, 1.0, "rayleigh"), (0, 1.0, "rayleigh")), "F", "FFF", "FFTTT"),
+    "two-tap-right-0.7": (taps((0, 1.0, "rayleigh"), (1, 0.7, "rayleigh")), "F", "FFF", "FFFFF"),
+    "two-tap-left-0.7": (taps((-1, 0.7, "rayleigh"), (0, 1.0, "rayleigh")), "F", "FFF", "FFFFF"),
+    "two-tap-k2": (taps((0, 1.0, "rayleigh"), (1, 1.0, "rayleigh"), k=2), "F", "FFF", "FFFFF"),
+    "zero-gain-same-law": (taps((-1, 0.0, "deterministic"), (0, 1.0, "deterministic"),
+                                (1, 0.0, "deterministic")), "T", "TTT", "TTFFF"),
+    "zero-gain-second-law": (taps((-1, 0.0, "rayleigh"), (0, 1.0, "deterministic"),
+                                  (1, 0.0, "rayleigh")), "F", "FFF", "FFFFF"),
+    "zero-gain-tap-second-law": (taps((0, 1.0, "deterministic"), (1, 0.0, "rayleigh")),
+                                 "F", "FFF", "FFFFF"),
+    "offsets-minus-2-0": (taps((-2, 1.0, "rayleigh"), (0, 1.0, "rayleigh")), "F", "FFF", "FFFFF"),
+    "offsets-1-2": (taps((1, 1.0, "rayleigh"), (2, 1.0, "rayleigh")), "F", "FFF", "FFFFF"),
+}
+
+
+@pytest.mark.parametrize("shape", REFERENCE_SHAPES)
+def test_finite_reference_columns_by_channel_shape(tmp_path, shape):
+    channel, *want = REFERENCE_SHAPES[shape]
+
+    def finite(kind, **fields):
+        config = ExperimentConfig.from_dict({"kind": kind, "channel": channel, **fields,
+                                             "out_dir": str(tmp_path / kind)})
+        return "".join("TF"[not np.isfinite(r.reference)] for r in run_experiment(config).results)
+
+    assert [finite("capacity_vs_P", p_grid=[1.0]), finite("moments"),
+            finite("extreme_snr")] == want
 
 
 class TestStreams:
@@ -1116,6 +1173,31 @@ class TestCli:
             rows = {line.split(",")[0]: line.split(",")[1:] for line in lines}
             assert [rows[name][1] for name in ("eb_n0_min", "s0")] == ["nan", "nan"]
             assert all(np.isfinite(float(estimate)) for estimate, _ in rows.values())
+
+    def test_non_finite_spectrum_exits_3(self, tmp_path, capsys, caplog):
+        # a finite band (diagonal up to 1.5e308) whose eigensolve returns inf:
+        # the histogram raised ValueError, a traceback and exit 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"kind": "spectrum", "replications": 2,
+                                    "out_dir": str(tmp_path / "out"),
+                                    "channel": {"n_cells": 16, "alpha": 0.5,
+                                                "fading": "rician:nu=1e154,s2=1"}}))
+        with caplog.at_level(logging.WARNING, logger="bandspec.harness"):
+            assert main(["spectrum", str(path)]) == 3
+        assert "numerical failure: 2 of 2 replicates failed" in capsys.readouterr().err
+        assert [record.getMessage().split(": ", 1)[1] for record in caplog.records] == [
+            "LinAlgError('band eigensolve returned a non-finite eigenvalue')"] * 2
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_mp_compare_of_a_huge_scale(self, tmp_path):
+        # E|h|^2 = 1e300 + 1: the Marchenko-Pastur CDF formed terms of order
+        # 1e600 and wrote a nan ks_distance with exit 0
+        data = {**mp_compare_config(tmp_path),
+                "channel": {"n_cells": 32, "fading": "rician:nu=1e150,s2=1"}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            output = run_experiment(ExperimentConfig.from_dict(data))
+        assert all(0 < r.estimate <= 1 for r in output.results)
 
     def test_failing_chain_exits_3(self, tmp_path, capsys, caplog):
         # the second chain's tap powers overflow; it used to end in a traceback
