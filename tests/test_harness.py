@@ -5,6 +5,7 @@ import json
 import logging
 import multiprocessing
 import os
+import types
 import warnings
 
 import numpy as np
@@ -30,6 +31,8 @@ from bandspec import (
     gram,
     log_ldl_shifted,
     run_experiment,
+    trace_moment,
+    wyner,
     wyner_capacity_nonfading,
 )
 from bandspec.cli import main
@@ -988,6 +991,19 @@ class TestReplicateWorkers:
         assert len(set(pids)) >= 2
         assert os.getpid() not in pids
 
+    @pytest.mark.parametrize("failing,message", [
+        ({1}, "2 of 2 replicates failed numerically in group 1"),
+        ({0, 2}, "2 of 2 replicates failed numerically in groups 0, 2"),
+    ])
+    def test_failed_groups_are_named(self, failing, message):
+        def fail(rng):
+            raise PivotError("forced failure")
+
+        workers = [fail if g in failing else (lambda rng: rng.random()) for g in range(3)]
+        with pytest.raises(AllReplicatesFailedError) as raised:
+            harness._replicate_map(0, 1, workers, 2)
+        assert str(raised.value) == message
+
     @needs_fork
     def test_worker_exception_keeps_its_type(self, tmp_path, monkeypatch, two_cpus):
         def broken(a, rho):
@@ -997,6 +1013,95 @@ class TestReplicateWorkers:
         config = ExperimentConfig.from_dict(capacity_p_config(tmp_path))
         with pytest.raises(KeyError, match="not a numerical failure"):
             run_experiment(config, jobs=2)
+
+
+def spy_malloc(calls, mallopt_result=1, keepcost=64 << 20):
+    """A stand-in for glibc's ``(mallopt, malloc_trim, mallinfo2)`` that records
+    each call to the first two, with ``keepcost`` bytes of free heap top."""
+    def mallopt(param, value):
+        calls.append(("mallopt", param, value))
+        return mallopt_result
+
+    def malloc_trim(pad):
+        calls.append(("malloc_trim", pad))
+        return 1
+
+    return lambda: (mallopt, malloc_trim, lambda: types.SimpleNamespace(keepcost=keepcost))
+
+
+glibc_only = pytest.mark.skipif(harness._glibc_malloc() is None, reason="no glibc mallopt, malloc_trim, mallinfo2")
+
+# one run's calls into the allocator, in order
+RUN_MALLOC_CALLS = [("mallopt", -3, 32 << 20), ("mallopt", -1, 64 << 20), ("malloc_trim", 0)]
+
+
+class TestReplicateHeap:
+    @glibc_only
+    def test_later_replicates_fault_no_pages(self):
+        # each replicate frees about 8 MB of channel, Gram and scratch arrays,
+        # which glibc's default thresholds handed back to the kernel, so every
+        # replicate faulted 1888 pages in again
+        import resource
+
+        worker = harness._gram_worker(wyner(65536, 1, 0.5, 0.5, "rayleigh"),
+                                      lambda a: [trace_moment(a, p) for p in (1, 2, 3)])
+        faults = []
+        with harness._replicate_heap():
+            for r in range(5):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                worker(derive_stream(0, r))
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert max(faults[1:]) <= 50, faults
+        # the megabytes the last replicate freed went back on exit
+        assert harness._glibc_malloc()[2]().keepcost <= 128 << 10
+
+    @pytest.mark.parametrize("lookup", ["not found", "mallopt refuses"])
+    def test_same_bytes_without_the_allocator_settings(self, tmp_path, monkeypatch, lookup):
+        def run(out):
+            config = ExperimentConfig.from_dict({**moments_config(tmp_path), "out_dir": str(out)})
+            return {path.name: path.read_bytes() for path in run_experiment(config).files}
+
+        active = run(tmp_path / "active")
+        calls = []
+        monkeypatch.setattr(harness, "_glibc_malloc",
+                            (lambda: None) if lookup == "not found" else spy_malloc(calls, 0))
+        assert run(tmp_path / "inactive") == active
+        # a refused threshold sets nothing else and trims nothing
+        assert calls == ([] if lookup == "not found" else [RUN_MALLOC_CALLS[0]])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("keepcost,trimmed", [(128 << 10, False), ((128 << 10) + 1, True)])
+    def test_one_trim_per_run(self, tmp_path, monkeypatch, two_cpus, jobs, keepcost, trimmed):
+        # a free heap top of at most glibc's default trim threshold is kept
+        calls = []
+        monkeypatch.setattr(harness, "_glibc_malloc", spy_malloc(calls, keepcost=keepcost))
+        run_experiment(ExperimentConfig.from_dict(MULTI_GROUP["capacity_vs_N"](tmp_path)), jobs=jobs)
+        assert calls == RUN_MALLOC_CALLS[:3 if trimmed else 2]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_trim_when_a_group_fails(self, tmp_path, monkeypatch, two_cpus, jobs):
+        def flaky(a, rho):
+            if a.n == 12:
+                raise PivotError("forced failure")
+            return log_ldl_shifted(a, rho)
+
+        calls = []
+        monkeypatch.setattr(harness, "_glibc_malloc", spy_malloc(calls))
+        monkeypatch.setattr(harness, "log_ldl_shifted", flaky)
+        config = ExperimentConfig.from_dict(MULTI_GROUP["capacity_vs_N"](tmp_path))
+        with pytest.raises(AllReplicatesFailedError):
+            run_experiment(config, jobs=jobs)
+        assert calls == RUN_MALLOC_CALLS
+
+    def test_trim_when_a_replicate_raises(self, monkeypatch):
+        def broken(rng):
+            raise KeyError("not a numerical failure")
+
+        calls = []
+        monkeypatch.setattr(harness, "_glibc_malloc", spy_malloc(calls))
+        with pytest.raises(KeyError):
+            harness._replicate_map(0, 1, [broken], 2)
+        assert calls == RUN_MALLOC_CALLS
 
 
 class TestCli:
@@ -1144,7 +1249,7 @@ class TestCli:
         with caplog.at_level(logging.WARNING, logger="bandspec.harness"):
             assert main(["capacity", str(path), "--jobs", str(jobs)]) == 3
         assert capsys.readouterr().err == (
-            "numerical failure: 3 of 3 replicates failed numerically\n")
+            "numerical failure: 3 of 3 replicates failed numerically in group 0\n")
         assert [record.getMessage() for record in caplog.records] == [
             f"dropped replicate {r} (stream key seed=5, index={harness._stream_index(0, r)}): "
             "PivotError('forced failure')" for r in range(3)]
