@@ -1,8 +1,10 @@
-"""Empirical spectral statistics: ECDF, Shannon transform, moments, distances.
+"""Empirical spectral statistics: ECDF, Shannon transform, moments, distances,
+and the channel's expected power profile.
 
 Everything here is a pure function of immutable inputs.  Moments are
 normalized traces of small powers computed in band storage, without any
-eigendecomposition.
+eigendecomposition.  The power profile looks up each diagonal's mass
+``gain^2 * E|h|^2`` by block offset; its gap between N and 2N costs O(N b).
 """
 from __future__ import annotations
 
@@ -104,47 +106,43 @@ def trace_moment(a: BandedHermitian, p: int) -> float:
     return value
 
 
-def power_profile(
-    params: ChannelParams, n_rows: int | None = None, n_cols: int | None = None
-) -> np.ndarray:
-    """Expected squared-magnitude profile of the channel on the unit square.
+def _offset_mass(params: ChannelParams, offset: np.ndarray) -> np.ndarray:
+    """``gain^2 * E|h|^2`` of the diagonal at each block offset, zero off the band."""
+    reach = max(abs(o) for o in params.offsets) + 1
+    mass = np.zeros(2 * reach + 1)
+    for spec in params.diagonals:
+        mass[spec.offset + reach] = spec.gain**2 * spec.fading.amplitude_moment(2)
+    return mass[np.clip(offset, -reach, reach) + reach]
 
-    The profile is the piecewise-constant function that assigns cell
-    ``(i, j)`` of the ``N x N*K`` matrix the exact ensemble value
-    ``gain^2 * E|h|^2`` of whichever diagonal covers it (zero elsewhere);
-    no sampling is involved.  It is returned sampled at the cell centers of
-    an ``n_rows x n_cols`` grid, which is exact whenever the grid refines
-    the matrix cells (n_rows a multiple of N, n_cols a multiple of N*K).
+
+def power_profile(params: ChannelParams) -> np.ndarray:
+    """Expected squared-magnitude profile of the ``N x N*K`` channel matrix.
+
+    Cell ``(i, j)`` holds the exact ensemble value ``gain^2 * E|h|^2`` of the
+    diagonal at block offset ``j // K - i``, zero off the band; no sampling
+    is involved.
     """
     n, k = params.n_cells, params.users_per_cell
-    if n_rows is None:
-        n_rows = n
-    if n_cols is None:
-        n_cols = n * k
-    r = (np.arange(n_rows) + 0.5) / n_rows
-    t = (np.arange(n_cols) + 0.5) / n_cols
-    i = np.minimum((r * n).astype(int), n - 1)
-    j = np.minimum((t * n * k).astype(int), n * k - 1)
-    block = j // k
-    d = block[None, :] - i[:, None]
-    out = np.zeros((n_rows, n_cols))
-    for spec in params.diagonals:
-        mass = spec.gain**2 * spec.fading.amplitude_moment(2)
-        out += np.where(d == spec.offset, mass, 0.0)
-    return out
+    return _offset_mass(params, np.arange(n * k) // k - np.arange(n)[:, None])
 
 
 def power_profile_sup_diff(pa: ChannelParams, pb: ChannelParams) -> float:
-    """Sup-cell difference of two profiles on their common grid refinement.
+    """Exact sup of the absolute difference of two profiles on the unit square.
 
-    Both profiles are evaluated exactly on the finest grid that both matrix
-    cell partitions refine; the result is the exact supremum of the absolute
-    difference of the two piecewise-constant functions.
+    Both are piecewise constant on the grid of ``L = lcm(Na, Nb)`` rows and
+    ``L*K`` columns.  Its cell ``(r, c)`` lies in block row ``r // m`` and
+    block column ``(c // K) // m`` of the profile with ``m = L / N``, so K
+    drops out.  A profile is zero where ``|c // K - r| >= (max|offset| + 1) m``,
+    so only the cells within ``(max|offset| + 1) L / min(Na, Nb)`` columns of
+    the diagonal are evaluated: O(N b) for an N-vs-2N pair, not O(N^2 K).
     """
     if pa.users_per_cell != pb.users_per_cell:
         raise ValueError("profiles must share users_per_cell")
     rows = math.lcm(pa.n_cells, pb.n_cells)
-    cols = rows * pa.users_per_cell
-    grid_a = power_profile(pa, rows, cols)
-    grid_b = power_profile(pb, rows, cols)
-    return float(np.abs(grid_a - grid_b).max())
+    ma, mb = rows // pa.n_cells, rows // pb.n_cells
+    half = (max(abs(o) for o in pa.offsets + pb.offsets) + 1) * max(ma, mb)
+    r = np.arange(rows)[:, None]
+    # a clipped column repeats a cell of the window, which leaves the sup as is
+    c = np.clip(r + np.arange(-half, half + 1), 0, rows - 1)
+    diff = _offset_mass(pa, c // ma - r // ma) - _offset_mass(pb, c // mb - r // mb)
+    return float(np.abs(diff).max())

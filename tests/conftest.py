@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bandspec
-from bandspec import BandedHermitian, BlockBandedChannel
+from bandspec import BandedHermitian, BlockBandedChannel, ChannelParams
 
 
 def pytest_report_header(config):
@@ -39,6 +39,24 @@ def dense_channel(channel: BlockBandedChannel) -> np.ndarray:
             j = i + offset
             if 0 <= j < n:
                 out[i, j * k : (j + 1) * k] = rows[i]
+    return out
+
+
+def dense_profile(params: ChannelParams, n_rows: int, n_cols: int) -> np.ndarray:
+    """Brute-force power profile: each diagonal's ``gain^2 * E|h|^2`` at the
+    cell centers of an ``n_rows x n_cols`` grid of the unit square, which is
+    exact whenever the grid refines the ``N x N*K`` matrix cells."""
+    n, k = params.n_cells, params.users_per_cell
+    r = (np.arange(n_rows) + 0.5) / n_rows
+    t = (np.arange(n_cols) + 0.5) / n_cols
+    i = np.minimum((r * n).astype(int), n - 1)
+    j = np.minimum((t * n * k).astype(int), n * k - 1)
+    block = j // k
+    d = block[None, :] - i[:, None]
+    out = np.zeros((n_rows, n_cols))
+    for spec in params.diagonals:
+        mass = spec.gain**2 * spec.fading.amplitude_moment(2)
+        out += np.where(d == spec.offset, mass, 0.0)
     return out
 
 

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,12 @@ from hypothesis import strategies as st
 
 from bandspec import (
 
+    ChannelParams,
+    DETERMINISTIC,
+    DiagonalSpec,
     EmpiricalSpectrum,
     RAYLEIGH,
+    UNIFORM_PHASE,
     eigenvalues,
     generate_channel,
     gram,
@@ -18,7 +25,7 @@ from bandspec import (
     wyner,
 )
 
-from conftest import dense_band, random_banded
+from conftest import dense_band, dense_profile, random_banded
 
 
 def test_ecdf_basics():
@@ -141,7 +148,7 @@ def test_power_profile_row_mass():
     want = 3 * (1.0 + 0.25 + 0.16)
     assert np.allclose(interior, want, rtol=1e-13)
     # refined grid agrees with the natural one on block centers
-    fine = power_profile(params, 20, 60)
+    fine = dense_profile(params, 20, 60)
     assert np.allclose(fine[::2, ::2], grid)
 
 
@@ -151,6 +158,47 @@ def test_power_profile_never_converges_uniformly():
         pa = wyner(n, 1, 0.5, 0.5, RAYLEIGH)
         pb = wyner(2 * n, 1, 0.5, 0.5, RAYLEIGH)
         assert power_profile_sup_diff(pa, pb) >= 0.5 * m2
+
+
+_LAWS = st.sampled_from([DETERMINISTIC, RAYLEIGH, UNIFORM_PHASE]) | st.builds(
+    rician, st.complex_numbers(max_magnitude=2.0), st.floats(0.1, 2.0))
+_DIAGONALS = st.lists(
+    st.builds(DiagonalSpec, st.integers(-2, 2), st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1),
+              _LAWS),
+    min_size=1, max_size=5, unique_by=lambda d: d.offset)
+
+
+@given(k=st.integers(1, 3), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_power_profile_matches_dense_oracle(k, data):
+    # the kind's own pairs (one channel at N and 2N) and pairs of two
+    # channels, of other laws and gains, at orders that need not divide
+    diagonals_a = data.draw(_DIAGONALS)
+    diagonals_b = data.draw(st.just(diagonals_a) | _DIAGONALS)
+    reach = max(abs(d.offset) for d in diagonals_a + diagonals_b)
+    n_a = data.draw(st.integers(2 * reach + 1, 16))
+    n_b = data.draw(st.just(2 * n_a) | st.integers(2 * reach + 1, 16))
+    pa = ChannelParams(n_a, k, tuple(diagonals_a))
+    pb = ChannelParams(n_b, k, tuple(diagonals_b))
+    rows = math.lcm(n_a, n_b)
+    dense_gap = np.abs(dense_profile(pa, rows, rows * k) - dense_profile(pb, rows, rows * k)).max()
+    assert power_profile_sup_diff(pa, pb) == dense_gap
+    for p in (pa, pb):
+        assert power_profile(p).tobytes() == dense_profile(p, p.n_cells, p.n_cells * k).tobytes()
+
+
+def test_power_profile_sup_diff_stays_in_the_band():
+    # the benchmark's Wyner channel at N = 1024 vs 2048: the band holds a few
+    # thousand cells, where two dense lcm x lcm*K grids take over 100 MB
+    pa = wyner(1024, 1, 0.5, 0.5, RAYLEIGH)
+    tracemalloc.start()
+    try:
+        gap = power_profile_sup_diff(pa, pa.with_size(2048))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gap == 0.75
+    assert peak < 8e6
 
 
 def test_power_profile_sup_diff_requires_matching_k():
