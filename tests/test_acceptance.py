@@ -72,6 +72,26 @@ def test_c3_nonfading_capacity_reproduction():
     check("C3", err < 1e-2, f"|{est:.6f} - {ref:.6f}| = {err:.2e} < 1e-2")
 
 
+@pytest.mark.scale
+def test_c3_finite_n_correction_at_paper_scale():
+    # C_N - C_inf is O(1/N) on the deterministic channel, so N (C_N / C_inf - 1)
+    # is the same number at N = 4096 and 2^20; the per-power factorizations
+    # at 2^20 are past _STACK_ORDER, one shift each
+    powers = np.array([0.1, 1.0, 10.0, 100.0])
+    c_inf = np.array([bs.wyner_capacity_nonfading(p, 0.5) for p in powers])
+
+    def scaled_gap(n):
+        params = bs.wyner(n, 1, 0.5, 0.5, bs.DETERMINISTIC)
+        a = bs.gram(bs.generate_channel(params, np.random.default_rng(0)))
+        return n * (bs.log_ldl_shifted(a, powers).mean(axis=-1) / c_inf - 1)
+
+    small, large = scaled_gap(4096), scaled_gap(2**20)
+    rel = np.abs(large / small - 1)
+    check("C3 scale", bool(np.all(rel < 1e-4)),
+          f"N (C_N / C_inf - 1) at 2^20 {np.array2string(large, precision=6)} vs 4096: "
+          f"{rel.max():.1e} < 1e-4")
+
+
 def test_c4_limiting_moments_reproduction():
     n, n_reps = 2048, 200
     for alpha in (0.3, 0.7):

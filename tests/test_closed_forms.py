@@ -43,11 +43,25 @@ def simpson_capacity(power, alpha, panels=2**16):
     return (w * y).sum() / (3 * panels)
 
 
-def test_import_leaves_quadrature_unloaded():
-    # scipy.integrate pulls in scipy.optimize; only the integrating baselines need it
+def test_import_leaves_quadrature_unloaded(tmp_path):
+    # scipy.integrate pulls in scipy.optimize, and no baseline needs either.  A
+    # subprocess: pytest's IntegrationWarning filter imports scipy.integrate here
     src = Path(bandspec.__file__).resolve().parents[1]
-    code = ("import bandspec, sys; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    code = f"""
+import sys
+import bandspec as bs
+refs = [bs.wyner_capacity_nonfading(10.0, 0.5), bs.wyner_capacity_large_k(10.0, 0.5, 2.0, 0.3),
+        bs.narula_capacity(10.0)]
+narula = {{"kind": "narula", "p_grid": [1.0, 10.0], "n_steps": 2000, "burn_in": 10,
+          "out_dir": {str(tmp_path / "narula")!r}}}
+capacity = {{"kind": "capacity_vs_P", "p_grid": [1.0, 10.0], "replications": 2,
+            "channel": {{"n_cells": 64, "alpha": 0.5, "fading": "deterministic"}},
+            "out_dir": {str(tmp_path / "capacity")!r}}}
+for data in (narula, capacity):
+    refs += [r.reference for r in bs.run_experiment(bs.ExperimentConfig.from_dict(data)).results]
+assert all(0 < r < 10 for r in refs), refs
+print(sorted(m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.optimize"))))
+"""
     run = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
@@ -89,6 +103,33 @@ class TestWynerLargeK:
             lhs = wyner_capacity_large_k(power, alpha, 1.0, 1.0)
             rhs = wyner_capacity_nonfading(power, alpha)
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.3, 0.5, 0.7, 1.0])
+    def test_against_high_precision_oracle(self, alpha):
+        # 20-digit tanh-sinh quadrature over the half period, split where
+        # 1 + 2 alpha cos vanishes (a double zero at alpha = 0.5)
+        def oracle(power, m2, mu):
+            with mp.workdps(20):
+                a, mu_sq = mp.mpf(alpha), mp.mpf(mu) ** 2
+                base = (m2 - mu_sq) * (1 + 2 * a**2)
+
+                def f(t):
+                    x = 1 + 2 * a * mp.cos(2 * mp.pi * t)
+                    return mp.log1p(power * (base + mu_sq * x**2))
+
+                cuts = {mp.mpf(0), mp.mpf(1) / 2}
+                if 2 * a >= 1:
+                    cuts.add(mp.acos(-1 / (2 * a)) / (2 * mp.pi))
+                return float(2 * mp.quad(f, sorted(cuts)))
+
+        for power in [0.0] + [10.0**e for e in range(-12, 16)]:
+            for m2, mu in [(1.0, 1.0), (1.0, 0.8), (2.0, 0.3), (1.0, 0.0)]:
+                got, want = wyner_capacity_large_k(power, alpha, m2, mu), oracle(power, m2, mu)
+                assert got == pytest.approx(want, rel=2e-15, abs=0.0), (power, m2, mu)
+
+    def test_correctly_rounded_at_the_c3_point(self):
+        # 2.068327628449098002 to 19 digits; quad returned ...0977
+        assert wyner_capacity_nonfading(10.0, 0.5) == 2.068327628449098
 
     def test_zero_power_and_validation(self):
         assert wyner_capacity_large_k(0.0, 0.5, 1.0, 0.5) == 0.0
@@ -226,6 +267,29 @@ class TestNarulaCapacity:
 
         for pbar in (0.5, 10.0):
             assert narula_capacity(pbar) == pytest.approx(oracle(pbar), abs=1e-9)
+
+    def test_against_high_precision_oracle(self):
+        # 30-digit tanh-sinh quadrature, split where log1p(pbar u) turns from
+        # pbar u to log(pbar u); finite and silent out to pbar = 1e300
+        def oracle(pbar):
+            with mp.workdps(30):
+                p = mp.mpf(pbar)
+                cuts = sorted({mp.mpf(0), 1 / p, mp.mpf(1)}) + [mp.inf]
+                val = mp.quad(lambda u: mp.log1p(p * u) ** 2 * mp.exp(-u), cuts)
+                return float(val / (mp.exp(1 / p) * mp.e1(1 / p)))
+
+        for pbar in [10.0**e for e in range(-12, 301, 4)] + [0.5, 2.0, 1e300]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = narula_capacity(pbar)
+            assert np.isfinite(got)
+            assert got == pytest.approx(oracle(pbar), rel=2e-15, abs=0.0), pbar
+
+    def test_low_snr_keeps_its_relative_digits(self):
+        # 2 pbar - 4 pbar^2 + O(pbar^3), from E log(1 + pbar u)^2 = 2 pbar^2 - 6 pbar^3
+        # + ... over E1s(1/pbar) = pbar - pbar^2 + ...: quad's absolute
+        # tolerance returned 2.0000304e-12 here
+        assert narula_capacity(1e-12) == pytest.approx(2e-12 - 4e-24, rel=2e-15, abs=0.0)
 
 
 class TestLowSnr:

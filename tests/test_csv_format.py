@@ -207,8 +207,8 @@ def test_wyner_spectrum_formats_few_values_through_text(tmp_path):
 
 
 def test_power_profile_grid_needs_no_text(tmp_path):
-    # profile_n*.csv is mostly zeros; only power_profile.csv's Python
-    # sequences (two cells per N) go through text
+    # profile_n*.csv lists the band's cells as arrays; only power_profile.csv's
+    # Python sequences (two cells per N) go through text
     calls = text_calls(tmp_path, {
         "kind": "power_profile", "channel": {**RAYLEIGH_WYNER, "n_cells": 64},
         "n_grid": [64], "seed": 3,

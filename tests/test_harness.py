@@ -37,6 +37,7 @@ from bandspec import (
 )
 from bandspec.cli import main
 from bandspec.fading import parse_spec_tag
+from conftest import dense_profile
 
 
 def spectrum_config(tmp_path, **overrides):
@@ -769,6 +770,37 @@ class TestRunExperiment:
         })
         output = run_experiment(config)
         assert all(r.estimate >= 0.5 for r in output.results)
+
+    @pytest.mark.parametrize("channel", [
+        {"n_cells": 16, "alpha": 0.5, "fading": "rayleigh"},
+        {"n_cells": 8, "users_per_cell": 3, "alpha": 0.3, "beta": 0.0,
+         "fading": "rician:nu=1,s2=0.5"},
+        {"n_cells": 8, "users_per_cell": 2, "diagonals": [
+            {"offset": -2, "gain": 0.4, "fading": "deterministic"},
+            {"offset": 0, "gain": 1.0, "fading": "rayleigh"},
+            {"offset": 1, "gain": 0.0, "fading": "uniform-phase"}]},
+    ])
+    def test_profile_file_lists_the_band_cells(self, tmp_path, channel):
+        # K * sum(N - |offset|) cells of the N x N*K profile, row-major; the
+        # dense oracle holds the same values there and is 0 everywhere else
+        config = ExperimentConfig.from_dict({
+            "kind": "power_profile", "channel": channel, "n_grid": [9, 18],
+            "out_dir": str(tmp_path / "pp"),
+        })
+        run_experiment(config)
+        text = (tmp_path / "pp" / "profile_n9.csv").read_text()
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        assert lines[0] == "row,col,value"
+        cells = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        params = config.channel.with_size(9)
+        k = params.users_per_cell
+        row, col = cells[:, 0].astype(int) - 1, cells[:, 1].astype(int) - 1
+        assert len(cells) == k * sum(9 - abs(o) for o in params.offsets)
+        assert np.all(np.diff(row * 9 * k + col) > 0)
+        oracle = dense_profile(params, 9, 9 * k)
+        assert np.array_equal(cells[:, 2], oracle[row, col])
+        oracle[row, col] = 0.0
+        assert not oracle.any()
 
     def test_histogram_bins_hold_negative_roundoff(self):
         left, right, counts, cum = harness._histogram_columns(np.array([-1e-17, 0.5, 1.0]), 4)
