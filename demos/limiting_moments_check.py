@@ -9,9 +9,10 @@ the ensemble.
 The second part shows why the phase condition matters: at alpha = 1 the
 deterministic channel's second moment settles near 19 while unit-amplitude
 uniform-phase fading gives 15, so the limiting spectrum depends on the
-entry distribution itself, not just its moments of low order.
+entry distribution itself, not just its moments of low order.  Each ensemble
+prints what ``bandspec moments`` writes for its config.
 """
-import numpy as np
+import tempfile
 
 import bandspec as bs
 
@@ -20,31 +21,27 @@ REPLICATES = 100
 SEED = 141421
 
 
-def ensemble_moments(params, group):
-    rows = np.zeros((REPLICATES, 3))
-    for r in range(REPLICATES):
-        rng = bs.derive_stream(SEED, (group << 32) | r)
-        a = bs.gram(bs.generate_channel(params, rng))
-        rows[r] = [bs.trace_moment(a, p) for p in (1, 2, 3)]
-    return rows.mean(axis=0), rows.std(ddof=1, axis=0) / np.sqrt(REPLICATES)
+def moments(params, replications=REPLICATES):
+    with tempfile.TemporaryDirectory() as out:
+        config = bs.ExperimentConfig("moments", params, replications=replications,
+                                     seed=SEED, out_dir=out)
+        return bs.run_experiment(config).results
 
 
 def main():
     print(f"rayleigh, K=1, N={N}, {REPLICATES} replicates")
     print(f"{'alpha':>6} {'p':>2} {'ensemble':>10} {'(se)':>8} {'limit':>10}")
-    for group, alpha in enumerate((0.3, 0.7)):
-        params = bs.wyner(N, 1, alpha, alpha, bs.RAYLEIGH)
-        mean, se = ensemble_moments(params, group)
-        refs = bs.limiting_moments(1.0, 2.0, 6.0, alpha)
-        for i in range(3):
-            print(f"{alpha:6.1f} {i + 1:2d} {mean[i]:10.4f} {se[i]:8.1e} {refs[i]:10.4f}")
+    for alpha in (0.3, 0.7):
+        for r in moments(bs.wyner(N, 1, alpha, alpha, bs.RAYLEIGH)):
+            print(f"{alpha:6.1f} {r.grid_value:2d} {r.estimate:10.4f} {r.std_err:8.1e} {r.reference:10.4f}")
 
     print()
     print("distribution dependence at alpha = 1 (second moment)")
-    unif, se = ensemble_moments(bs.wyner(N, 1, 1.0, 1.0, bs.UNIFORM_PHASE), 50)
-    det, _ = ensemble_moments(bs.wyner(N, 1, 1.0, 1.0, bs.DETERMINISTIC), 51)
-    print(f"uniform phase : {unif[1]:8.4f} (+- {se[1]:.4f}), limit 15")
-    print(f"deterministic : {det[1]:8.4f}, Toeplitz symbol mean 19")
+    unif = moments(bs.wyner(N, 1, 1.0, 1.0, bs.UNIFORM_PHASE))[1]
+    # one draw: the deterministic channel has no moment polynomial and no spread
+    det = moments(bs.wyner(N, 1, 1.0, 1.0, bs.DETERMINISTIC), 1)[1]
+    print(f"uniform phase : {unif.estimate:8.4f} (+- {unif.std_err:.4f}), limit {unif.reference:g}")
+    print(f"deterministic : {det.estimate:8.4f}, Toeplitz symbol mean 19")
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ from .eig import eigenvalues
 from .fading import MomentUnavailableError, parse_spec_tag
 from .narula_chain import N_BATCHES, simulate_chain
 from .output import gnuplot_scripts, write_csv
-from .spectral import EmpiricalSpectrum, _offset_mass, power_profile_sup_diff, trace_moment
+from .spectral import EmpiricalSpectrum, power_profile, power_profile_sup_diff, trace_moment
 
 __all__ = [
     "KINDS",
@@ -627,16 +627,12 @@ def _run_power_profile(config, replicate):
     diffs = [power_profile_sup_diff(base.with_size(n), base.with_size(2 * n))
              for n in config.n_grid]
     results = [ExperimentResult(n, d, 0.0, 1, float("nan")) for n, d in zip(config.n_grid, diffs)]
-    # the first N's profile on its block diagonals, row-major: every other cell is 0
-    n, k = config.n_grid[0], base.users_per_cell
-    row = np.arange(n)[:, None, None]
-    col = (row + np.array(base.offsets)[:, None]) * k + np.arange(k)
-    keep = (col >= 0) & (col < n * k)
-    row, col = np.broadcast_to(row, col.shape)[keep], col[keep]
-    mass = _offset_mass(base, col // k - row)
+    # the first N's profile on its block diagonals, 1-based: every other cell is 0
+    n = config.n_grid[0]
+    row, col, value = power_profile(base.with_size(n))
     return results, [
         ("power_profile.csv", ("N", "sup_cell_diff_to_2N"), (config.n_grid, diffs)),
-        (f"profile_n{n}.csv", ("row", "col", "value"), (row + 1, col + 1, mass)),
+        (f"profile_n{n}.csv", ("row", "col", "value"), (row + 1, col + 1, value)),
     ]
 
 

@@ -1,10 +1,11 @@
-"""Empirical spectral statistics: ECDF, Shannon transform, moments, distances,
-and the channel's expected power profile.
+"""Empirical spectral statistics: Shannon transform, moments, distances, and
+the channel's expected power profile.
 
 Everything here is a pure function of immutable inputs.  Moments are
 normalized traces of small powers computed in band storage, without any
 eigendecomposition.  The power profile looks up each diagonal's mass
-``gain^2 * E|h|^2`` by block offset; its gap between N and 2N costs O(N b).
+``gain^2 * E|h|^2`` by block offset on the band's cells only; it and its gap
+between N and 2N cost O(N b).
 """
 from __future__ import annotations
 
@@ -36,11 +37,6 @@ class EmpiricalSpectrum:
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
-
-    def ecdf(self, x):
-        """Right-continuous empirical CDF: fraction of eigenvalues <= x."""
-        counts = np.searchsorted(self.eigenvalues, x, side="right")
-        return counts / self.n
 
     def shannon_transform(self, rho: float) -> float:
         """Normalized log-determinant statistic ``mean(log(1 + rho * lam))``
@@ -115,15 +111,21 @@ def _offset_mass(params: ChannelParams, offset: np.ndarray) -> np.ndarray:
     return mass[np.clip(offset, -reach, reach) + reach]
 
 
-def power_profile(params: ChannelParams) -> np.ndarray:
-    """Expected squared-magnitude profile of the ``N x N*K`` channel matrix.
+def power_profile(params: ChannelParams):
+    """Expected squared-magnitude profile of the ``N x N*K`` channel matrix
+    on its block diagonals, as ``(row, col, value)`` arrays of the
+    ``K * sum(N - |offset|)`` band cells, 0-based and in row-major order.
 
     Cell ``(i, j)`` holds the exact ensemble value ``gain^2 * E|h|^2`` of the
-    diagonal at block offset ``j // K - i``, zero off the band; no sampling
-    is involved.
+    diagonal at block offset ``j // K - i``; every unlisted cell is 0, and no
+    sampling is involved.  O(N b) in time and memory.
     """
     n, k = params.n_cells, params.users_per_cell
-    return _offset_mass(params, np.arange(n * k) // k - np.arange(n)[:, None])
+    row = np.arange(n)[:, None, None]
+    col = (row + np.array(params.offsets)[:, None]) * k + np.arange(k)
+    keep = (col >= 0) & (col < n * k)
+    row, col = np.broadcast_to(row, col.shape)[keep], col[keep]
+    return row, col, _offset_mass(params, col // k - row)
 
 
 def power_profile_sup_diff(pa: ChannelParams, pb: ChannelParams) -> float:

@@ -28,27 +28,6 @@ from bandspec import (
 from conftest import dense_band, dense_profile, random_banded
 
 
-def test_ecdf_basics():
-    s = EmpiricalSpectrum(np.array([1.0, 2.0, 3.0]))
-    assert s.ecdf(0.5) == 0.0
-    assert s.ecdf(2.0) == pytest.approx(2 / 3)
-    assert s.ecdf(3.0) == 1.0
-    assert s.ecdf(10.0) == 1.0
-    # right continuity at a jump point
-    assert s.ecdf(2.0) == s.ecdf(2.0 + 1e-12)
-    assert s.ecdf(2.0 - 1e-12) < s.ecdf(2.0)
-
-
-@given(st.lists(st.floats(-50, 50), min_size=1, max_size=30))
-@settings(max_examples=50, deadline=None)
-def test_ecdf_is_a_cdf(values):
-    s = EmpiricalSpectrum(np.array(values))
-    grid = np.linspace(min(values) - 1, max(values) + 1, 101)
-    f = s.ecdf(grid)
-    assert f[0] == 0.0 and f[-1] == 1.0
-    assert np.all(np.diff(f) >= 0)
-
-
 def test_shannon_transform_limits():
     s = EmpiricalSpectrum(np.ones(7))
     assert s.shannon_transform(0.0) == 0.0
@@ -125,15 +104,23 @@ def test_trace_moments_match_eigenvalue_route(rng):
 
 def test_ks_distance_cases():
     s = EmpiricalSpectrum(np.array([0.3, 0.9, 1.4]))
-    assert s.ks_distance(s.ecdf) == 0.0
+    assert s.ks_distance(lambda x: np.searchsorted(s.eigenvalues, x, side="right") / s.n) == 0.0
     single = EmpiricalSpectrum(np.array([0.5]))
     uniform_cdf = lambda x: np.clip(x, 0.0, 1.0)
     assert single.ks_distance(uniform_cdf) == pytest.approx(0.5)
 
 
+def scattered_profile(params):
+    """``power_profile``'s band cells on an ``N x N*K`` grid of zeros."""
+    row, col, value = power_profile(params)
+    grid = np.zeros((params.n_cells, params.n_cells * params.users_per_cell))
+    grid[row, col] = value
+    return grid
+
+
 def test_power_profile_diagonal_only():
     params = wyner(8, 1, 0.0, 0.0, RAYLEIGH)
-    grid = power_profile(params)
+    grid = scattered_profile(params)
     assert grid.shape == (8, 8)
     assert np.allclose(np.diag(grid), 1.0)
     assert np.count_nonzero(grid - np.diag(np.diag(grid))) == 0
@@ -141,7 +128,7 @@ def test_power_profile_diagonal_only():
 
 def test_power_profile_row_mass():
     params = wyner(10, 3, 0.5, 0.4, RAYLEIGH)
-    grid = power_profile(params)
+    grid = scattered_profile(params)
     assert grid.shape == (10, 30)
     # interior rows: each of K columns per block carries gain^2 * m2
     interior = grid[1:-1].sum(axis=1)
@@ -184,7 +171,20 @@ def test_power_profile_matches_dense_oracle(k, data):
     dense_gap = np.abs(dense_profile(pa, rows, rows * k) - dense_profile(pb, rows, rows * k)).max()
     assert power_profile_sup_diff(pa, pb) == dense_gap
     for p in (pa, pb):
-        assert power_profile(p).tobytes() == dense_profile(p, p.n_cells, p.n_cells * k).tobytes()
+        assert scattered_profile(p).tobytes() == dense_profile(p, p.n_cells, p.n_cells * k).tobytes()
+
+
+def test_power_profile_stays_in_the_band():
+    # the N = 4096 profile lists about 12k band cells, where a dense
+    # N x N*K grid takes hundreds of MB
+    params = wyner(4096, 1, 0.5, 0.5, RAYLEIGH)
+    tracemalloc.start()
+    try:
+        power_profile(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_power_profile_sup_diff_stays_in_the_band():
