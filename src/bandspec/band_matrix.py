@@ -197,30 +197,28 @@ def gram(channel: BlockBandedChannel) -> BandedHermitian:
 
     The bandwidth is the spread ``max(offsets) - min(offsets)``; for the
     symmetric three-diagonal channel that is the familiar five-diagonal
-    matrix.
+    matrix.  The band is summed ``_GRAM_ROWS`` rows at a time, so the
+    temporaries are one row block's, whatever N is.
     """
     n = channel.n_cells
+    blocks = channel.blocks
     offsets = channel.offsets
     bandwidth = min(max(offsets) - min(offsets), n - 1)
 
     diag = np.zeros(n)
-    for d in offsets:
-        diag += np.sum(np.abs(channel.blocks[d]) ** 2, axis=1)
-
-    sub = []
-    for k in range(1, bandwidth + 1):
-        # einsum sums from +0: its first term has the bits of zero plus it
-        s = None
+    sub = [np.zeros(n - k, dtype=complex) for k in range(1, bandwidth + 1)]
+    for start in range(0, n, _GRAM_ROWS):
+        rows = slice(start, start + _GRAM_ROWS)
         for d in offsets:
-            if d + k not in channel.blocks:
-                continue
+            diag[rows] += np.sum(np.abs(blocks[d][rows]) ** 2, axis=1)
+        for k, s in enumerate(sub, start=1):
             # A[m+k, m] sums row (m+k) blocks against row m blocks that share
-            # a block column: offsets d (row m+k) and d+k (row m).
-            lower = channel.blocks[d][k:]
-            upper = channel.blocks[d + k][: n - k]
-            term = np.einsum("ij,ij->i", lower, np.conj(upper))
-            s = term if s is None else np.add(s, term, out=s)
-        sub.append(np.zeros(n - k, dtype=complex) if s is None else s)
+            # a block column: offsets d (row m+k) and d+k (row m).  einsum sums
+            # from +0, so adding its term to a zero keeps the term's bits
+            m = slice(start, min(start + _GRAM_ROWS, n - k))
+            for d in offsets:
+                if d + k in blocks:
+                    s[m] += np.einsum("ij,ij->i", blocks[d][k:][m], np.conj(blocks[d + k][m]))
     return BandedHermitian(diag, tuple(sub))
 
 
@@ -251,6 +249,10 @@ def log_ldl_shifted(a: BandedHermitian, rho) -> np.ndarray:
     excess = _pivot_excess(a, rho)
     return np.log1p(excess, out=excess)
 
+
+# Rows of the channel that gram reads at a time: a few hundred KB of
+# temporaries at K <= 3.
+_GRAM_ROWS = 8192
 
 # At most this many rows in one stacked factorization: a few MB of band
 # storage, and at N >= 2^18 one shift per factorization.

@@ -2,8 +2,8 @@
 
 The Toeplitz-limit capacities are closed forms (Jensen's formula) and the
 chain rate is one fixed double-exponential (exp-sinh) rule, so no quadrature
-library is imported.  The exponential integral E1 comes from
-:func:`scipy.special.exp1`, with an underflow-proof scaled form
+library is imported.  E1 comes from :func:`scipy.special.exp1`, which
+the first E1 imports (:func:`bandspec.fading._exp1`), with a scaled form
 ``exp(x) * E1(x)`` for the stationary-density normalizations, which need it
 at arguments where E1 itself underflows.  Everything else is an exact
 formula: nothing here draws random numbers.  The functions of a point ``x``
@@ -15,9 +15,8 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import exp1
 
-from .fading import FadingSpec
+from .fading import FadingSpec, _exp1
 
 __all__ = [
     "wyner_capacity_nonfading",
@@ -122,7 +121,7 @@ def exp_integral(x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if xs.size and xs.min() <= 0:
         raise ValueError("exp_integral requires x > 0")
-    return _shaped(exp1(xs), x)
+    return _shaped(_exp1(xs), x)
 
 
 def _shaped(out: np.ndarray, x):
@@ -141,7 +140,7 @@ def _e1_scaled(x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(xs)
     small = xs <= _E1_ASYMPTOTIC_FROM
-    out[small] = np.exp(xs[small]) * exp1(xs[small])
+    out[small] = np.exp(xs[small]) * _exp1(xs[small])
     inv = 1.0 / xs[~small]
     series = np.ones_like(inv)
     for k in range(_E1_ASYMPTOTIC_TERMS - 1, 0, -1):

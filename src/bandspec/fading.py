@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 __all__ = [
     "FadingSpec",
@@ -132,7 +131,7 @@ class FadingSpec:
             # s2 = 0 is the atom nu; an s2 so small that lam overflows leaves
             # E1(lam) = 0: both give log2|nu|
             return float(np.log2(nu))
-        tail = np.log(lam) + exp1(lam) if lam > 0 else -_EULER_GAMMA
+        tail = np.log(lam) + _exp1(lam) if lam > 0 else -_EULER_GAMMA
         return float((np.log(s2) + tail) / (2.0 * np.log(2.0)))
 
     @property
@@ -189,6 +188,13 @@ def _tag_number(x: float) -> str:
     exact (so short values keep their tags and config hashes), else ``repr``."""
     short = f"{x:g}"
     return short if float(short) == x else repr(float(x))
+
+
+def _exp1(x):
+    """:func:`scipy.special.exp1`, imported by the first call, so that runs
+    with no E1 in them (Rayleigh moments, spectra, capacities) never load it."""
+    from scipy.special import exp1
+    return exp1(x)
 
 
 def _standard_complex_normal(rng: np.random.Generator, size) -> np.ndarray:

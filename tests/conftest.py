@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,46 @@ def dense_channel(channel: BlockBandedChannel) -> np.ndarray:
             if 0 <= j < n:
                 out[i, j * k : (j + 1) * k] = rows[i]
     return out
+
+
+def whole_array_gram(channel: BlockBandedChannel) -> BandedHermitian:
+    """``gram`` as it was before row blocks: each offset's term over the
+    whole channel at once.  The bit-identity oracle of the row-block loop."""
+    n = channel.n_cells
+    offsets = channel.offsets
+    bandwidth = min(max(offsets) - min(offsets), n - 1)
+
+    diag = np.zeros(n)
+    for d in offsets:
+        diag += np.sum(np.abs(channel.blocks[d]) ** 2, axis=1)
+
+    sub = []
+    for k in range(1, bandwidth + 1):
+        # einsum sums from +0: its first term has the bits of zero plus it
+        s = None
+        for d in offsets:
+            if d + k not in channel.blocks:
+                continue
+            # A[m+k, m] sums row (m+k) blocks against row m blocks that share
+            # a block column: offsets d (row m+k) and d+k (row m).
+            lower = channel.blocks[d][k:]
+            upper = channel.blocks[d + k][: n - k]
+            term = np.einsum("ij,ij->i", lower, np.conj(upper))
+            s = term if s is None else np.add(s, term, out=s)
+        sub.append(np.zeros(n - k, dtype=complex) if s is None else s)
+    return BandedHermitian(diag, tuple(sub))
+
+
+def gram_excess_bytes(channel: BlockBandedChannel) -> int:
+    """How far ``gram(channel)``'s traced peak rises above its own output."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        a = bandspec.gram(channel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before - sum(arr.nbytes for arr in (a.diag, *a.sub))
 
 
 def dense_profile(params: ChannelParams, n_rows: int, n_cols: int) -> np.ndarray:

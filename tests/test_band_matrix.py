@@ -27,7 +27,7 @@ from bandspec import (
     wyner,
 )
 
-from conftest import dense_band, dense_channel, random_banded
+from conftest import dense_band, dense_channel, gram_excess_bytes, random_banded, whole_array_gram
 
 
 def test_zero_gain_neighbors_give_diagonal_matrix(rng):
@@ -155,6 +155,42 @@ def test_gram_symmetry_and_trace_conservation(rng):
     assert a.diag.min() >= 0
     frob_h = np.sum(np.abs(dense_channel(channel)) ** 2)
     assert a.diag.sum() == pytest.approx(frob_h, rel=1e-13)
+
+
+LAWS = [DETERMINISTIC, RAYLEIGH, UNIFORM_PHASE, rician(0.3 + 0.4j, 0.5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    offsets=st.sampled_from([(0,), (-1, 0, 1), (0, 3), (-2, 0), (-2, 0, 1), (0, 1, 2, 3)]),
+    k=st.integers(1, 3),
+    draws=st.lists(st.tuples(st.sampled_from(LAWS), st.just(0.0) | st.floats(0.0, 1.0)),
+                   min_size=4, max_size=4),
+    n=st.integers(1, 23),
+    block_rows=st.sampled_from([3, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_row_blocks_keep_the_whole_array_bits(offsets, k, draws, n, block_rows, seed):
+    n = max(n, 2 * max(abs(o) for o in offsets) + 1)
+    params = ChannelParams(n, k, tuple(
+        DiagonalSpec(o, gain, law) for o, (law, gain) in zip(offsets, draws)))
+    channel = generate_channel(params, np.random.default_rng(seed))
+    want = whole_array_gram(channel)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(band_matrix, "_GRAM_ROWS", block_rows)
+        got = gram(channel)
+    assert got.diag.tobytes() == want.diag.tobytes()
+    assert len(got.sub) == len(want.sub)
+    for g, w in zip(got.sub, want.sub):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_gram_temporaries_stay_one_row_block(k):
+    # the whole-array sums held 2.1 MB (K = 1) and 4.2 MB (K = 3) above the
+    # output here, and grew with N
+    channel = generate_channel(wyner(2**16, k, 0.5, 0.5, RAYLEIGH), derive_stream(0, 0))
+    assert gram_excess_bytes(channel) < 1e6
 
 
 def test_ldl_diagonal_case(rng):

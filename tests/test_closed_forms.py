@@ -69,6 +69,32 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.o
     assert run.stdout.strip() == "[]"
 
 
+def test_e1_module_loads_with_the_first_e1(tmp_path):
+    # Rayleigh moments, spectra and capacities need no E1, so scipy.special
+    # stays unloaded until narula_capacity's first E1
+    src = Path(bandspec.__file__).resolve().parents[1]
+    code = f"""
+import sys
+import bandspec as bs
+loaded = ["scipy.special" in sys.modules]
+channel = {{"n_cells": 64, "alpha": 0.5, "fading": "rayleigh"}}
+for kind, extra in (("moments", {{}}), ("spectrum", {{"histogram_bins": 10}}),
+                    ("capacity_vs_P", {{"p_grid": [1.0, 10.0]}})):
+    data = {{"kind": kind, "replications": 2, "channel": channel,
+            "out_dir": {str(tmp_path)!r} + "/" + kind, **extra}}
+    bs.run_experiment(bs.ExperimentConfig.from_dict(data))
+    loaded.append("scipy.special" in sys.modules)
+capacity = bs.narula_capacity(10.0)
+loaded.append("scipy.special" in sys.modules)
+print(loaded, repr(capacity))
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.strip() == f"[False, False, False, False, True] {narula_capacity(10.0)!r}"
+
+
 class TestWynerNonfading:
     def test_alpha_zero_is_awgn(self):
         assert wyner_capacity_nonfading(7.0, 0.0) == pytest.approx(np.log(8.0), abs=1e-10)
