@@ -8,15 +8,15 @@ materialize densely.  Shifted LDL pivots come from LAPACK ``dpttrf`` at
 bandwidth 0 and 1, as in the pivot chain, and from ``zpbtrf`` at wider bands.
 A grid of shifts is factored in one call: the shifted matrices, placed back
 to back, form one block-diagonal matrix whose blocks factor exactly as they
-would alone.
+would alone.  Both routines come from ``scipy.linalg``, which the first
+factorization imports, so that runs with none (moments, the power profile,
+the closed forms) never load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, LinAlgError
-from scipy.linalg.lapack import dpttrf
 
 from .fading import FadingSpec, parse_spec_tag
 
@@ -327,7 +327,7 @@ def _banded_excess(a: BandedHermitian, rhos: np.ndarray, excess: np.ndarray) -> 
     ab[0] += 1.0
     try:
         factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise PivotError(f"shifted matrix lost positive definiteness: {exc}") from exc
     flat = excess.reshape(-1)
     for j in range(1, b + 1):
@@ -345,3 +345,18 @@ def _tridiagonal_pivots(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.nd
     if info != 0 or not np.isfinite(d).all():
         raise PivotError(f"tridiagonal LDL broke down (dpttrf info={info})")
     return d, l[: len(e)]
+
+
+# LAPACK under the names the factorizations call, each importing
+# ``scipy.linalg`` on first use; tests replace ``cholesky_banded`` by name
+
+def cholesky_banded(ab, **kwargs):
+    """:func:`scipy.linalg.cholesky_banded`, imported by the first call."""
+    from scipy import linalg
+    return linalg.cholesky_banded(ab, **kwargs)
+
+
+def dpttrf(d, e, **kwargs):
+    """LAPACK ``dpttrf`` from ``scipy.linalg.lapack``, imported by the first call."""
+    from scipy.linalg import lapack
+    return lapack.dpttrf(d, e, **kwargs)

@@ -4,12 +4,12 @@ LAPACK's band eigensolver (``scipy.linalg.eigvals_banded``) reduces the band
 to real tridiagonal form by unitary rotations with bulge chasing and then
 solves the tridiagonal problem; it handles every bandwidth, including the
 diagonal (0) and tridiagonal (1) cases, and works on the band storage
-directly.
+directly.  The first eigensolve imports ``scipy.linalg``, so that runs with
+none never load it.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigvals_banded
 
 from .band_matrix import BandedHermitian
 from .spectral import EmpiricalSpectrum
@@ -32,3 +32,10 @@ def eigenvalues(a: BandedHermitian) -> EmpiricalSpectrum:
     if not np.isfinite(eigs).all():
         raise np.linalg.LinAlgError("band eigensolve returned a non-finite eigenvalue")
     return EmpiricalSpectrum(eigs)
+
+
+def eigvals_banded(ab, **kwargs):
+    """:func:`scipy.linalg.eigvals_banded`, imported by the first call; tracing
+    replaces it by name to count the LAPACK route."""
+    from scipy import linalg
+    return linalg.eigvals_banded(ab, **kwargs)

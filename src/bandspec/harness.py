@@ -21,9 +21,13 @@ eigensolve runs only where the eigenvalue list is itself the output
 (``spectrum.csv``, ``ecdf.csv``) or is compared whole (``mp_compare``).
 
 Every replicate of a run goes through one pool of ``min(jobs, replicates in
-the run, os.cpu_count())`` forked worker processes (threads would wait on the
-interpreter lock that scipy's LAPACK wrappers hold), or runs serially when
-that is 1 or the platform cannot fork.  On glibc, the run's replicates
+the run, CPUs the process may use)`` forked worker processes (threads would
+wait on the interpreter lock that scipy's LAPACK wrappers hold), or runs
+serially when that is 1 or the platform cannot fork.  The CPUs are the
+process's affinity set where the platform has one, else ``os.cpu_count()``.
+Before it forks, the run imports ``scipy.linalg``, which the factorizations
+and eigensolves otherwise import on first use, so that the workers inherit
+it instead of each importing it again.  On glibc, the run's replicates
 reuse the heap that the replicate before them freed, and the run hands it
 back to the system when it ends.  A replicate (or ``narula`` chain)
 dropped for a numerical failure is logged at WARNING on the
@@ -349,11 +353,15 @@ def _replicate_map(seed: int, jobs: int, workers, count: int) -> list[list]:
             return exc.with_traceback(None)
 
     total = len(workers) * count
-    procs = min(jobs, total, os.cpu_count() or 1)
+    procs = min(jobs, total, _usable_cpus())
     with _replicate_heap():
         if procs > 1 and hasattr(os, "fork"):
             import multiprocessing
             from concurrent.futures.process import ProcessPoolExecutor
+
+            # replicates import scipy.linalg on first use: loaded here, the
+            # workers inherit it instead of each importing it again every run
+            import scipy.linalg
 
             # workers inherit the closure ``call``: only indices and results are pickled
             fork = multiprocessing.get_context("fork")
@@ -375,12 +383,24 @@ def _replicate_map(seed: int, jobs: int, workers, count: int) -> list[list]:
     return groups
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else the machine's count (1 if that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # glibc's mallopt(3) parameters and the values a run's replicates run under
-# (32 MiB is the largest mmap threshold glibc takes on 64-bit), and glibc's
-# default trim threshold
+# (32 MiB is the largest mmap threshold glibc takes on 64-bit)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 32 << 20
-_DEFAULT_TRIM_THRESHOLD = 128 << 10
+
+# A run trims on exit only a free heap top above this.  Runs of small
+# replicates leave up to about 150 KiB, depending on where import-time
+# objects landed (past glibc's default of 128 KiB); runs of large ones leave
+# megabytes.
+_EXIT_TRIM_THRESHOLD = 512 << 10
 
 
 class _Mallinfo2(ctypes.Structure):
@@ -417,10 +437,9 @@ def _replicate_heap():
     to 32 MiB and the trim threshold to 64 MiB, so arrays of up to 32 MiB come
     from the heap and up to 64 MiB of free heap top stays with the process.
     On exit, raised or not, ``malloc_trim(0)`` hands the free heap back if
-    its free top exceeds glibc's default trim threshold of 128 KiB, as a
-    ``free`` at the default settings would; a smaller top is all that a run
-    of small replicates leaves, and trimming it would only unmap pages the
-    next run faults in again.  The settings hold for the rest of the process,
+    its free top exceeds 512 KiB; a smaller top is all that a run of small
+    replicates leaves, and trimming it would only unmap pages the next run
+    faults in again.  The settings hold for the rest of the process,
     forked workers inherit them, and setting ``M_MMAP_THRESHOLD`` turns off
     glibc's dynamic mmap threshold (mallopt(3)).  Where glibc's ``mallopt``,
     ``malloc_trim`` or ``mallinfo2`` is missing, or ``mallopt`` refuses the
@@ -433,7 +452,7 @@ def _replicate_heap():
     try:
         yield
     finally:
-        if active and info().keepcost > _DEFAULT_TRIM_THRESHOLD:
+        if active and info().keepcost > _EXIT_TRIM_THRESHOLD:
             trim(0)
 
 

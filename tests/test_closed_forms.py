@@ -29,10 +29,15 @@ from bandspec import (
 )
 from bandspec.closed_forms import _e1_scaled
 
+import high_precision_oracles as oracles
+
 EULER_GAMMA = float(np.euler_gamma)
 
 # frozen with an independent 2^20-panel composite-Simpson oracle
 SIMPSON_C_10_05 = 2.0683276284490972
+
+# the high-precision quadrature values, each beside its arguments
+ORACLE_TABLE = oracles.load()
 
 
 def simpson_capacity(power, alpha, panels=2**16):
@@ -95,6 +100,56 @@ print(loaded, repr(capacity))
     assert run.stdout.strip() == f"[False, False, False, False, True] {narula_capacity(10.0)!r}"
 
 
+@pytest.mark.scale
+def test_oracle_table_matches_its_quadratures():
+    # the committed table is what the mpmath oracles give, value for value
+    assert oracles.compute() == ORACLE_TABLE
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the jobs=2 run forks its workers")
+def test_linalg_module_loads_with_the_first_factorization(tmp_path):
+    # the closed forms, moments and the power profile factor nothing, so
+    # scipy.linalg stays unloaded until a factorization or eigensolve; a run
+    # that forks loads it first, so that no worker imports it again
+    src = Path(bandspec.__file__).resolve().parents[1]
+    code = f"""
+import contextlib, io, sys
+import bandspec as bs
+from bandspec import cli, harness
+loaded = ["scipy.linalg" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["closed-form", "--formula", "narula-capacity", "--pbar", "10"]) == 0
+loaded.append("scipy.linalg" in sys.modules)
+channel = {{"n_cells": 64, "alpha": 0.5, "fading": "rayleigh"}}
+def run(kind, jobs=1, **extra):
+    data = {{"kind": kind, "channel": channel, "out_dir": {str(tmp_path)!r} + "/" + kind,
+            **extra}}
+    bs.run_experiment(bs.ExperimentConfig.from_dict(data), jobs=jobs)
+    loaded.append("scipy.linalg" in sys.modules)
+run("moments", replications=2)
+run("power_profile", n_grid=[8, 16])
+if sys.argv[1] == "fork":
+    # two workers whatever the host, each refusing to import scipy.linalg
+    harness._usable_cpus = lambda: 2
+    eigenvalues = harness.eigenvalues
+    def worker_eigenvalues(a):
+        if "scipy.linalg" not in sys.modules:
+            raise RuntimeError("a worker would import scipy.linalg")
+        return eigenvalues(a)
+    harness.eigenvalues = worker_eigenvalues
+    run("spectrum", jobs=2, replications=2, histogram_bins=10)
+else:
+    run("capacity_vs_P", replications=2, p_grid=[1.0, 10.0])
+print(loaded)
+"""
+    for last in ("fork", "serial"):
+        run = subprocess.run(
+            [sys.executable, "-c", code, last], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert run.stdout.strip() == "[False, False, False, False, True]", last
+
+
 class TestWynerNonfading:
     def test_alpha_zero_is_awgn(self):
         assert wyner_capacity_nonfading(7.0, 0.0) == pytest.approx(np.log(8.0), abs=1e-10)
@@ -130,28 +185,15 @@ class TestWynerLargeK:
             rhs = wyner_capacity_nonfading(power, alpha)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.3, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("alpha", oracles.WYNER_ALPHAS)
     def test_against_high_precision_oracle(self, alpha):
-        # 20-digit tanh-sinh quadrature over the half period, split where
-        # 1 + 2 alpha cos vanishes (a double zero at alpha = 0.5)
-        def oracle(power, m2, mu):
-            with mp.workdps(20):
-                a, mu_sq = mp.mpf(alpha), mp.mpf(mu) ** 2
-                base = (m2 - mu_sq) * (1 + 2 * a**2)
-
-                def f(t):
-                    x = 1 + 2 * a * mp.cos(2 * mp.pi * t)
-                    return mp.log1p(power * (base + mu_sq * x**2))
-
-                cuts = {mp.mpf(0), mp.mpf(1) / 2}
-                if 2 * a >= 1:
-                    cuts.add(mp.acos(-1 / (2 * a)) / (2 * mp.pi))
-                return float(2 * mp.quad(f, sorted(cuts)))
-
-        for power in [0.0] + [10.0**e for e in range(-12, 16)]:
-            for m2, mu in [(1.0, 1.0), (1.0, 0.8), (2.0, 0.3), (1.0, 0.0)]:
-                got, want = wyner_capacity_large_k(power, alpha, m2, mu), oracle(power, m2, mu)
-                assert got == pytest.approx(want, rel=2e-15, abs=0.0), (power, m2, mu)
+        # the committed values of oracles.wyner_large_k, 20-digit quadrature
+        rows = [row[1:] for row in ORACLE_TABLE["wyner_capacity_large_k"] if row[0] == alpha]
+        assert [row[:3] for row in rows] == [
+            [power, m2, mu] for power in oracles.WYNER_POWERS for m2, mu in oracles.WYNER_MOMENTS]
+        for power, m2, mu, want in rows:
+            got = wyner_capacity_large_k(power, alpha, m2, mu)
+            assert got == pytest.approx(want, rel=2e-15, abs=0.0), (power, m2, mu)
 
     def test_correctly_rounded_at_the_c3_point(self):
         # 2.068327628449098002 to 19 digits; quad returned ...0977
@@ -295,21 +337,16 @@ class TestNarulaCapacity:
             assert narula_capacity(pbar) == pytest.approx(oracle(pbar), abs=1e-9)
 
     def test_against_high_precision_oracle(self):
-        # 30-digit tanh-sinh quadrature, split where log1p(pbar u) turns from
-        # pbar u to log(pbar u); finite and silent out to pbar = 1e300
-        def oracle(pbar):
-            with mp.workdps(30):
-                p = mp.mpf(pbar)
-                cuts = sorted({mp.mpf(0), 1 / p, mp.mpf(1)}) + [mp.inf]
-                val = mp.quad(lambda u: mp.log1p(p * u) ** 2 * mp.exp(-u), cuts)
-                return float(val / (mp.exp(1 / p) * mp.e1(1 / p)))
-
-        for pbar in [10.0**e for e in range(-12, 301, 4)] + [0.5, 2.0, 1e300]:
+        # the committed values of oracles.narula, 30-digit quadrature;
+        # finite and silent out to pbar = 1e300
+        rows = ORACLE_TABLE["narula_capacity"]
+        assert [pbar for pbar, _ in rows] == list(oracles.NARULA_PBARS)
+        for pbar, want in rows:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = narula_capacity(pbar)
             assert np.isfinite(got)
-            assert got == pytest.approx(oracle(pbar), rel=2e-15, abs=0.0), pbar
+            assert got == pytest.approx(want, rel=2e-15, abs=0.0), pbar
 
     def test_low_snr_keeps_its_relative_digits(self):
         # 2 pbar - 4 pbar^2 + O(pbar^3), from E log(1 + pbar u)^2 = 2 pbar^2 - 6 pbar^3

@@ -948,10 +948,23 @@ class TestRunExperiment:
         assert not (tmp_path / "out").exists()
 
 
+def usable_cpus(monkeypatch, cpus):
+    """``cpus`` CPUs in the process's affinity set, on a machine of eight, as
+    far as the worker cap can tell, however many the host has; None is a
+    platform with no affinity set whose CPU count is unknown."""
+    if cpus is None:
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Two CPUs as far as the worker cap can tell, however many the host has."""
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    usable_cpus(monkeypatch, 2)
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="replicate workers are forked")
@@ -994,7 +1007,7 @@ class TestReplicateWorkers:
     def test_worker_cap(
         self, tmp_path, monkeypatch, stand_in_pool, jobs, replications, cpus, workers
     ):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        usable_cpus(monkeypatch, cpus)
         config = ExperimentConfig.from_dict(spectrum_config(tmp_path, replications=replications))
         (draws,) = harness._replicate_map(config.seed, jobs, [lambda rng: rng.random()],
                                           replications)
@@ -1102,9 +1115,11 @@ class TestReplicateHeap:
         assert calls == ([] if lookup == "not found" else [RUN_MALLOC_CALLS[0]])
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("keepcost,trimmed", [(128 << 10, False), ((128 << 10) + 1, True)])
+    @pytest.mark.parametrize("keepcost,trimmed", [
+        (128 << 10, False), (512 << 10, False), ((512 << 10) + 1, True)])
     def test_one_trim_per_run(self, tmp_path, monkeypatch, two_cpus, jobs, keepcost, trimmed):
-        # a free heap top of at most glibc's default trim threshold is kept
+        # a free heap top of at most 512 KiB, all that a run of small
+        # replicates leaves (past glibc's default 128 KiB), is kept
         calls = []
         monkeypatch.setattr(harness, "_glibc_malloc", spy_malloc(calls, keepcost=keepcost))
         run_experiment(ExperimentConfig.from_dict(MULTI_GROUP["capacity_vs_N"](tmp_path)), jobs=jobs)
