@@ -4,8 +4,12 @@ The channel is an ``N x N*K`` matrix built from ``1 x K`` random row blocks
 placed on a finite set of block diagonals; its Gram matrix ``H H^dagger`` is
 Hermitian with bandwidth ``max(offsets) - min(offsets)`` and is assembled
 directly in band storage, so matrices with ``N`` up to about ``10^6`` never
-materialize densely.  Shifted LDL pivots come from LAPACK ``dpttrf`` at
-bandwidth 0 and 1, as in the pivot chain, and from ``zpbtrf`` at wider bands.
+materialize densely.  The band is summed in one layout of 8192-row blocks:
+``gram`` sums each block into its output, and the trace moments read each
+block, with the bandwidth's rows past it, from a band's views or, without
+the whole band, as a generator builds it.  Shifted LDL pivots come from
+LAPACK ``dpttrf`` at bandwidth 0 and 1, as in the pivot chain, and from
+``zpbtrf`` at wider bands.
 A grid of shifts is factored in one call: the shifted matrices, placed back
 to back, form one block-diagonal matrix whose blocks factor exactly as they
 would alone.  Both routines come from ``scipy.linalg``, which the first
@@ -176,13 +180,6 @@ class BandedHermitian:
     def bandwidth(self) -> int:
         return len(self.sub)
 
-    def frobenius_sq(self) -> float:
-        """Squared Frobenius norm, counting the implied upper triangle."""
-        total = float(np.sum(self.diag**2))
-        for arr in self.sub:
-            total += 2.0 * float(np.sum(np.abs(arr) ** 2))
-        return total
-
     def lower_band(self) -> np.ndarray:
         """LAPACK lower band storage, shape ``(bandwidth + 1, n)``, Fortran order."""
         ab = np.zeros((self.bandwidth + 1, self.n), dtype=complex, order="F")
@@ -201,25 +198,78 @@ def gram(channel: BlockBandedChannel) -> BandedHermitian:
     temporaries are one row block's, whatever N is.
     """
     n = channel.n_cells
+    diag = np.zeros(n)
+    sub = tuple(np.zeros(n - k, dtype=complex) for k in range(1, _gram_bandwidth(channel) + 1))
+    for start, _, stop in _row_blocks(n, 0):
+        _add_gram_rows(channel, start, stop, diag[start:], tuple(s[start:] for s in sub))
+    return BandedHermitian(diag, sub)
+
+
+def _gram_bandwidth(channel: BlockBandedChannel) -> int:
+    offsets = channel.offsets
+    return min(max(offsets) - min(offsets), channel.n_cells - 1)
+
+
+def _row_blocks(n: int, reach: int):
+    """``(start, rows, stop)`` of each ``_GRAM_ROWS``-row block of an order-n
+    band, in row order: its first row, the number of its own rows, and the
+    end of the rows read with it, ``reach`` past its own, clipped to n."""
+    for start in range(0, n, _GRAM_ROWS):
+        rows = min(_GRAM_ROWS, n - start)
+        yield start, rows, min(start + rows + reach, n)
+
+
+def _add_gram_rows(channel: BlockBandedChannel, start: int, stop: int, diag, sub) -> None:
+    """Add rows ``[start, stop)`` of the Gram band of ``channel`` into
+    ``diag`` and ``sub[k - 1]``, arrays whose first entry is row ``start``
+    (the k-th sub-diagonal's rows end at ``n - k``).  Each row is summed as
+    in a whole-array sum, so every entry has the bits of the whole matrix's."""
+    n = channel.n_cells
     blocks = channel.blocks
     offsets = channel.offsets
-    bandwidth = min(max(offsets) - min(offsets), n - 1)
-
-    diag = np.zeros(n)
-    sub = [np.zeros(n - k, dtype=complex) for k in range(1, bandwidth + 1)]
-    for start in range(0, n, _GRAM_ROWS):
-        rows = slice(start, start + _GRAM_ROWS)
+    for d in offsets:
+        diag[: stop - start] += np.sum(np.abs(blocks[d][start:stop]) ** 2, axis=1)
+    for k, s in enumerate(sub, start=1):
+        # A[m+k, m] sums row (m+k) blocks against row m blocks that share
+        # a block column: offsets d (row m+k) and d+k (row m).  einsum sums
+        # from +0, so adding its term to a zero keeps the term's bits
+        m = slice(start, max(start, min(stop, n - k)))
         for d in offsets:
-            diag[rows] += np.sum(np.abs(blocks[d][rows]) ** 2, axis=1)
-        for k, s in enumerate(sub, start=1):
-            # A[m+k, m] sums row (m+k) blocks against row m blocks that share
-            # a block column: offsets d (row m+k) and d+k (row m).  einsum sums
-            # from +0, so adding its term to a zero keeps the term's bits
-            m = slice(start, min(start + _GRAM_ROWS, n - k))
-            for d in offsets:
-                if d + k in blocks:
-                    s[m] += np.einsum("ij,ij->i", blocks[d][k:][m], np.conj(blocks[d + k][m]))
-    return BandedHermitian(diag, tuple(sub))
+            if d + k in blocks:
+                s[: m.stop - start] += np.einsum("ij,ij->i", blocks[d][k:][m], np.conj(blocks[d + k][m]))
+
+
+def _gram_blocks(channel: BlockBandedChannel):
+    """The Gram band of ``channel`` one ``_GRAM_ROWS``-row block at a time,
+    never the whole band.
+
+    Yields ``(rows, diag, sub)`` per block in row order, as
+    :func:`_band_blocks` does of ``gram(channel)``, with the same bits: the
+    arrays are refilled for the next block, so a block is to be read before
+    the next is asked for.
+    """
+    n = channel.n_cells
+    bandwidth = _gram_bandwidth(channel)
+    diag_rows = np.empty(min(_GRAM_ROWS + bandwidth, n))
+    sub_rows = [np.empty(len(diag_rows), dtype=complex) for _ in range(bandwidth)]
+    for start, rows, stop in _row_blocks(n, bandwidth):
+        diag = diag_rows[: stop - start]
+        sub = tuple(s[: max(0, min(stop, n - k) - start)] for k, s in enumerate(sub_rows, start=1))
+        for arr in (diag, *sub):
+            arr.fill(0.0)
+        _add_gram_rows(channel, start, stop, diag, sub)
+        yield rows, diag, sub
+
+
+def _band_blocks(a: BandedHermitian):
+    """Views of ``a`` one ``_GRAM_ROWS``-row block at a time: ``(rows, diag,
+    sub)`` per block in row order, where ``rows`` is the number of the
+    block's own rows, and ``diag`` and ``sub[k - 1]`` are the diagonal and
+    the k-th sub-diagonal from its first row through ``bandwidth`` rows past
+    its last (the rows that a power of the band reads beyond the block),
+    clipped to each diagonal's length."""
+    for start, rows, stop in _row_blocks(a.n, a.bandwidth):
+        yield rows, a.diag[start:stop], tuple(s[start:stop] for s in a.sub)
 
 
 def ldl_shifted(a: BandedHermitian, rho) -> np.ndarray:

@@ -197,11 +197,22 @@ def _exp1(x):
     return exp1(x)
 
 
+# Normal draws made at a time by the complex normal sampler: its scratch
+# buffer is 64 KiB, whatever the size drawn.
+_DRAW_BUFFER = 8192
+
+
 def _standard_complex_normal(rng: np.random.Generator, size) -> np.ndarray:
     # bit for bit ``(re + 1j * im) / sqrt(2)``: numpy divides by a real
-    # complex scalar by multiplying with its reciprocal
+    # complex scalar by multiplying with its reciprocal.  Drawn through a
+    # bounded buffer: Generator.standard_normal gives the same stream in
+    # chunks as in one call, so the draws are those of one whole-size call
     out = np.empty(size, dtype=complex)
-    draws = np.empty(out.shape)
-    for half in (out.real, out.imag):
-        np.multiply(rng.standard_normal(out=draws), 1.0 / np.sqrt(2.0), out=half)
+    flat = out.reshape(-1)
+    buffer = np.empty(min(flat.size, _DRAW_BUFFER))
+    for half in (flat.real, flat.imag):
+        for start in range(0, len(half), _DRAW_BUFFER):
+            chunk = half[start:start + _DRAW_BUFFER]
+            draws = rng.standard_normal(out=buffer[:len(chunk)])
+            np.multiply(draws, 1.0 / np.sqrt(2.0), out=chunk)
     return out

@@ -19,20 +19,24 @@ Shannon transforms come from shifted LDL pivots in O(N b^2) per power, all
 powers of a replicate from one stacked factorization; the O(N^2) band
 eigensolve runs only where the eigenvalue list is itself the output
 (``spectrum.csv``, ``ecdf.csv``) or is compared whole (``mp_compare``).
+A ``moments`` replicate sums its traces from the Gram matrix's row blocks
+as they are built, so it holds its channel and one block, never the whole
+Gram matrix.
 
 Every replicate of a run goes through one pool of ``min(jobs, replicates in
 the run, CPUs the process may use)`` forked worker processes (threads would
 wait on the interpreter lock that scipy's LAPACK wrappers hold), or runs
 serially when that is 1 or the platform cannot fork.  The CPUs are the
 process's affinity set where the platform has one, else ``os.cpu_count()``.
-Before it forks, the run imports ``scipy.linalg``, which the factorizations
-and eigensolves otherwise import on first use, so that the workers inherit
-it instead of each importing it again.  On glibc, the run's replicates
-reuse the heap that the replicate before them freed, and the run hands it
-back to the system when it ends.  A replicate (or ``narula`` chain)
-dropped for a numerical failure is logged at WARNING on the
-``bandspec.harness`` logger with its index, stream key and exception; a
-group with no survivor is named by its index in the error.
+Before it forks, a run of a kind whose replicates factor or eigensolve
+(``_RUNNERS`` says which) imports ``scipy.linalg``, which those otherwise
+import on first use, so that the workers inherit it instead of each
+importing it again; a forked ``moments`` run never loads it.  On glibc, the
+run's replicates reuse the heap that the replicate before them freed, and
+the run hands it back to the system when it ends.  A replicate (or
+``narula`` chain) dropped for a numerical failure is logged at WARNING on
+the ``bandspec.harness`` logger with its index, stream key and exception;
+a group with no survivor is named by its index in the error.
 """
 from __future__ import annotations
 
@@ -66,7 +70,7 @@ from .eig import eigenvalues
 from .fading import MomentUnavailableError, parse_spec_tag
 from .narula_chain import N_BATCHES, simulate_chain
 from .output import gnuplot_scripts, write_csv
-from .spectral import EmpiricalSpectrum, power_profile, power_profile_sup_diff, trace_moment
+from .spectral import EmpiricalSpectrum, _gram_trace_moments, power_profile, power_profile_sup_diff
 
 __all__ = [
     "KINDS",
@@ -326,7 +330,8 @@ def run_experiment(
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     kind = _RUNNERS[config.kind]
-    results, tables = kind.run(config, functools.partial(_replicate_map, config.seed, jobs))
+    replicate = functools.partial(_replicate_map, config.seed, jobs, factors=kind.factors)
+    results, tables = kind.run(config, replicate)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"experiment": config.kind, "config_sha256": config.sha256(), "master_seed": config.seed}
@@ -336,9 +341,11 @@ def run_experiment(
     return ExperimentOutput(tuple(results), tuple(files))
 
 
-def _replicate_map(seed: int, jobs: int, workers, count: int) -> list[list]:
+def _replicate_map(seed: int, jobs: int, workers, count: int, factors: bool = True) -> list[list]:
     """Run ``workers[g](rng)`` for ``count`` replicates of each group ``g``, all
     through one pool; return each group's survivors, in replicate order.
+    ``factors`` says that the workers factor or eigensolve, so that a pool
+    loads ``scipy.linalg`` before it forks.
 
     A replicate that raises a numerical failure is dropped and logged; a group
     with no survivor raises once every group has run."""
@@ -359,9 +366,10 @@ def _replicate_map(seed: int, jobs: int, workers, count: int) -> list[list]:
             import multiprocessing
             from concurrent.futures.process import ProcessPoolExecutor
 
-            # replicates import scipy.linalg on first use: loaded here, the
-            # workers inherit it instead of each importing it again every run
-            import scipy.linalg
+            if factors:
+                # replicates import scipy.linalg on first use: loaded here, the
+                # workers inherit it instead of each importing it again every run
+                import scipy.linalg
 
             # workers inherit the closure ``call``: only indices and results are pickled
             fork = multiprocessing.get_context("fork")
@@ -567,7 +575,11 @@ def _run_capacity_vs_n(config, replicate):
 def _run_moments(config, replicate):
     params = config.channel
     orders = (1, 2, 3)
-    worker = _gram_worker(params, lambda a: np.array([trace_moment(a, p) for p in orders]))
+
+    def worker(rng):
+        # summed from the Gram's row blocks as they are built, never the whole Gram
+        return np.array(_gram_trace_moments(generate_channel(params, rng)))
+
     (replicates,) = replicate([worker], config.replications)
     refs = _moment_reference(params) or (float("nan"),) * len(orders)
     return _table("moments.csv", "p", [(orders, replicates, refs)])
@@ -658,12 +670,14 @@ def _run_power_profile(config, replicate):
 class _Kind(NamedTuple):
     """One experiment kind: its runner (which writes nothing), how many of its
     leading files get a gnuplot script (None = all), the config fields it reads
-    besides ``_COMMON``, and those it needs nonempty; the rest keep their defaults."""
+    besides ``_COMMON``, those it needs nonempty (the rest keep their defaults),
+    and whether its replicates factor or eigensolve, which needs ``scipy.linalg``."""
 
     run: Callable
     n_plotted: int | None
     reads: tuple[str, ...]
     needs: tuple[str, ...]
+    factors: bool = True
 
 
 _COMMON = ("kind", "seed", "out_dir")
@@ -672,7 +686,7 @@ _RUNNERS = {
     "spectrum": _Kind(_run_spectrum, None, _GRAM + ("p_grid", "histogram_bins"), ("channel",)),
     "capacity_vs_P": _Kind(_run_capacity_vs_p, None, _GRAM + ("p_grid",), ("channel", "p_grid")),
     "capacity_vs_N": _Kind(_run_capacity_vs_n, None, _GRAM + ("n_grid",), ("channel", "n_grid")),
-    "moments": _Kind(_run_moments, None, _GRAM, ("channel",)),
+    "moments": _Kind(_run_moments, None, _GRAM, ("channel",), factors=False),
     "narula": _Kind(_run_narula, 1, ("p_grid", "n_steps", "burn_in"), ("p_grid",)),
     "extreme_snr": _Kind(_run_extreme_snr, 0, _GRAM + ("low_p", "high_p"), ("channel",)),
     "mp_compare": _Kind(_run_mp_compare, 0, _GRAM + ("alphas",), ("channel", "alphas")),

@@ -3,7 +3,11 @@ the channel's expected power profile.
 
 Everything here is a pure function of immutable inputs.  Moments are
 normalized traces of small powers computed in band storage, without any
-eigendecomposition.  The power profile looks up each diagonal's mass
+eigendecomposition, by one kernel over row blocks of the band: over a
+band matrix's own blocks in :func:`trace_moment`, and, for the ``moments``
+kind, over the Gram matrix's blocks as they are built, which never holds
+the whole Gram matrix; both add the same block sums in the same order, so
+they give the same bits.  The power profile looks up each diagonal's mass
 ``gain^2 * E|h|^2`` by block offset on the band's cells only; it and its gap
 between N and 2N cost O(N b).
 """
@@ -14,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band_matrix import BandedHermitian, ChannelParams
+from . import band_matrix
+from .band_matrix import BandedHermitian, BlockBandedChannel, ChannelParams
 
 __all__ = [
     "EmpiricalSpectrum",
@@ -22,6 +27,8 @@ __all__ = [
     "power_profile",
     "power_profile_sup_diff",
 ]
+
+_ORDERS = (1, 2, 3)  # the powers whose traces the band gives directly
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,6 @@ class EmpiricalSpectrum:
         return float(np.maximum(np.abs(f_hi - hi), np.abs(f_lo - lo)).max())
 
 
-@np.errstate(over="ignore", invalid="ignore")  # checked below: a trace past a double raises
 def trace_moment(a: BandedHermitian, p: int) -> float:
     """Normalized trace ``trace(A^p) / n`` for p in {1, 2, 3}, in band storage
     in O(n * bandwidth^2); higher powers need the eigenvalues.
@@ -74,32 +80,69 @@ def trace_moment(a: BandedHermitian, p: int) -> float:
                    + 6 Re sum_{0<j<k<=b} sum_m conj(s_j[m] s_{k-j}[m+j]) s_k[m]:
 
     b real weighted sums and b(b-1)/2 complex triple products, no band copy.
+    The sums run over the band's row blocks, in the order and with the block
+    size of :func:`_gram_trace_moments`, so both give the same bits.
     Raises ``FloatingPointError`` when the trace overflows a double.
     """
-    n = a.n
-    if p == 1:
-        value = float(a.diag.mean())
-    elif p == 2:
-        value = a.frobenius_sq() / n
-    elif p == 3:
-        d, sub = a.diag, a.sub
-        total = np.einsum("i,i,i->", d, d, d)
-        for k, s in enumerate(sub, start=1):
-            weight = np.square(s.real)
-            weight += np.square(s.imag)
-            total += 3 * (np.einsum("i,i->", d[:-k], weight)
-                          + np.einsum("i,i->", d[k:], weight))
-            for j in range(1, k):
-                # Re(conj(x) s) = x.re s.re + x.im s.im
-                x = sub[j - 1][: n - k] * sub[k - j - 1][j:]
-                total += 6 * (np.einsum("i,i->", x.real, s.real)
-                              + np.einsum("i,i->", x.imag, s.imag))
-        value = float(total) / n
-    else:
-        raise ValueError("trace_moment supports p in {1, 2, 3}")
-    if not math.isfinite(value):
-        raise FloatingPointError(f"trace(A^{p}) / n = {value} is not finite")
-    return value
+    return _block_trace_moments(band_matrix._band_blocks(a), a.n, (p,))[0]
+
+
+def _gram_trace_moments(channel: BlockBandedChannel) -> list[float]:
+    """``[trace_moment(gram(channel), p) for p in (1, 2, 3)]``, bit for bit,
+    from the Gram matrix's row blocks as they are built: the whole Gram
+    matrix is never held, only one block of it and the ``bandwidth`` rows
+    past it."""
+    return _block_trace_moments(band_matrix._gram_blocks(channel), channel.n_cells, _ORDERS)
+
+
+def _block_trace_moments(blocks, n: int, orders) -> list[float]:
+    """``trace(A^p) / n`` for each p of ``orders``, from the ``(rows, diag,
+    sub)`` row blocks of ``A`` that :func:`band_matrix._band_blocks` yields:
+    each block's sums are added in block order."""
+    if not set(orders) <= set(_ORDERS):
+        raise ValueError("trace moments from the band are for p in {1, 2, 3}")
+    totals = [0.0] * len(orders)
+    for rows, diag, sub in blocks:
+        totals = [t + s for t, s in zip(totals, _power_sums(rows, diag, sub, orders))]
+    values = [t / n for t in totals]  # Python floats: an overflow is inf, not an error
+    for p, value in zip(orders, values):
+        if not math.isfinite(value):
+            raise FloatingPointError(f"trace(A^{p}) / n = {value} is not finite")
+    return values
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a trace past a double raises above
+def _power_sums(rows: int, diag: np.ndarray, sub, orders) -> list[float]:
+    """Each p of ``orders``: the terms of ``trace(A^p)`` (see
+    :func:`trace_moment`) whose lowest site is one of the block's ``rows``
+    own rows; the terms at p = 3 also read the ``bandwidth`` rows past them."""
+    d = diag[:rows]
+    own = [s[:rows] for s in sub]  # A[m + k, m] for the own rows m < n - k
+    weights = []  # |A[m + k, m]|^2, which p = 2 and p = 3 both sum
+    for s in own if max(orders, default=1) > 1 else ():
+        weight = np.square(s.real)
+        weight += np.square(s.imag)
+        weights.append(weight)
+    sums = []
+    for p in orders:
+        if p == 1:
+            total = np.sum(d)
+        elif p == 2:
+            total = np.einsum("i,i->", d, d)
+            for weight in weights:
+                total += 2 * np.sum(weight)
+        else:
+            total = np.einsum("i,i,i->", d, d, d)
+            for k, (s, weight) in enumerate(zip(own, weights), start=1):
+                total += 3 * (np.einsum("i,i->", d[:len(s)], weight)
+                              + np.einsum("i,i->", diag[k:k + len(s)], weight))
+                for j in range(1, k):
+                    # Re(conj(x) s) = x.re s.re + x.im s.im
+                    x = sub[j - 1][:len(s)] * sub[k - j - 1][j:j + len(s)]
+                    total += 6 * (np.einsum("i,i->", x.real, s.real)
+                                  + np.einsum("i,i->", x.imag, s.imag))
+        sums.append(float(total))
+    return sums
 
 
 def _offset_mass(params: ChannelParams, offset: np.ndarray) -> np.ndarray:

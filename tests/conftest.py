@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bandspec
+from bandspec import harness
 from bandspec import BandedHermitian, BlockBandedChannel, ChannelParams
 
 
@@ -82,6 +83,33 @@ def gram_excess_bytes(channel: BlockBandedChannel) -> int:
     finally:
         tracemalloc.stop()
     return peak - before - sum(arr.nbytes for arr in (a.diag, *a.sub))
+
+
+def moments_worker(params: ChannelParams):
+    """The replicate worker that the ``moments`` kind runs on ``params``."""
+    workers = []
+
+    def replicate(found, count):
+        workers.extend(found)
+        return [[np.zeros(3)]]
+
+    harness._run_moments(harness.ExperimentConfig("moments", params), replicate)
+    return workers[0]
+
+
+def moments_replicate_excess_bytes(params: ChannelParams, rng: np.random.Generator) -> int:
+    """How far one replicate of the ``moments`` kind, channel draw included,
+    takes its traced peak above the channel it draws."""
+    worker = moments_worker(params)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        worker(rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    channel = len(params.diagonals) * params.n_cells * params.users_per_cell * 16
+    return peak - before - channel
 
 
 def dense_profile(params: ChannelParams, n_rows: int, n_cols: int) -> np.ndarray:

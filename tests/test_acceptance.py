@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import bandspec as bs
 
-from conftest import gram_excess_bytes
+from conftest import gram_excess_bytes, moments_replicate_excess_bytes
 
 
 def check(cid: str, condition: bool, detail: str) -> None:
@@ -132,7 +132,8 @@ def test_c4_limiting_moments_reproduction():
 @pytest.mark.scale
 def test_c4_limiting_moments_at_paper_scale(tmp_path):
     # the benchmark's wyner-moments run at another seed (seed 7 is the
-    # benchmark's): six N = 2^18 replicates, each Gram summed in row blocks
+    # benchmark's): six N = 2^18 replicates, each summing its Gram's row
+    # blocks as they are built
     config = bs.ExperimentConfig.from_dict({
         "kind": "moments", "replications": 6, "seed": 11, "out_dir": str(tmp_path),
         "channel": {"n_cells": 2**18, "alpha": 0.5, "fading": "rayleigh"},
@@ -145,6 +146,9 @@ def test_c4_limiting_moments_at_paper_scale(tmp_path):
     excess = gram_excess_bytes(channel)
     check("C4 scale", excess < 1e6,
           f"gram's traced peak above its output {excess / 1e6:.2f} MB < 1 MB")
+    excess = moments_replicate_excess_bytes(config.channel, bs.derive_stream(11, 0))
+    check("C4 scale", excess < 1e6,
+          f"a moments replicate's traced peak above its channel {excess / 1e6:.2f} MB < 1 MB")
 
 
 def test_c5_low_snr_reproduction():

@@ -109,8 +109,9 @@ def test_oracle_table_matches_its_quadratures():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the jobs=2 run forks its workers")
 def test_linalg_module_loads_with_the_first_factorization(tmp_path):
     # the closed forms, moments and the power profile factor nothing, so
-    # scipy.linalg stays unloaded until a factorization or eigensolve; a run
-    # that forks loads it first, so that no worker imports it again
+    # scipy.linalg stays unloaded until a factorization or eigensolve, also
+    # in a forked moments run; a forked run that factors loads it first, so
+    # that no worker imports it again
     src = Path(bandspec.__file__).resolve().parents[1]
     code = f"""
 import contextlib, io, sys
@@ -131,6 +132,7 @@ run("power_profile", n_grid=[8, 16])
 if sys.argv[1] == "fork":
     # two workers whatever the host, each refusing to import scipy.linalg
     harness._usable_cpus = lambda: 2
+    run("moments", jobs=2, replications=2)
     eigenvalues = harness.eigenvalues
     def worker_eigenvalues(a):
         if "scipy.linalg" not in sys.modules:
@@ -142,12 +144,13 @@ else:
     run("capacity_vs_P", replications=2, p_grid=[1.0, 10.0])
 print(loaded)
 """
-    for last in ("fork", "serial"):
+    for last, loaded in (("fork", "[False, False, False, False, False, True]"),
+                         ("serial", "[False, False, False, False, True]")):
         run = subprocess.run(
             [sys.executable, "-c", code, last], env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, check=True,
         )
-        assert run.stdout.strip() == "[False, False, False, False, True]", last
+        assert run.stdout.strip() == loaded, last
 
 
 class TestWynerNonfading:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -7,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, hyp1f1
 
-from bandspec import DETERMINISTIC, RAYLEIGH, UNIFORM_PHASE, FadingSpec, parse_spec_tag, rician
-from bandspec.fading import MomentUnavailableError
+from bandspec import (
+    DETERMINISTIC,
+    RAYLEIGH,
+    UNIFORM_PHASE,
+    FadingSpec,
+    derive_stream,
+    parse_spec_tag,
+    rician,
+)
+from bandspec.fading import _DRAW_BUFFER, MomentUnavailableError
 
 
 def batched_mc_moment(spec, order, n, rng, n_batches=100):
@@ -183,6 +192,38 @@ def test_seed_determinism(spec):
     a = spec.sample(np.random.default_rng(7), 1000)
     b = spec.sample(np.random.default_rng(7), 1000)
     assert np.array_equal(a, b)
+
+
+def whole_size_draw(spec, rng, size):
+    """The Gaussian laws' sample from one whole-size draw per half."""
+    re = rng.standard_normal(size)
+    im = rng.standard_normal(size)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re * (1.0 / np.sqrt(2.0)), im * (1.0 / np.sqrt(2.0))
+    if spec.kind == "rician":
+        out *= np.sqrt(spec.s2)
+        out += spec.nu
+    return out
+
+
+@pytest.mark.parametrize("spec", [RAYLEIGH, rician(0.3 + 0.4j, 0.5)])
+@pytest.mark.parametrize("size", [1, _DRAW_BUFFER - 1, _DRAW_BUFFER, _DRAW_BUFFER + 1,
+                                  (_DRAW_BUFFER + 5, 3)])
+def test_gaussian_draws_through_a_bounded_buffer(spec, size):
+    # Philox normals are the same stream in chunks as in one call, so the
+    # buffer keeps the bytes; the whole-size scratch array is gone
+    want = whole_size_draw(spec, derive_stream(5, 1), size)
+    rng = derive_stream(5, 1)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        got = spec.sample(rng, size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the buffer's doubles, and a few KB of array headers and views
+    assert peak - before - got.nbytes < 8 * min(got.size, _DRAW_BUFFER) + 4096
 
 
 def test_sample_moments_converge_for_all_kinds(rng):

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandspec import band_matrix
 from bandspec import (
-
     ChannelParams,
     DETERMINISTIC,
     DiagonalSpec,
     EmpiricalSpectrum,
     RAYLEIGH,
     UNIFORM_PHASE,
+    derive_stream,
     eigenvalues,
     generate_channel,
     gram,
@@ -25,7 +26,13 @@ from bandspec import (
     wyner,
 )
 
-from conftest import dense_band, dense_profile, random_banded
+from conftest import (
+    dense_band,
+    dense_profile,
+    moments_replicate_excess_bytes,
+    moments_worker,
+    random_banded,
+)
 
 
 def test_shannon_transform_limits():
@@ -72,6 +79,65 @@ def test_trace_moment_cubed_dense_oracle(bandwidth, rng):
         dense = dense_band(a)
         want = np.trace(np.linalg.matrix_power(dense, 3)).real / a.n
         assert trace_moment(a, 3) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 5])
+@pytest.mark.parametrize("bandwidth", [0, 1, 2, 3, 4])
+def test_trace_moment_row_blocks_match_dense_oracle(bandwidth, block_rows, rng, monkeypatch):
+    # blocks narrower than the band: every p = 3 walk that leaves a block
+    # reads the rows past it
+    monkeypatch.setattr(band_matrix, "_GRAM_ROWS", block_rows)
+    for n in (bandwidth + 1, 10, 23):
+        a = random_banded(n, bandwidth, rng)
+        dense = dense_band(a)
+        for p in (1, 2, 3):
+            want = np.trace(np.linalg.matrix_power(dense, p)).real / a.n
+            assert trace_moment(a, p) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+LAWS = [DETERMINISTIC, RAYLEIGH, UNIFORM_PHASE, rician(0.3 + 0.4j, 0.5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    offsets=st.sampled_from([(0,), (-1, 0, 1), (0, 3), (-2, 0), (-2, 0, 1), (0, 1, 2, 3)]),
+    k=st.integers(1, 3),
+    draws=st.lists(st.tuples(st.sampled_from(LAWS), st.just(0.0) | st.floats(0.0, 1.0)),
+                   min_size=4, max_size=4),
+    n=st.integers(1, 23),
+    block_rows=st.sampled_from([3, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_moments_replicate_is_trace_moment_of_the_gram(offsets, k, draws, n, block_rows, seed):
+    # the kind sums the Gram's row blocks as they are built, halo included;
+    # blocks of 3 and 5 rows put the halo past a block and past the matrix end
+    n = max(n, 2 * max(abs(o) for o in offsets) + 1)
+    params = ChannelParams(n, k, tuple(
+        DiagonalSpec(o, gain, law) for o, (law, gain) in zip(offsets, draws)))
+    worker = moments_worker(params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(band_matrix, "_GRAM_ROWS", block_rows)
+        got = worker(derive_stream(seed, 0))
+        a = gram(generate_channel(params, derive_stream(seed, 0)))
+        want = np.array([trace_moment(a, p) for p in (1, 2, 3)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_moments_replicate_is_trace_moment_past_one_block():
+    # at the default block size, two blocks and a 17-row tail
+    params = ChannelParams(2 * band_matrix._GRAM_ROWS + 17, 2, (
+        DiagonalSpec(-2, 0.5, RAYLEIGH), DiagonalSpec(0, 1.0, UNIFORM_PHASE),
+        DiagonalSpec(1, 0.7, rician(0.3 + 0.4j, 0.5))))
+    got = moments_worker(params)(derive_stream(3, 0))
+    a = gram(generate_channel(params, derive_stream(3, 0)))
+    assert got.tobytes() == np.array([trace_moment(a, p) for p in (1, 2, 3)]).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_moments_replicate_never_holds_the_whole_gram(k):
+    # the whole Gram (2.6 MB here at K = 1) sat beside the channel
+    params = wyner(2**16, k, 0.5, 0.5, RAYLEIGH)
+    assert moments_replicate_excess_bytes(params, derive_stream(0, 0)) < 1e6
 
 
 @pytest.mark.parametrize("nu,p", [(1e60, 3), (1e100, 2)])
