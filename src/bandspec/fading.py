@@ -84,7 +84,11 @@ class FadingSpec:
         if self.kind == "deterministic":
             return np.ones(size, dtype=complex)
         if self.kind == "uniform-phase":
-            out = 2j * np.pi * rng.random(size)
+            # bit for bit exp(2j * pi * rng.random(size)): that product is
+            # +0 + 2 pi u i, so only the imaginary parts are drawn
+            out = np.zeros(size, dtype=complex)
+            for chunk, draws in _buffered_draws(rng.random, (out.reshape(-1).imag,)):
+                np.multiply(draws, 2 * np.pi, out=chunk)
             return np.exp(out, out=out)
         out = _standard_complex_normal(rng, size)
         if self.kind == "rician":
@@ -197,22 +201,28 @@ def _exp1(x):
     return exp1(x)
 
 
-# Normal draws made at a time by the complex normal sampler: its scratch
-# buffer is 64 KiB, whatever the size drawn.
+# Draws made at a time by the samplers: their scratch buffer is 64 KiB,
+# whatever the size drawn.
 _DRAW_BUFFER = 8192
+
+
+def _buffered_draws(draw, targets):
+    """``(chunk, draws)`` for consecutive chunks of each equal-length 1-D
+    target in turn, with as many ``draw(out=...)`` doubles in one reused
+    buffer.  Generator.standard_normal and Generator.random give the same
+    stream in chunks as in one call, so the draws are those of one call."""
+    buffer = np.empty(min(len(targets[0]), _DRAW_BUFFER))
+    for target in targets:
+        for start in range(0, len(target), _DRAW_BUFFER):
+            chunk = target[start:start + _DRAW_BUFFER]
+            yield chunk, draw(out=buffer[:len(chunk)])
 
 
 def _standard_complex_normal(rng: np.random.Generator, size) -> np.ndarray:
     # bit for bit ``(re + 1j * im) / sqrt(2)``: numpy divides by a real
-    # complex scalar by multiplying with its reciprocal.  Drawn through a
-    # bounded buffer: Generator.standard_normal gives the same stream in
-    # chunks as in one call, so the draws are those of one whole-size call
+    # complex scalar by multiplying with its reciprocal
     out = np.empty(size, dtype=complex)
     flat = out.reshape(-1)
-    buffer = np.empty(min(flat.size, _DRAW_BUFFER))
-    for half in (flat.real, flat.imag):
-        for start in range(0, len(half), _DRAW_BUFFER):
-            chunk = half[start:start + _DRAW_BUFFER]
-            draws = rng.standard_normal(out=buffer[:len(chunk)])
-            np.multiply(draws, 1.0 / np.sqrt(2.0), out=chunk)
+    for chunk, draws in _buffered_draws(rng.standard_normal, (flat.real, flat.imag)):
+        np.multiply(draws, 1.0 / np.sqrt(2.0), out=chunk)
     return out

@@ -596,7 +596,7 @@ def _run_narula(config, replicate):
         rows.append((*estimate, config.n_steps))
         results.append(ExperimentResult(*estimate, len(run.samples), closed_forms.narula_capacity(p)))
         samples.append((f"narula_samples_p{i}.csv", ("step", "d", "log_d"),
-                        (steps, run.samples, np.log(run.samples))))
+                        (steps, run.samples, run.logs)))
     names = ("P", "capacity_estimate", "std_err", "n_steps")
     return results, [("narula_summary.csv", names, list(zip(*rows)))] + samples
 

@@ -52,15 +52,17 @@ class ChainRun:
     """A simulated chain trajectory with its ergodic log-mean estimate.
 
     ``samples`` holds the retained pivots (after ``burn_in`` discarded
-    steps); every retained value is >= 1.  The standard error comes from
-    batch means over ``N_BATCHES`` batches, the simplest defensible
-    estimator for correlated chain output.
+    steps), every one >= 1, and ``logs`` their natural logs, whose mean is
+    the estimate.  The standard error comes from batch means over
+    ``N_BATCHES`` batches, the simplest defensible estimator for correlated
+    chain output.
     """
 
     power: float
     n_steps: int
     burn_in: int
     samples: np.ndarray
+    logs: np.ndarray
     ergodic_log_mean: float
     log_mean_stderr: float
 
@@ -89,7 +91,7 @@ def simulate_chain(
         usable = (len(logs) // N_BATCHES) * N_BATCHES
         batches = logs[:usable].reshape(N_BATCHES, -1).mean(axis=1)
         stderr = float(batches.std(ddof=1) / np.sqrt(N_BATCHES))
-    return ChainRun(power, n_steps, burn_in, samples, float(logs.mean()), stderr)
+    return ChainRun(power, n_steps, burn_in, samples, logs, float(logs.mean()), stderr)
 
 
 def chain_vs_ldl(n: int, power: float, rng: np.random.Generator) -> float:

@@ -39,8 +39,8 @@ def _format_block(columns) -> bytes:
     Each column becomes a NUL-padded uint8 matrix of cells, by its own type:
     :func:`_float_cells` for a numpy float array, :func:`_int_cells` for a
     numpy signed-integer array, :func:`_text_cells` for anything else.  The
-    matrices and the separators sit side by side, and one masked gather
-    drops the padding."""
+    matrices and the separators sit side by side, and one pass over the
+    block's bytes deletes the padding."""
     n = len(columns[0])
     parts = []
     for column in columns:
@@ -53,8 +53,7 @@ def _format_block(columns) -> bytes:
             cells = _text_cells(column)
         parts += [cells, np.full((n, 1), ord(","), np.uint8)]
     parts[-1] = np.full((n, 1), ord("\n"), np.uint8)
-    block = np.concatenate(parts, axis=1)
-    return block[block != 0].tobytes()
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
 def text(value) -> str:
@@ -68,19 +67,14 @@ def text(value) -> str:
     return str(value)
 
 
-def _text_cells(values, width: int = 0) -> np.ndarray:
-    """:func:`text` of each value as a NUL-padded uint8 matrix, ``width``
-    bytes wide, or as wide as its longest cell when ``width`` is 0."""
-    cells = np.array([text(v).encode() for v in values], dtype=f"S{width}")
+def _text_cells(values) -> np.ndarray:
+    """:func:`text` of each value, as a NUL-padded uint8 matrix."""
+    cells = np.array([text(v).encode() for v in values], dtype="S")
     return cells.view(np.uint8).reshape(len(cells), cells.itemsize)
 
 
 # 10^0 .. 10^22, every one an exact double
 _POW10 = np.array([float(10**k) for k in range(23)])
-# place values of the five four-digit groups of a uint64, most significant first
-_GROUP_PLACES = np.uint64(10_000) ** np.arange(4, -1, -1, dtype=np.uint64)[:, None]
-# 10^1 .. 10^19: a magnitude has searchsorted(_TENS, m, "right") + 1 digits
-_TENS = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)
 
 
 def _group_tables():
@@ -95,18 +89,14 @@ def _group_tables():
 
 
 _ASCII_GROUPS, _GROUP_ZEROS = _group_tables()
-# row d keeps the last d of an integer's 20 digit bytes
-_INT_KEEP = (np.arange(20) >= 20 - np.arange(21)[:, None]) * np.uint8(0xFF)
 
 
 def _float_keep() -> np.ndarray:
-    """Byte masks of the float cell for each decimal exponent X in [-4, 15]
-    and each count L of significant digits left after stripping trailing
-    zeros, at row ``(X + 4) * 17 + L - 1``.
-
-    A cell is 41 bytes: the sign, the prefix ``0.000``, the 17 digits (read
-    as the integer part), the point, and the 17 digits again (read as the
-    fraction)."""
+    """Byte masks of the whole float cell, for each decimal exponent X in
+    [-4, 15] and count L of significant digits after trailing zeros, at row
+    ``(X + 4) * 17 + L - 1``.  The whole cell is the sign, the prefix
+    ``0.000``, the 17 digits (read as the integer part), the point, the 17
+    digits again (read as the fraction), and a NUL to pad with."""
     x = np.arange(-4, 16)[:, None, None]
     n_sig = np.arange(1, 18)[None, :, None]
     i = np.arange(17)
@@ -116,9 +106,10 @@ def _float_keep() -> np.ndarray:
         i <= x,                                        # integer digits
         (x >= 0) & (n_sig > x + 1),                    # point, if a fraction
         (i > x) & (i < n_sig),                         # fraction digits
+        np.zeros((1, 1, 1), bool),                     # padding
     )
     keep = np.concatenate([np.broadcast_to(p, (20, 17, p.shape[-1])) for p in parts], axis=2)
-    return (keep * np.uint8(0xFF)).reshape(20 * 17, 41)
+    return (keep * np.uint8(0xFF)).reshape(20 * 17, 42)
 
 
 _FLOAT_KEEP = _float_keep()
@@ -126,33 +117,37 @@ _FLOAT_KEEP = _float_keep()
 
 def _digit_groups(magnitude: np.ndarray, n_groups: int) -> np.ndarray:
     """The last ``n_groups`` four-digit groups of each uint64, shape
-    ``(n_groups, n)``, most significant first."""
-    return magnitude // _GROUP_PLACES[-n_groups:] % np.uint64(10_000)
-
-
-def _ascii(groups: np.ndarray) -> np.ndarray:
-    """ASCII digits of ``groups``, shape ``(n, 4 * n_groups)``."""
-    return np.ascontiguousarray(_ASCII_GROUPS[groups].T).view(np.uint8)
+    ``(n, n_groups)``, most significant first."""
+    groups = np.empty((len(magnitude), n_groups), np.intp)
+    for k in range(n_groups - 1, -1, -1):
+        quotient = magnitude // np.uint64(10_000)
+        groups[:, k] = magnitude - quotient * np.uint64(10_000)
+        magnitude = quotient
+    return groups
 
 
 def _int_cells(x: np.ndarray) -> np.ndarray:
-    """``%d`` of each int64 as a NUL-padded uint8 matrix: a sign byte, then
-    as many four-digit groups as the largest magnitude needs, leading zeros
-    masked."""
+    """``%d`` of each int64 as a NUL-padded uint8 matrix: a sign byte if any
+    value is negative, then as many digits as the largest magnitude has,
+    leading zeros masked in cells with fewer."""
     magnitude = x.astype(np.uint64)
-    np.negative(magnitude, out=magnitude, where=x < 0)  # exact for -2^63 too
-    n_digits = np.searchsorted(_TENS, magnitude, side="right") + 1
-    n_groups = (int(n_digits.max()) + 3) // 4
-    cells = np.empty((len(x), 1 + 4 * n_groups), np.uint8)
-    cells[:, 0] = np.where(x < 0, ord("-"), 0)
-    cells[:, 1:] = _ascii(_digit_groups(magnitude, n_groups))
-    cells[:, 1:] &= _INT_KEEP[n_digits, 20 - 4 * n_groups:]
+    negative = x < 0
+    np.negative(magnitude, out=magnitude, where=negative)  # exact for -2^63 too
+    width = len(str(int(magnitude.max())))
+    cells = _ASCII_GROUPS.take(_digit_groups(magnitude, (width + 3) // 4)).view(np.uint8)
+    cells = cells[:, -width:]
+    if int(magnitude.min()) < 10 ** (width - 1):  # mask the leading zeros
+        places = np.uint64(10) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+        cells = cells * (np.maximum(magnitude, 1)[:, None] >= places)
+    if negative.any():
+        cells = np.concatenate([(negative * np.uint8(ord("-")))[:, None], cells], axis=1)
     return cells
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
-    """``%.17g`` of each float64 as a NUL-padded (n, 41) uint8 matrix laid
-    out as :func:`_float_keep` says, decided cell by cell.
+    """``%.17g`` of each float64 as a NUL-padded uint8 matrix: the columns
+    of :func:`_float_keep`'s whole cell that the block's signs and least and
+    greatest exponents X reach, masked cell by cell.
 
     For ``1e-4 <= |x| < 1e16`` ``%.17g`` is the 17-digit integer
     ``D = round_half_even(|x| 10^(16 - X))``, X = floor(log10 |x|), in fixed
@@ -162,47 +157,52 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     the error half-even rounds D correctly, as Python's ``%`` does.  Next to
     a power of ten ``log10`` can put X one off, and rounding can carry D up
     to 10^17; either shows as a D of 16 or 18 digits, and X is corrected by
-    one.  An exact zero is X = 0 and D = 0, with the sign of its sign bit
-    (``-0.0`` writes ``-0``).  Each other value (not finite, or nonzero below
-    1e-4 or at least 1e16 in magnitude, where ``%.17g`` writes ``nan``,
-    ``inf`` or an exponent) gets :func:`text` of itself in its own cell.
-    """
+    one.  An exact zero is X = 0 and D = 0 (``-0.0`` writes ``-0``).  Each
+    other value (not finite, or nonzero below 1e-4 or at least 1e16 in
+    magnitude, where ``%.17g`` writes ``nan``, ``inf`` or an exponent) gets
+    :func:`text` of itself in its own cell."""
     a = np.abs(x)
     inside = (a >= 1e-4) & (a < 1e16)
     a[~inside] = 1.0  # X = 0: keeps log10 and the scaling finite
     exp = np.floor(np.log10(a)).astype(np.int64)
     digits = _round_scaled(a, exp)
-    low, high = digits < 10**16, digits >= 10**17
-    off = low | high
+    off = (digits >= 10**17).astype(np.int64) - (digits < 10**16)
     if off.any():
-        exp += high
-        exp -= low
-        digits[off] = _round_scaled(a[off], exp[off])
-    zero = x == 0
-    digits[zero] = 0
-    groups = _digit_groups(digits.astype(np.uint64), 5)
-    zeros = _GROUP_ZEROS[groups[4]]
-    all_zero = groups[4] == 0
-    for group in groups[3:0:-1]:  # groups[0], the leading digit, is always written
-        zeros += all_zero * _GROUP_ZEROS[group]
-        all_zero &= group == 0
-    cells = np.empty((len(x), 41), np.uint8)
-    cells[:, 0] = np.where(np.signbit(x), ord("-"), 0)
-    cells[:, 1:6] = np.frombuffer(b"0.000", np.uint8)
-    cells[:, 6:23] = _ascii(groups)[:, 3:]
-    cells[:, 23] = ord(".")
-    cells[:, 24:] = cells[:, 6:23]
-    cells &= _FLOAT_KEEP[(exp + 4) * 17 + 16 - zeros]
-    odd = ~(inside | zero)
-    cells[odd] = _text_cells(x[odd], 41)
+        exp += off
+        digits[off != 0] = _round_scaled(a[off != 0], exp[off != 0])
+    digits[x == 0] = 0
+    groups = _digit_groups(digits.view(np.uint64), 5)
+    zeros = _GROUP_ZEROS.take(groups[:, 4])
+    rows = np.flatnonzero(groups[:, 4] == 0)
+    for k in (3, 2, 1):  # groups[:, 0], the leading digit, is always written
+        group = groups[rows, k]
+        zeros[rows] += _GROUP_ZEROS.take(group)
+        rows = rows[group == 0]
+    negative, lo, hi = np.signbit(x), int(exp.min()), int(exp.max())
+    sign, prefix, first = int(negative.any()), (1 - lo) * (lo < 0), max(lo + 1, 0)
+    n_int, point = max(hi + 1, 0), int(hi >= 0)
+    # the whole cell's sign, prefix, integer digits, point and fraction digits the block reaches
+    columns = [0] * sign + [*range(1, 1 + prefix), *range(6, 6 + n_int), *[23] * point,
+                            *range(24 + first, 41)]
+    odd = ~inside & (x != 0)
+    texts = _text_cells(x[odd])
+    columns += [41] * (texts.shape[1] - len(columns))
+    cells = np.zeros((len(x), len(columns)), np.uint8)
+    head, tail = sign + prefix, sign + prefix + n_int + point
+    digit_bytes = _ASCII_GROUPS.take(groups).view(np.uint8)[:, 3:]
+    cells[:, :sign] = (negative * np.uint8(ord("-")))[:, None]
+    cells[:, sign:head] = np.frombuffer(b"0.000", np.uint8)[:prefix]
+    cells[:, head:head + n_int] = digit_bytes[:, :n_int]
+    cells[:, tail - point:tail] = ord(".")
+    cells[:, tail:tail + 17 - first] = digit_bytes[:, first:]
+    cells &= _FLOAT_KEEP[:, columns].take((exp + 4) * 17 + 16 - zeros, axis=0)
+    cells[odd] = 0
+    cells[odd, :texts.shape[1]] = texts
     return cells
 
 
-_SPLITTER = 2.0**27 + 1  # Dekker's split of a double into two 26-bit halves
-
-
 def _split(v: np.ndarray):
-    c = v * _SPLITTER
+    c = v * (2.0**27 + 1)  # Dekker's split of a double into two 26-bit halves
     hi = c - (c - v)
     return hi, v - hi
 
@@ -211,7 +211,7 @@ def _round_scaled(a: np.ndarray, exp: np.ndarray) -> np.ndarray:
     """``round_half_even(a * 10^(16 - exp))`` as int64: exact where the
     product is at least 2^53, and below 1e16 wherever the product is, which
     is all the exponent correction reads there."""
-    scale = _POW10[16 - exp]
+    scale = _POW10.take(16 - exp)
     p = a * scale
     a_hi, a_lo = _split(a)
     s_hi, s_lo = _split(scale)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bandspec.harness as harness
 import bandspec.output as output
+from bandspec.narula_chain import simulate_chain
 
 BLOCK = output._BLOCK_ROWS
 
@@ -145,6 +146,43 @@ def test_python_column_leaves_numpy_columns_in_bulk(tmp_path):
                 for a, i, b in zip(left, labels, right)]
     assert path.read_bytes() == lines(["a,i,b"] + expected)
     assert [call.args[0] for call in text.call_args_list] == labels
+
+
+def test_block_boundaries_through_write_csv(tmp_path):
+    # three blocks and a remainder: the int64 column has 2, 4, 6 and 8 digits
+    # in turn, and each float column holds one odd value at the first row,
+    # at both sides of the first two block boundaries and at the last row
+    rng = np.random.default_rng(13)
+    n_rows = 3 * BLOCK + 17
+    block = np.arange(n_rows) // BLOCK
+    ints = rng.integers(10 ** (2 * block + 1), 10 ** (2 * block + 2)) * np.where(block % 2, -1, 1)
+    edges = [0, BLOCK - 1, BLOCK, 2 * BLOCK, n_rows - 1]
+    floats = []
+    for odd in (np.nan, -0.0, 1e-5, 1e16):
+        column = rng.standard_normal(n_rows) * 100.0
+        column[edges] = odd
+        floats.append(column)
+    names = ("n", "nan", "negative_zero", "small", "big")
+    with spy_text() as text:
+        path = output.write_csv(tmp_path / "edges.csv", names, (ints, *floats), {"k": 1})
+    assert text.call_count == 3 * len(edges)  # -0.0 is the kernel's
+    expected = [",".join(output.text(v) for v in row) for row in zip(ints, *floats)]
+    assert path.read_bytes() == b"# k=1\n" + lines([",".join(names)] + expected)
+
+
+def test_narula_shaped_table_over_three_blocks(tmp_path):
+    # step, d >= 1 and log d as the narula runner writes them, over two whole
+    # blocks and a partial one
+    run = simulate_chain(10.0, 3 * BLOCK + 95, 100, np.random.default_rng(17))
+    steps = np.arange(101, 3 * BLOCK + 96)
+    with spy_text() as text:
+        path = output.write_csv(tmp_path / "chain.csv", ("step", "d", "log_d"),
+                                (steps, run.samples, run.logs), {})
+    expected = [f"{s},{output.text(d)},{output.text(log_d)}"
+                for s, d, log_d in zip(steps, run.samples, run.logs)]
+    assert path.read_bytes() == lines(["step,d,log_d"] + expected)
+    # only a log below 1e-4, where %.17g writes an exponent, leaves the kernel
+    assert all(abs(call.args[0]) < 1e-4 for call in text.call_args_list)
 
 
 @settings(max_examples=300, deadline=None)

@@ -226,6 +226,27 @@ def test_gaussian_draws_through_a_bounded_buffer(spec, size):
     assert peak - before - got.nbytes < 8 * min(got.size, _DRAW_BUFFER) + 4096
 
 
+@pytest.mark.parametrize("size", [1, _DRAW_BUFFER, _DRAW_BUFFER + 1, (_DRAW_BUFFER + 5, 3),
+                                  (2**18, 1)])
+def test_uniform_phase_draws_through_a_bounded_buffer(size):
+    # Philox uniforms are the same stream in chunks as in one call, so the
+    # buffer keeps the bytes of exp(2j pi u) from one whole-size draw
+    whole = 2j * np.pi * derive_stream(5, 1).random(size)
+    want = np.exp(whole, out=whole)
+    rng = derive_stream(5, 1)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        got = UNIFORM_PHASE.sample(rng, size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the buffer's doubles and a few KB of headers, under 0.1 MB at 2^18 draws
+    # (a whole-size draw held 2.2 MB)
+    assert peak - before - got.nbytes < 8 * min(got.size, _DRAW_BUFFER) + 4096
+
+
 def test_sample_moments_converge_for_all_kinds(rng):
     for spec in (RAYLEIGH, UNIFORM_PHASE, rician(0.5, 0.75)):
         for order in (2, 4):

@@ -95,6 +95,13 @@ def test_chain_samples_respect_bounds(rng):
     assert run.log_mean_stderr > 0
 
 
+def test_chain_keeps_the_logs_it_averages(rng):
+    # the narula runner writes these as log_d, so they must be np.log's bytes
+    run = simulate_chain(5.0, 5_000, 100, rng)
+    assert run.logs.tobytes() == np.log(run.samples).tobytes()
+    assert run.ergodic_log_mean == float(run.logs.mean())
+
+
 def test_chain_determinism():
     a = simulate_chain(2.0, 5_000, 100, np.random.default_rng(42))
     b = simulate_chain(2.0, 5_000, 100, np.random.default_rng(42))
