@@ -1,10 +1,9 @@
-"""Ensemble trace moments against the three-moment polynomials.
+"""Ensemble trace moments against their closed-walk sums.
 
-The first three limiting spectral moments of the symmetric single-user Gram
-matrix are polynomials in alpha and the even amplitude moments, valid when
-the fading amplitude is independent of a uniform phase.  Trace moments are
-computed directly in band storage (no eigendecomposition) and averaged over
-the ensemble.
+The limiting spectral moments of the Gram matrix are exact sums over the
+closed walks of the band, each walk weighted by mixed moments of the fading
+laws.  Trace moments are computed directly in band storage (no
+eigendecomposition) and averaged over the ensemble.
 
 The second part shows why the phase condition matters: at alpha = 1 the
 deterministic channel's second moment settles near 19 while unit-amplitude
@@ -38,10 +37,10 @@ def main():
     print()
     print("distribution dependence at alpha = 1 (second moment)")
     unif = moments(bs.wyner(N, 1, 1.0, 1.0, bs.UNIFORM_PHASE))[1]
-    # one draw: the deterministic channel has no moment polynomial and no spread
+    # one draw: the deterministic channel has no spread
     det = moments(bs.wyner(N, 1, 1.0, 1.0, bs.DETERMINISTIC), 1)[1]
     print(f"uniform phase : {unif.estimate:8.4f} (+- {unif.std_err:.4f}), limit {unif.reference:g}")
-    print(f"deterministic : {det.estimate:8.4f}, Toeplitz symbol mean 19")
+    print(f"deterministic : {det.estimate:8.4f}, limit {det.reference:g}")
 
 
 if __name__ == "__main__":

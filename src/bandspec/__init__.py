@@ -29,6 +29,7 @@ from .closed_forms import (
     narula_capacity,
     narula_stationary_cdf,
     narula_stationary_pdf,
+    walk_moments,
     wyner_capacity_large_k,
     wyner_capacity_nonfading,
 )

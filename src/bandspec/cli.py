@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import closed_forms
+from .band_matrix import wyner
 from .fading import parse_spec_tag
 from .harness import (
     AllReplicatesFailedError,
@@ -70,8 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=float, default=1.0, help="total per-cell power P")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--m2", type=float, default=1.0)
-    p.add_argument("--m4", type=float, default=None)
-    p.add_argument("--m6", type=float, default=None)
     p.add_argument("--mu", type=float, default=0.0, help="complex mean modulus")
     p.add_argument("--pbar", type=float, default=1.0)
     p.add_argument("--x", type=float, default=1.0)
@@ -98,23 +97,20 @@ def _run_simulation(args) -> int:
     return 0
 
 
-def _m4(args) -> float:
-    return args.m4 if args.m4 is not None else args.m2**2
-
-
 # formula -> function of the parsed flags giving its (quantity, value) rows
 _FORMULAS = {
     "wyner-nonfading": lambda a: [
         ("capacity_nats", closed_forms.wyner_capacity_nonfading(a.power, a.alpha))],
     "wyner-large-k": lambda a: [
         ("capacity_nats", closed_forms.wyner_capacity_large_k(a.power, a.alpha, a.m2, a.mu))],
-    "limiting-moments": lambda a: zip(("M1", "M2", "M3"), closed_forms.limiting_moments(
-        a.m2, _m4(a), a.m6 if a.m6 is not None else a.m2**3, a.alpha)),
+    # the symmetric uplink of --fading-a: the walk sums read no N, so 3 cells
+    "limiting-moments": lambda a: zip(("M1", "M2", "M3"), closed_forms.walk_moments(
+        wyner(3, a.k, a.alpha, a.alpha, parse_spec_tag(a.fading_a)))),
     "exp-integral": lambda a: [("E1", closed_forms.exp_integral(a.x))],
     "narula-pdf": lambda a: [("pdf", closed_forms.narula_stationary_pdf(a.x, a.pbar))],
     "narula-capacity": lambda a: [("capacity_nats", closed_forms.narula_capacity(a.pbar))],
     "low-snr": lambda a: zip(("eb_n0_min", "s0"), closed_forms.low_snr_params(
-        a.k, a.alpha, a.m2, _m4(a))),
+        wyner(3, a.k, a.alpha, a.alpha, parse_spec_tag(a.fading_a)))),
     "high-snr": lambda a: zip(("s_inf", "l_inf"), closed_forms.high_snr_params(
         parse_spec_tag(a.fading_a), parse_spec_tag(a.fading_b or a.fading_a))),
     "mp-cdf": lambda a: [("cdf", closed_forms.marchenko_pastur_cdf(a.x, a.k, a.sigma2))],

@@ -12,15 +12,18 @@ give a float for a scalar ``x`` and an array of ``x``'s shape for an array.
 from __future__ import annotations
 
 import cmath
+import collections
+import itertools
 import math
 
 import numpy as np
 
-from .fading import FadingSpec, _exp1
+from .fading import FadingSpec, MomentUnavailableError, _exp1
 
 __all__ = [
     "wyner_capacity_nonfading",
     "wyner_capacity_large_k",
+    "walk_moments",
     "limiting_moments",
     "exp_integral",
     "narula_stationary_pdf",
@@ -83,23 +86,55 @@ def wyner_capacity_large_k(power: float, alpha: float, m2: float, mu: complex) -
     return math.log1p(power * base) + math.log1p(2.0 * w.real + abs(w) ** 2)
 
 
-def limiting_moments(m2: float, m4: float, m6: float, alpha: float):
-    """First three limiting spectral moments of the Gram matrix.
+def walk_moments(params, orders=(1, 2, 3)) -> tuple[float, ...]:
+    """``lim trace(A^p) / N`` of the Gram matrix of the channel ``params`` (N
+    unread) for each p of ``orders``: the exact sum over the closed walks of
+    2p steps alternating H and H^dagger, each the product of ``gain^(a+b)
+    E[h^a conj(h)^b]`` over the entries it visits (the moment method for band
+    matrices: Bryc, Dembo & Jiang, Ann. Probab. 34, 2006).  Its cost does not
+    grow with K.  Every order is nan when a moment or a sum overflows a double."""
+    laws = {d.offset: (d.gain, d.fading.mixed_moment) for d in params.diagonals if d.gain}
+    return _closed_walk_sum(laws, params.users_per_cell, orders)
 
-    Valid for the symmetric three-diagonal single-user channel whose fading
-    amplitude is independent of a uniformly distributed phase; ``m2, m4, m6``
-    are the even amplitude power moments of the coefficient law.
-    """
-    a2 = alpha**2
-    m1 = m2 + 2.0 * m2 * a2
-    mm2 = m4 + 8.0 * m2**2 * a2 + (4.0 * m2**2 + 2.0 * m4) * a2**2
-    mm3 = (
-        m6
-        + (6.0 * m2**3 + 12.0 * m2 * m4) * a2
-        + (36.0 * m2**3 + 12.0 * m2 * m4) * a2**2
-        + (6.0 * m2**3 + 12.0 * m2 * m4 + 2.0 * m6) * a2**3
-    )
-    return m1, mm2, mm3
+
+def limiting_moments(m2: float, m4: float, m6: float, alpha: float):
+    """First three limiting spectral moments of the symmetric three-diagonal
+    single-user channel (gains alpha, 1, alpha) of a circular law with even
+    amplitude moments ``m2, m4, m6``, ``E[h^a conj(h)^b] = [a == b] E|h|^2a``."""
+    circular = (lambda a, b: (1.0, m2, m4, m6)[a] if a == b else 0.0)
+    return _closed_walk_sum({o: (g, circular) for o, g in ((-1, alpha), (0, 1.0), (1, alpha))},
+                            1, (1, 2, 3))
+
+
+def _closed_walk_sum(laws, k: int, orders) -> tuple[float, ...]:
+    """:func:`walk_moments` of k users, ``laws[offset] = (gain, mixed moment)``."""
+    sums = []
+    for p in orders:
+        patterns = [()]  # each step's user, numbered by first use: fewer than K numbers
+        for _ in range(p):
+            patterns = [u + (v,) for u in patterns for v in range(min(max(u, default=-1) + 2, k))]
+        paths = collections.defaultdict(list)  # the offsets of p steps, by their sum
+        for path in itertools.product(laws, repeat=p):
+            paths[sum(path)].append(path)
+        monomials = collections.Counter()  # the walks' weights by the entries they visit
+        for same in paths.values():  # out along one path and back along one of its sum
+            for out, back, users in itertools.product(same, same, patterns):
+                visits = {}  # (row, offset, user) -> [times as h, times as conj(h)]
+                row = 0
+                for user, d, e in zip(users, out, back):
+                    visits.setdefault((row, d, user), [0, 0])[0] += 1
+                    row += d - e
+                    visits.setdefault((row, e, user), [0, 0])[1] += 1
+                # the K!/(K-m)! ways to give the m numbers distinct users
+                key = tuple(sorted((o, a, b) for (_, o, _), (a, b) in visits.items()))
+                monomials[key] += math.perm(k, max(users) + 1)
+        try:  # a walk and its reverse cancel the imaginary parts
+            sums.append(math.fsum((count * math.prod(laws[o][0] ** (a + b) * laws[o][1](a, b)
+                                                     for o, a, b in entries)).real
+                                  for entries, count in monomials.items()))
+        except (MomentUnavailableError, OverflowError, ValueError):  # past a double, inf - inf
+            sums.append(math.nan)
+    return tuple(sums) if all(map(math.isfinite, sums)) else (math.nan,) * len(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -213,23 +248,14 @@ def narula_capacity(pbar: float) -> float:
 # extreme-SNR parameters
 # ---------------------------------------------------------------------------
 
-def low_snr_params(k: int, alpha: float, m2: float, m4: float):
-    """Low-SNR pair (minimum transmit Eb/N0, spectral-efficiency slope).
-
-    ``eb_n0_min = log 2 / (m2 (1 + 2 alpha^2))`` and
-    ``s0 = 2 K (1 + 2 a^2)^2 / (kur + K - 1 + 4 (1+K) a^2 + 2 (kur + 2K) a^4)``
-    with ``kur = m4 / m2^2`` the amplitude kurtosis.
-    """
-    if m2 <= 0:
-        raise ValueError("m2 must be positive")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    a2 = alpha**2
-    eb_n0_min = np.log(2.0) / (m2 * (1.0 + 2.0 * a2))
-    kur = m4 / m2**2
-    denom = kur + k - 1.0 + 4.0 * (1.0 + k) * a2 + 2.0 * (kur + 2.0 * k) * a2**2
-    s0 = 2.0 * k * (1.0 + 2.0 * a2) ** 2 / denom
-    return float(eb_n0_min), float(s0)
+def low_snr_params(params):
+    """Low-SNR pair (minimum transmit Eb/N0, spectral-efficiency slope) of the
+    channel ``params``: ``K ln 2 / M1`` and ``2 M1^2 / M2`` of its walk sums,
+    the exact C'(0) and C''(0) (Verdu, IEEE Trans. IT 48, 2002)."""
+    m1, m2 = walk_moments(params, (1, 2))
+    if m1 == 0 or m2 == 0:  # every gain is 0, or so small that a moment underflows
+        return math.nan, math.nan
+    return params.users_per_cell * math.log(2.0) / m1, 2.0 * m1 * (m1 / m2)
 
 
 def high_snr_params(pi_a: FadingSpec, pi_b: FadingSpec):

@@ -1,20 +1,21 @@
-"""Fading coefficient laws with exact amplitude-moment metadata.
+"""Fading coefficient laws with exact moment metadata.
 
-Every analytic baseline in :mod:`bandspec.closed_forms` is a function of a
-few even amplitude power moments ``E|h|^2m`` and the log-amplitude mean
-``E log2|h|`` of an individual fading coefficient.  These are therefore
-carried as exact closed forms alongside the sampler, never estimated from
-draws.  Both read the amplitude law only, and every law here has the
-amplitude of a Rician law ``nu + CN(0, s2)``: Rayleigh is ``(|nu|, s2) =
-(0, 1)``, and ``|h| = 1`` (deterministic, uniform phase) is ``(1, 0)``; so
-one Rician formula of ``(|nu|, s2)`` gives each (Lapidoth & Moser, IEEE
-Trans. IT 2003).
+Every analytic baseline in :mod:`bandspec.closed_forms` is a function of the
+mixed moments ``E[h^a conj(h)^b]`` and the log-amplitude mean ``E log2|h|``
+of an individual fading coefficient.  These are therefore carried as exact
+closed forms alongside the sampler, never estimated from draws.  Every law
+but uniform phase is a Rician law ``nu + CN(0, s2)`` (Rayleigh ``(0, 1)``,
+deterministic ``(1, 0)``), so one Rician formula gives its mixed moments;
+uniform phase's are ``[a == b]``.  The amplitude moments and the log mean
+read the amplitude only, which for uniform phase is that of ``(1, 0)``
+(Lapidoth & Moser, IEEE Trans. IT 2003).
 
 All laws are normalized to a known second amplitude moment; for the complex
 Gaussian ("rayleigh") law that normalization is ``E|h|^2 = 1``.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -98,6 +99,23 @@ class FadingSpec:
 
     # -- exact moment metadata ----------------------------------------------
 
+    def mixed_moment(self, a: int, b: int):
+        """Exact ``E[h^a conj(h)^b]`` (a float if ``a == b``; MomentUnavailableError past a double):
+        Rician ``sum_j C(a,j) C(b,j) j! s2^j nu^(a-j) conj(nu)^(b-j)``, uniform phase ``[a == b]``."""
+        if self.kind == "uniform-phase":
+            return float(a == b)
+        amplitude, s2 = self._rice
+        nu, m = (self.nu if self.kind == "rician" else amplitude), min(a, b)
+        try:  # nu^(a-j) conj(nu)^(b-j) = |nu|^2(m-j) nu^(a-m) conj(nu)^(b-m)
+            tilt = 1 if a == b else nu ** (a - m) if a > b else nu.conjugate() ** (b - m)
+            val = tilt * sum(math.comb(a, j) * math.comb(b, j) * math.factorial(j)
+                             * s2 ** j * amplitude ** (2 * (m - j)) for j in range(m, -1, -1))
+        except OverflowError:  # Python ** raises where * gives inf
+            val = math.inf
+        if not cmath.isfinite(val):
+            raise MomentUnavailableError(f"moment order {a + b} of {self.tag} overflows")
+        return val
+
     def amplitude_moment(self, order: int) -> float:
         """Exact even amplitude power moment ``E|h|^order`` (no sampling).
 
@@ -109,17 +127,7 @@ class FadingSpec:
         if order % 2:
             raise MomentUnavailableError(
                 f"odd moment order {order} of {self.tag}: only even orders are implemented")
-        # E|h|^2m = sum_k C(m, k) m!/k! s2^(m-k) |nu|^2k: exact, also at s2 = 0
-        m = int(order) // 2
-        nu, s2 = self._rice
-        try:
-            val = float(sum(math.comb(m, k) * math.perm(m, m - k) * s2 ** (m - k) * nu ** (2 * k)
-                            for k in range(m + 1)))
-        except OverflowError:  # Python float ** raises where * gives inf
-            val = math.inf
-        if not math.isfinite(val):
-            raise MomentUnavailableError(f"moment order {order} of {self.tag} overflows")
-        return val
+        return self.mixed_moment(int(order) // 2, int(order) // 2)
 
     def log2_amplitude_mean(self) -> float:
         """``E[log2 |h|]`` in closed form, for every law.

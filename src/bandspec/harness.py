@@ -67,7 +67,7 @@ from .band_matrix import (
     wyner,
 )
 from .eig import eigenvalues
-from .fading import MomentUnavailableError, parse_spec_tag
+from .fading import parse_spec_tag
 from .narula_chain import N_BATCHES, simulate_chain
 from .output import gnuplot_scripts, write_csv
 from .spectral import EmpiricalSpectrum, _gram_trace_moments, power_profile, power_profile_sup_diff
@@ -581,8 +581,7 @@ def _run_moments(config, replicate):
         return np.array(_gram_trace_moments(generate_channel(params, rng)))
 
     (replicates,) = replicate([worker], config.replications)
-    refs = _moment_reference(params) or (float("nan"),) * len(orders)
-    return _table("moments.csv", "p", [(orders, replicates, refs)])
+    return _table("moments.csv", "p", [(orders, replicates, closed_forms.walk_moments(params, orders))])
 
 
 def _run_narula(config, replicate):
@@ -745,56 +744,23 @@ def fit_high_snr_offset_extrapolated(p_points, capacities_nats):
 # closed-form reference plumbing
 # ---------------------------------------------------------------------------
 
-def _symmetric_uplink(params: ChannelParams):
-    """``(alpha, law)`` when the channel is the symmetric three-diagonal uplink:
-    gains alpha, 1, alpha (a missing neighbor counts as gain 0) and one fading
-    law on every diagonal; else None."""
+def _capacity_reference(params: ChannelParams, powers) -> list[float]:
+    """Non-fading Toeplitz-limit capacity at each total power of the symmetric
+    deterministic uplink (gains alpha, 1, alpha, a missing neighbor at gain
+    0); nan for every other channel."""
     gains = {d.offset: d.gain for d in params.diagonals}
-    laws = {d.fading for d in params.diagonals}
     alpha = gains.get(-1, 0.0)
     if (set(gains) <= {-1, 0, 1} and gains.get(0) == 1.0 and gains.get(1, 0.0) == alpha
-            and len(laws) == 1):
-        return alpha, laws.pop()
-    return None
-
-
-def _capacity_reference(params: ChannelParams, powers) -> list[float]:
-    """Non-fading Toeplitz-limit capacity at each total power; nan where that
-    closed form does not apply."""
-    uplink = _symmetric_uplink(params)
-    if uplink is None or uplink[1].kind != "deterministic":
-        return [float("nan")] * len(powers)
-    return [closed_forms.wyner_capacity_nonfading(p, uplink[0]) for p in powers]
-
-
-def _moment_reference(params: ChannelParams):
-    uplink = _symmetric_uplink(params)
-    if uplink is None or params.users_per_cell != 1:
-        return None
-    alpha, law = uplink
-    if alpha > 0 and law.kind not in ("rayleigh", "uniform-phase"):
-        return None
-    try:
-        moments = [law.amplitude_moment(order) for order in (2, 4, 6)]
-    except MomentUnavailableError:  # an even moment past a double: no reference
-        return None
-    return closed_forms.limiting_moments(*moments, alpha)
+            and all(d.fading.kind == "deterministic" for d in params.diagonals)):
+        return [closed_forms.wyner_capacity_nonfading(p, alpha) for p in powers]
+    return [float("nan")] * len(powers)
 
 
 def _extreme_snr_reference(params: ChannelParams):
-    nan = float("nan")
-    eb = s0 = s_inf = l_inf = nan
-    uplink = _symmetric_uplink(params)
-    if uplink is not None:
-        alpha, law = uplink
-        try:
-            m2, m4 = law.amplitude_moment(2), law.amplitude_moment(4)
-            eb, s0 = closed_forms.low_snr_params(params.users_per_cell, alpha, m2, m4)
-        except MomentUnavailableError:  # an even moment past a double: nan references
-            pass
+    s_inf = l_inf = float("nan")
     diagonal = {d.offset: d for d in params.diagonals}
     if (params.users_per_cell == 1 and set(diagonal) in ({-1, 0}, {0, 1})
             and all(d.gain == 1.0 for d in diagonal.values())):
         side = diagonal.get(-1) or diagonal[1]
         s_inf, l_inf = closed_forms.high_snr_params(diagonal[0].fading, side.fading)
-    return eb, s0, s_inf, l_inf
+    return (*closed_forms.low_snr_params(params), s_inf, l_inf)

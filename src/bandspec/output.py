@@ -69,7 +69,10 @@ def text(value) -> str:
 
 def _text_cells(values) -> np.ndarray:
     """:func:`text` of each value, as a NUL-padded uint8 matrix."""
-    cells = np.array([text(v).encode() for v in values], dtype="S")
+    texts = [text(v).encode() for v in values]
+    if any(b"\0" in t for t in texts):  # it would be deleted with the padding
+        raise ValueError("a CSV text cell holds a NUL byte")
+    cells = np.array(texts, dtype="S")
     return cells.view(np.uint8).reshape(len(cells), cells.itemsize)
 
 

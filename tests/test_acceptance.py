@@ -151,6 +151,26 @@ def test_c4_limiting_moments_at_paper_scale(tmp_path):
           f"a moments replicate's traced peak above its channel {excess / 1e6:.2f} MB < 1 MB")
 
 
+@pytest.mark.scale
+def test_c4_three_law_channel_at_paper_scale(tmp_path):
+    # CI's moments-k2 channel: K = 2 on diagonals {-2, 0, 1}, one law each,
+    # the Rician with a complex mean, against its walk-sum reference
+    config = bs.ExperimentConfig.from_dict({
+        "kind": "moments", "replications": 4, "seed": 13, "out_dir": str(tmp_path),
+        "channel": {"n_cells": 2**18, "users_per_cell": 2, "diagonals": [
+            {"offset": -2, "gain": 0.5, "fading": "rayleigh"},
+            {"offset": 0, "gain": 1.0, "fading": "uniform-phase"},
+            {"offset": 1, "gain": 0.7, "fading": "rician:nu=0.3+0.4j,s2=0.5"}]},
+    })
+    results = bs.run_experiment(config).results
+    refs = np.array([r.reference for r in results])
+    check("C4 scale", refs.tolist() == list(bs.walk_moments(config.channel)),
+          f"the moments.csv references are the walk sums {np.array2string(refs, precision=6)}")
+    rel = np.abs(np.array([r.estimate for r in results]) / refs - 1.0)
+    check("C4 scale", bool(np.all(rel < 0.02)),
+          f"three-law K = 2 moment errors at N = 2^18 {np.array2string(rel, precision=5)} < 2%")
+
+
 def test_c5_low_snr_reproduction():
     n, n_reps = 2048, 200
     p_points = (1e-3, 2e-3)

@@ -1,12 +1,15 @@
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import bandspec
@@ -14,7 +17,11 @@ from bandspec import (
     DETERMINISTIC,
     RAYLEIGH,
     UNIFORM_PHASE,
+    ChannelParams,
+    DiagonalSpec,
     exp_integral,
+    generate_channel,
+    gram,
     high_snr_params,
     limiting_moments,
     low_snr_params,
@@ -24,10 +31,13 @@ from bandspec import (
     narula_stationary_cdf,
     narula_stationary_pdf,
     rician,
+    trace_moment,
+    walk_moments,
+    wyner,
     wyner_capacity_large_k,
     wyner_capacity_nonfading,
 )
-from bandspec.closed_forms import _e1_scaled
+from bandspec.closed_forms import _closed_walk_sum, _e1_scaled
 
 import high_precision_oracles as oracles
 
@@ -208,19 +218,146 @@ class TestWynerLargeK:
             wyner_capacity_large_k(1.0, 0.5, 0.5, 1.0)
 
 
+# The hand-derived formulas that the walk sum replaced, kept as oracles of the
+# symmetric three-diagonal uplink with a circular law: the three-moment
+# polynomials in alpha^2 and the even amplitude moments (K = 1), and the
+# low-SNR pair from the amplitude kurtosis m4 / m2^2 (any K).
+def moment_polynomials(m2, m4, m6, alpha):
+    a2 = alpha**2
+    m1 = m2 + 2.0 * m2 * a2
+    mm2 = m4 + 8.0 * m2**2 * a2 + (4.0 * m2**2 + 2.0 * m4) * a2**2
+    mm3 = (
+        m6
+        + (6.0 * m2**3 + 12.0 * m2 * m4) * a2
+        + (36.0 * m2**3 + 12.0 * m2 * m4) * a2**2
+        + (6.0 * m2**3 + 12.0 * m2 * m4 + 2.0 * m6) * a2**3
+    )
+    return m1, mm2, mm3
+
+
+def kurtosis_low_snr(k, alpha, m2, m4):
+    a2 = alpha**2
+    eb_n0_min = np.log(2.0) / (m2 * (1.0 + 2.0 * a2))
+    kur = m4 / m2**2
+    denom = kur + k - 1.0 + 4.0 * (1.0 + k) * a2 + 2.0 * (kur + 2.0 * k) * a2**2
+    return float(eb_n0_min), float(2.0 * k * (1.0 + 2.0 * a2) ** 2 / denom)
+
+
+CIRCULAR_LAWS = [RAYLEIGH, UNIFORM_PHASE, rician(0.0, 2.5)]
+
+
+def even_moments(law):
+    return [law.amplitude_moment(order) for order in (2, 4, 6)]
+
+
 class TestLimitingMoments:
     def test_alpha_zero_returns_raw_moments(self):
         assert limiting_moments(1.0, 2.0, 6.0, 0.0) == (1.0, 2.0, 6.0)
+        assert moment_polynomials(1.0, 2.0, 6.0, 0.0) == (1.0, 2.0, 6.0)
 
     def test_rayleigh_half(self):
         # substitution oracle: (m2, m4, m6) = (1, 2, 6), alpha = 1/2
-        m1, m2, m3 = limiting_moments(1.0, 2.0, 6.0, 0.5)
-        assert m1 == pytest.approx(1.5, rel=1e-15)
-        assert m2 == pytest.approx(4.5, rel=1e-15)
-        assert m3 == pytest.approx(573 / 32, rel=1e-15)
+        assert limiting_moments(1.0, 2.0, 6.0, 0.5) == (1.5, 4.5, 573 / 32)
+        assert moment_polynomials(1.0, 2.0, 6.0, 0.5) == (1.5, 4.5, 573 / 32)
 
     def test_unit_amplitude_alpha_one(self):
         assert limiting_moments(1.0, 1.0, 1.0, 1.0) == (3.0, 15.0, 87.0)
+        assert moment_polynomials(1.0, 1.0, 1.0, 1.0) == (3.0, 15.0, 87.0)
+
+    @pytest.mark.parametrize("law", CIRCULAR_LAWS, ids=lambda law: law.tag)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_walk_sum_is_the_polynomials_exactly(self, law, alpha):
+        want = moment_polynomials(*even_moments(law), alpha)
+        assert walk_moments(wyner(8, 1, alpha, alpha, law)) == want
+        assert limiting_moments(*even_moments(law), alpha) == want
+
+    @pytest.mark.parametrize("law", CIRCULAR_LAWS, ids=lambda law: law.tag)
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7, 0.9])
+    def test_walk_sum_is_the_polynomials_to_rounding(self, law, alpha):
+        want = moment_polynomials(*even_moments(law), alpha)
+        got = walk_moments(wyner(8, 1, alpha, alpha, law))
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_a_sum_or_moment_past_a_double_is_nan_at_every_order(self):
+        # no inf and no warning, as for the amplitude moments it replaced
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # every amplitude moment fits a double, M2 and M3 do not
+            assert np.isnan(limiting_moments(1e100, 1e300, 1e300, 0.5)).all()
+            # E[h^2 conj(h)^2] of nu = 1e100 is past a double, E|h|^2 is not
+            rich = wyner(8, 1, 0.5, 0.5, rician(1e100, 1.0))
+            assert np.isnan(walk_moments(rich)).all()
+            assert np.isnan(low_snr_params(rich)).all()
+            assert walk_moments(rich, (1,)) == (1.5 * (1e200 + 1.0),)
+
+
+def _channel(n, k, diagonals):
+    return ChannelParams(n, k, tuple(DiagonalSpec(o, g, law) for o, g, law in diagonals))
+
+
+# CI's K = 2 three-law channel on {-2, 0, 1}, Rician with a complex mean
+THREE_LAWS = ((-2, 0.5, RAYLEIGH), (0, 1.0, UNIFORM_PHASE), (1, 0.7, rician(0.3 + 0.4j, 0.5)))
+LAWS = [DETERMINISTIC, RAYLEIGH, UNIFORM_PHASE, rician(0.3 + 0.4j, 0.5), rician(-0.6 + 0.2j, 0.3),
+        rician(0.8, 0.36)]
+
+
+class TestWalkMoments:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("diagonals", [
+        ((-2, 0.5, DETERMINISTIC), (0, 1.0, rician(0.3 + 0.4j, 0.0)), (1, 0.7, rician(-0.6j, 0.0))),
+        ((-1, 0.3, rician(0.3 + 0.4j, 0.0)), (2, 0.9, DETERMINISTIC)),
+    ])
+    def test_deterministic_channels_differ_from_it_only_at_the_edges(self, k, diagonals):
+        # with no randomness, N (trace(A^p) / N - M_p) is the walks that the
+        # matrix ends cut off: the same at every N past twice their reach
+        ref = np.array(walk_moments(_channel(8, k, diagonals)))
+        edges = []
+        for n in (600, 1200):
+            a = gram(generate_channel(_channel(n, k, diagonals), np.random.default_rng(0)))
+            edges.append(n * (np.array([trace_moment(a, p) for p in (1, 2, 3)]) - ref))
+        assert edges[1] == pytest.approx(edges[0], rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 3),
+        diagonals=st.lists(st.tuples(st.integers(-2, 2), st.floats(0.1, 1.0), st.sampled_from(LAWS)),
+                           min_size=1, max_size=3, unique_by=lambda d: d[0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_against_replicate_mean_trace_moments(self, k, diagonals, seed):
+        n, replicates, orders = 4096, 16, (1, 2, 3)
+        params = _channel(n, k, diagonals)
+        streams = np.random.default_rng(seed).spawn(replicates)
+        traces = np.array([[trace_moment(a, p) for p in orders]
+                           for a in (gram(generate_channel(params, rng)) for rng in streams)])
+        mean = traces.mean(axis=0)
+        se = traces.std(axis=0, ddof=1) / np.sqrt(replicates)
+        ref = np.array(walk_moments(params, orders))
+        # a row within reach of an end of the matrix loses the walks that
+        # leave it, whose expectations are at most the absolute walk sum
+        laws = {o: (g, lambda a, b, law=law: abs(law.mixed_moment(a, b))) for o, g, law in diagonals}
+        absolute = np.array(_closed_walk_sum(laws, k, orders))
+        offsets = [o for o, _, _ in diagonals]
+        reach = np.array(orders) * (max(offsets) - min(offsets)) + max(map(abs, offsets))
+        edge = 2 * reach * absolute / n
+        rounding = 1e-12 * absolute  # all there is when every law is deterministic
+        assert np.all(np.abs(mean - ref) <= 4 * se + edge + rounding), (mean, se, ref, edge)
+
+    def test_three_laws_reference(self):
+        # the sums by hand: M1 = K sum_d g_d^2 E|h_d|^2 = 2 (0.25 + 1 + 0.49 * 0.75)
+        assert walk_moments(_channel(8, 2, THREE_LAWS), (1,)) == (3.235,)
+
+    def test_cost_does_not_grow_with_k(self):
+        # past K = p every sharing pattern of the p steps has its users: the
+        # same sum, with other weights; the two K alternate, so load hits both
+        times = {3: [], 8: []}
+        for _ in range(7):
+            for k in times:
+                params = _channel(8, k, THREE_LAWS)
+                start = time.perf_counter()
+                walk_moments(params)
+                times[k].append(time.perf_counter() - start)
+        assert min(times[8]) <= 1.5 * min(times[3])
 
 
 # the elementwise functions of a point, each at a point of its domain
@@ -360,21 +497,44 @@ class TestNarulaCapacity:
 
 class TestLowSnr:
     def test_textbook_pairs(self):
-        eb, s0 = low_snr_params(1, 0.0, 1.0, 1.0)
-        assert eb == pytest.approx(np.log(2.0), rel=1e-15)
-        assert s0 == pytest.approx(2.0, rel=1e-15)
-        eb, s0 = low_snr_params(1, 0.0, 1.0, 2.0)
-        assert s0 == pytest.approx(1.0, rel=1e-15)
+        for law in (DETERMINISTIC, UNIFORM_PHASE):
+            pair = low_snr_params(wyner(8, 1, 0.0, 0.0, law))
+            assert pair == kurtosis_low_snr(1, 0.0, 1.0, 1.0) == (np.log(2.0), 2.0)
+        pair = low_snr_params(wyner(8, 1, 0.0, 0.0, RAYLEIGH))
+        assert pair == kurtosis_low_snr(1, 0.0, 1.0, 2.0) == (np.log(2.0), 1.0)
 
     def test_threshold_scaling_in_alpha(self):
         for m2 in (1.0, 2.5):
-            base, _ = low_snr_params(3, 0.0, m2, 2 * m2**2)
-            third, _ = low_snr_params(3, 1.0, m2, 2 * m2**2)
+            law = rician(0.0, m2)  # m4 = 2 m2^2
+            base, _ = low_snr_params(wyner(8, 3, 0.0, 0.0, law))
+            third, _ = low_snr_params(wyner(8, 3, 1.0, 1.0, law))
             assert third == pytest.approx(base / 3.0, rel=1e-14)
+            assert (base, third) == (kurtosis_low_snr(3, 0.0, m2, 2 * m2**2)[0],
+                                     kurtosis_low_snr(3, 1.0, m2, 2 * m2**2)[0])
 
     def test_validation(self):
+        # M1 = 0 when every gain is 0: no Eb/N0 and no slope
+        silent = _channel(8, 2, ((-1, 0.0, RAYLEIGH), (0, 0.0, RAYLEIGH)))
+        assert np.isnan(low_snr_params(silent)).all()
         with pytest.raises(ValueError):
-            low_snr_params(1, 0.5, 0.0, 1.0)
+            wyner(8, 0, 0.5, 0.5, RAYLEIGH)
+
+    @pytest.mark.parametrize("law", CIRCULAR_LAWS, ids=lambda law: law.tag)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+    def test_walk_sum_is_the_kurtosis_formula_for_circular_laws(self, law, k, alpha):
+        m2, m4, _ = even_moments(law)
+        got = low_snr_params(wyner(8, k, alpha, alpha, law))
+        assert got == pytest.approx(kurtosis_low_snr(k, alpha, m2, m4), rel=6e-16, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_rician_mean_is_not_circular(self, k):
+        # E h = nu adds walks that the kurtosis formula lacks: it is off by 10-20%
+        law = rician(0.8, 0.36)
+        _, s0 = low_snr_params(wyner(8, k, 0.5, 0.5, law))
+        _, kurtosis = kurtosis_low_snr(k, 0.5, *even_moments(law)[:2])
+        assert s0 == pytest.approx((1.011508721452976, 1.189029223696031)[k - 1], rel=1e-15)
+        assert kurtosis / s0 - 1 > 0.1
 
 
 class TestHighSnr:

@@ -222,6 +222,15 @@ def test_int64_extremes():
     assert output._format_block([column]) == ints_text(column)
 
 
+@pytest.mark.parametrize("cell", ["a\x00b", "\x00", "trailing\x00"])
+def test_a_nul_in_a_text_cell_raises(tmp_path, cell):
+    # NUL pads the cells and is deleted with the padding: "a\0b" was written "ab"
+    with pytest.raises(ValueError, match="NUL"):
+        output._format_block([[cell, "c"], np.array([1.5, 2.5])])
+    with pytest.raises(ValueError, match="NUL"):
+        output.write_csv(tmp_path / "t.csv", ("quantity",), [[cell]], {})
+
+
 RAYLEIGH_WYNER = {"users_per_cell": 1, "alpha": 0.5, "beta": 0.5, "fading": "rayleigh",
                   "power": 10.0}
 

@@ -21,6 +21,7 @@ from bandspec import (
     AllReplicatesFailedError,
     ConfigError,
     ExperimentConfig,
+    RAYLEIGH,
     PivotError,
     derive_stream,
     eigenvalues,
@@ -30,6 +31,7 @@ from bandspec import (
     generate_channel,
     gram,
     log_ldl_shifted,
+    rician,
     run_experiment,
     trace_moment,
     wyner,
@@ -277,32 +279,34 @@ def taps(*taps, k=1):
 RICIAN = "rician:nu=0.8,s2=0.36"
 # which reference columns are finite ("T") for each channel shape: capacity_vs_P
 # at one power; moments p = 1, 2, 3; extreme_snr eb_n0_min, s0, s_inf, l_inf and
-# l_inf_extrapolated.  The low-SNR pair, the capacity and the moments need the
-# symmetric uplink (gains alpha, 1, alpha, a missing neighbour at gain 0) with
-# one law on every diagonal; the high-SNR pair needs K = 1 and two unit taps.
+# l_inf_extrapolated.  The capacity needs the symmetric uplink (gains alpha, 1,
+# alpha, a missing neighbour at gain 0) with a deterministic law on every
+# diagonal; the moments and the low-SNR pair are walk sums, finite for every
+# channel whose moments fit a double; the high-SNR pair needs K = 1 and two
+# unit taps.
 REFERENCE_SHAPES = {
-    "symmetric-deterministic": (three_diagonal(0.5, "deterministic"), "T", "FFF", "TTFFF"),
+    "symmetric-deterministic": (three_diagonal(0.5, "deterministic"), "T", "TTT", "TTFFF"),
     "symmetric-rayleigh": (three_diagonal(0.5, "rayleigh"), "F", "TTT", "TTFFF"),
     "symmetric-uniform-phase": (three_diagonal(0.5, "uniform-phase"), "F", "TTT", "TTFFF"),
-    "symmetric-rician": (three_diagonal(0.5, RICIAN), "F", "FFF", "TTFFF"),
-    "asymmetric": (three_diagonal(0.5, "rayleigh", beta=0.3), "F", "FFF", "FFFFF"),
-    "k2-deterministic": (three_diagonal(0.5, "deterministic", k=2), "T", "FFF", "TTFFF"),
-    "k2-rayleigh": (three_diagonal(0.5, "rayleigh", k=2), "F", "FFF", "TTFFF"),
+    "symmetric-rician": (three_diagonal(0.5, RICIAN), "F", "TTT", "TTFFF"),
+    "asymmetric": (three_diagonal(0.5, "rayleigh", beta=0.3), "F", "TTT", "TTFFF"),
+    "k2-deterministic": (three_diagonal(0.5, "deterministic", k=2), "T", "TTT", "TTFFF"),
+    "k2-rayleigh": (three_diagonal(0.5, "rayleigh", k=2), "F", "TTT", "TTFFF"),
     "one-diagonal-deterministic": (three_diagonal(0.0, "deterministic"), "T", "TTT", "TTFFF"),
     "one-diagonal-rician": (three_diagonal(0.0, RICIAN), "F", "TTT", "TTFFF"),
-    "two-tap-right": (taps((0, 1.0, "rayleigh"), (1, 1.0, RICIAN)), "F", "FFF", "FFTTT"),
-    "two-tap-left": (taps((-1, 1.0, "rayleigh"), (0, 1.0, "rayleigh")), "F", "FFF", "FFTTT"),
-    "two-tap-right-0.7": (taps((0, 1.0, "rayleigh"), (1, 0.7, "rayleigh")), "F", "FFF", "FFFFF"),
-    "two-tap-left-0.7": (taps((-1, 0.7, "rayleigh"), (0, 1.0, "rayleigh")), "F", "FFF", "FFFFF"),
-    "two-tap-k2": (taps((0, 1.0, "rayleigh"), (1, 1.0, "rayleigh"), k=2), "F", "FFF", "FFFFF"),
+    "two-tap-right": (taps((0, 1.0, "rayleigh"), (1, 1.0, RICIAN)), "F", "TTT", "TTTTT"),
+    "two-tap-left": (taps((-1, 1.0, "rayleigh"), (0, 1.0, "rayleigh")), "F", "TTT", "TTTTT"),
+    "two-tap-right-0.7": (taps((0, 1.0, "rayleigh"), (1, 0.7, "rayleigh")), "F", "TTT", "TTFFF"),
+    "two-tap-left-0.7": (taps((-1, 0.7, "rayleigh"), (0, 1.0, "rayleigh")), "F", "TTT", "TTFFF"),
+    "two-tap-k2": (taps((0, 1.0, "rayleigh"), (1, 1.0, "rayleigh"), k=2), "F", "TTT", "TTFFF"),
     "zero-gain-same-law": (taps((-1, 0.0, "deterministic"), (0, 1.0, "deterministic"),
                                 (1, 0.0, "deterministic")), "T", "TTT", "TTFFF"),
     "zero-gain-second-law": (taps((-1, 0.0, "rayleigh"), (0, 1.0, "deterministic"),
-                                  (1, 0.0, "rayleigh")), "F", "FFF", "FFFFF"),
+                                  (1, 0.0, "rayleigh")), "F", "TTT", "TTFFF"),
     "zero-gain-tap-second-law": (taps((0, 1.0, "deterministic"), (1, 0.0, "rayleigh")),
-                                 "F", "FFF", "FFFFF"),
-    "offsets-minus-2-0": (taps((-2, 1.0, "rayleigh"), (0, 1.0, "rayleigh")), "F", "FFF", "FFFFF"),
-    "offsets-1-2": (taps((1, 1.0, "rayleigh"), (2, 1.0, "rayleigh")), "F", "FFF", "FFFFF"),
+                                 "F", "TTT", "TTFFF"),
+    "offsets-minus-2-0": (taps((-2, 1.0, "rayleigh"), (0, 1.0, "rayleigh")), "F", "TTT", "TTFFF"),
+    "offsets-1-2": (taps((1, 1.0, "rayleigh"), (2, 1.0, "rayleigh")), "F", "TTT", "TTFFF"),
 }
 
 
@@ -317,6 +321,27 @@ def test_finite_reference_columns_by_channel_shape(tmp_path, shape):
 
     assert [finite("capacity_vs_P", p_grid=[1.0]), finite("moments"),
             finite("extreme_snr")] == want
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_rician_s0_reference_is_the_monte_carlo_slope(tmp_path, k):
+    # E h = nu != 0 at alpha 0.5: the kurtosis formula wrote 1.114 (K = 1) and
+    # 1.431 (K = 2), 10-20% above the slope that the Gram matrices have
+    channel = three_diagonal(0.5, RICIAN, k=k)
+    config = ExperimentConfig.from_dict({"kind": "extreme_snr", "channel": channel,
+                                         "replications": 1, "out_dir": str(tmp_path)})
+    (reference,) = [r.reference for r in run_experiment(config).results if r.grid_value == "s0"]
+    # S0 = 2 m1^2 / m2 from replicate trace moments, with a jackknife SE
+    params = wyner(2**14, k, 0.5, 0.5, RICIAN)
+    traces = np.array([[trace_moment(a, p) for p in (1, 2)] for a in (
+        gram(generate_channel(params, derive_stream(29, r))) for r in range(16))])
+
+    def s0(m):
+        return 2 * m[..., 0] ** 2 / m[..., 1]
+
+    leave_one_out = s0((traces.sum(axis=0) - traces) / (len(traces) - 1))
+    se = np.sqrt((len(traces) - 1) * np.var(leave_one_out))
+    assert abs(reference - s0(traces.mean(axis=0))) <= 4 * se
 
 
 class TestStreams:
@@ -1208,7 +1233,7 @@ class TestCli:
 
     def test_closed_form_moments(self, capsys):
         assert main(["closed-form", "--formula", "limiting-moments",
-                     "--m2", "1", "--m4", "2", "--m6", "6", "--alpha", "0.5"]) == 0
+                     "--fading-a", "rayleigh", "--alpha", "0.5"]) == 0
         lines = capsys.readouterr().out.splitlines()
         values = dict(line.split(",") for line in lines[1:])
         assert float(values["M2"]) == pytest.approx(4.5)
@@ -1219,16 +1244,17 @@ class TestCli:
             ("capacity_nats", closed_forms.wyner_capacity_nonfading(10.0, 0.5))]),
         "wyner-large-k": (["--power", "10", "--alpha", "0.5", "--mu", "0.3"], lambda: [
             ("capacity_nats", closed_forms.wyner_capacity_large_k(10.0, 0.5, 1.0, 0.3))]),
-        # --m4 and --m6 default to m2^2 and m2^3
-        "limiting-moments": (["--m2", "2", "--alpha", "0.3"], lambda: zip(
-            ("M1", "M2", "M3"), closed_forms.limiting_moments(2.0, 4.0, 8.0, 0.3))),
+        # the symmetric uplink of --k, --alpha and --fading-a (default rayleigh)
+        "limiting-moments": (["--k", "2", "--alpha", "0.3", "--fading-a", "rician:nu=0.3+0.4j,s2=0.5"],
+                             lambda: zip(("M1", "M2", "M3"), closed_forms.walk_moments(
+                                 wyner(3, 2, 0.3, 0.3, rician(0.3 + 0.4j, 0.5))))),
         "exp-integral": (["--x", "0.7"], lambda: [("E1", closed_forms.exp_integral(0.7))]),
         "narula-pdf": (["--x", "3", "--pbar", "5"], lambda: [
             ("pdf", closed_forms.narula_stationary_pdf(3.0, 5.0))]),
         "narula-capacity": (["--pbar", "5"], lambda: [
             ("capacity_nats", closed_forms.narula_capacity(5.0))]),
-        "low-snr": (["--k", "2", "--alpha", "0.5", "--m4", "2"], lambda: zip(
-            ("eb_n0_min", "s0"), closed_forms.low_snr_params(2, 0.5, 1.0, 2.0))),
+        "low-snr": (["--k", "2", "--alpha", "0.5"], lambda: zip(
+            ("eb_n0_min", "s0"), closed_forms.low_snr_params(wyner(3, 2, 0.5, 0.5, RAYLEIGH)))),
         "high-snr": (["--fading-a", "rician:nu=0.8,s2=0.36", "--fading-b", "rayleigh"],
                      lambda: zip(("s_inf", "l_inf"), closed_forms.high_snr_params(
                          parse_spec_tag("rician:nu=0.8,s2=0.36"), parse_spec_tag("rayleigh")))),
