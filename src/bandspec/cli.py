@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import math
 import sys
 
@@ -66,28 +67,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emit-gnuplot", action="store_true",
                        help="write companion gnuplot scripts")
 
-    p = sub.add_parser("closed-form", help="evaluate an analytic baseline from flags")
+    # a flag is set only if given: each formula reads its own, with its own defaults
+    p = sub.add_parser("closed-form", help="evaluate an analytic baseline from flags",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--formula", required=True, choices=_FORMULAS)
-    p.add_argument("--power", type=float, default=1.0, help="total per-cell power P")
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--m2", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=0.0, help="complex mean modulus")
-    p.add_argument("--pbar", type=float, default=1.0)
-    p.add_argument("--x", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=1, help="users per cell")
-    p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--fading-a", default="rayleigh")
-    p.add_argument("--fading-b", default=None)
+    p.add_argument("--power", type=float, help="total per-cell power P")
+    for name in ("--alpha", "--m2", "--pbar", "--x", "--sigma2"):
+        p.add_argument(name, type=float)
+    p.add_argument("--mu", type=float, help="complex mean modulus")
+    p.add_argument("--k", type=int, help="users per cell")
+    p.add_argument("--fading-a")
+    p.add_argument("--fading-b")
     return parser
 
 
 def _run_simulation(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     if config.kind not in _SUBCOMMAND_KINDS[args.command]:
-        raise ConfigError(
-            f"config kind {config.kind!r} does not belong to subcommand "
-            f"{args.command!r}"
-        )
+        raise ConfigError(f"config kind {config.kind!r} does not belong to subcommand {args.command!r}")
     overrides = {k: v for k, v in (("seed", args.seed), ("out_dir", args.out)) if v is not None}
     if overrides:  # a new config, checked as it is built
         config = dataclasses.replace(config, **overrides)
@@ -97,32 +94,38 @@ def _run_simulation(args) -> int:
     return 0
 
 
-# formula -> function of the parsed flags giving its (quantity, value) rows
+# formula -> function of the flags it reads, with their defaults, giving its
+# (quantity, value) rows; the uplinks' walk sums read no N, so 3 cells do
 _FORMULAS = {
-    "wyner-nonfading": lambda a: [
-        ("capacity_nats", closed_forms.wyner_capacity_nonfading(a.power, a.alpha))],
-    "wyner-large-k": lambda a: [
-        ("capacity_nats", closed_forms.wyner_capacity_large_k(a.power, a.alpha, a.m2, a.mu))],
-    # the symmetric uplink of --fading-a: the walk sums read no N, so 3 cells
-    "limiting-moments": lambda a: zip(("M1", "M2", "M3"), closed_forms.walk_moments(
-        wyner(3, a.k, a.alpha, a.alpha, parse_spec_tag(a.fading_a)))),
-    "exp-integral": lambda a: [("E1", closed_forms.exp_integral(a.x))],
-    "narula-pdf": lambda a: [("pdf", closed_forms.narula_stationary_pdf(a.x, a.pbar))],
-    "narula-capacity": lambda a: [("capacity_nats", closed_forms.narula_capacity(a.pbar))],
-    "low-snr": lambda a: zip(("eb_n0_min", "s0"), closed_forms.low_snr_params(
-        wyner(3, a.k, a.alpha, a.alpha, parse_spec_tag(a.fading_a)))),
-    "high-snr": lambda a: zip(("s_inf", "l_inf"), closed_forms.high_snr_params(
-        parse_spec_tag(a.fading_a), parse_spec_tag(a.fading_b or a.fading_a))),
-    "mp-cdf": lambda a: [("cdf", closed_forms.marchenko_pastur_cdf(a.x, a.k, a.sigma2))],
+    "wyner-nonfading": lambda power=1.0, alpha=0.0: [
+        ("capacity_nats", closed_forms.wyner_capacity_nonfading(power, alpha))],
+    "wyner-large-k": lambda power=1.0, alpha=0.0, m2=1.0, mu=0.0: [
+        ("capacity_nats", closed_forms.wyner_capacity_large_k(power, alpha, m2, mu))],
+    "limiting-moments": lambda fading_a="rayleigh", alpha=0.0, k=1: zip(("M1", "M2", "M3"),
+        closed_forms.walk_moments(wyner(3, k, alpha, alpha, parse_spec_tag(fading_a)))),
+    "exp-integral": lambda x=1.0: [("E1", closed_forms.exp_integral(x))],
+    "narula-pdf": lambda x=1.0, pbar=1.0: [("pdf", closed_forms.narula_stationary_pdf(x, pbar))],
+    "narula-capacity": lambda pbar=1.0: [("capacity_nats", closed_forms.narula_capacity(pbar))],
+    "low-snr": lambda fading_a="rayleigh", alpha=0.0, k=1: zip(("eb_n0_min", "s0"),
+        closed_forms.low_snr_params(wyner(3, k, alpha, alpha, parse_spec_tag(fading_a)))),
+    "high-snr": lambda fading_a="rayleigh", fading_b=None: zip(("s_inf", "l_inf"),
+        closed_forms.high_snr_params(parse_spec_tag(fading_a), parse_spec_tag(fading_b or fading_a))),
+    "mp-cdf": lambda x=1.0, k=1, sigma2=1.0: [("cdf", closed_forms.marchenko_pastur_cdf(x, k, sigma2))],
 }
 
 
 def _run_closed_form(args) -> int:
-    for name, value in vars(args).items():
+    formula = _FORMULAS[args.formula]
+    flags = {name: value for name, value in vars(args).items() if name not in ("command", "formula")}
+    unread = ", ".join(f"--{name.replace('_', '-')}" for name in flags
+                       if name not in inspect.signature(formula).parameters)
+    if unread:  # as a config field its kind does not read
+        raise ConfigError(f"{args.formula} does not read {unread}: leave it out")
+    for name, value in flags.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
     try:
-        rows = list(_FORMULAS[args.formula](args))
+        rows = list(formula(**flags))
     except ValueError as exc:  # a fading tag or a value outside the formula's domain
         raise ConfigError(str(exc)) from exc
     print("quantity,value")

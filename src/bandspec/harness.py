@@ -31,16 +31,15 @@ process's affinity set where the platform has one, else ``os.cpu_count()``.
 Before it forks, a run of a kind whose replicates factor or eigensolve
 (``_RUNNERS`` says which) imports ``scipy.linalg``, which those otherwise
 import on first use, so that the workers inherit it instead of each
-importing it again; a forked ``moments`` run never loads it.  On glibc, the
-run's replicates reuse the heap that the replicate before them freed, and
-the run hands it back to the system when it ends.  A replicate (or
+importing it again; a forked ``moments`` run never loads it.  On glibc,
+each replicate reuses the heap that the replicate before it freed, in this
+run or an earlier one of the process.  A replicate (or
 ``narula`` chain) dropped for a numerical failure is logged at WARNING on
 the ``bandspec.harness`` logger with its index, stream key and exception;
 a group with no survivor is named by its index in the error.
 """
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import hashlib
@@ -361,22 +360,22 @@ def _replicate_map(seed: int, jobs: int, workers, count: int, factors: bool = Tr
 
     total = len(workers) * count
     procs = min(jobs, total, _usable_cpus())
-    with _replicate_heap():
-        if procs > 1 and hasattr(os, "fork"):
-            import multiprocessing
-            from concurrent.futures.process import ProcessPoolExecutor
+    _tune_heap()
+    if procs > 1 and hasattr(os, "fork"):
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
 
-            if factors:
-                # replicates import scipy.linalg on first use: loaded here, the
-                # workers inherit it instead of each importing it again every run
-                import scipy.linalg
+        if factors:
+            # replicates import scipy.linalg on first use: loaded here, the
+            # workers inherit it instead of each importing it again every run
+            import scipy.linalg
 
-            # workers inherit the closure ``call``: only indices and results are pickled
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(procs, fork, _install_call, (call,)) as pool:
-                slots = list(pool.map(_call_in_worker, range(total)))
-        else:
-            slots = [call(i) for i in range(total)]
+        # workers inherit the closure ``call``: only indices and results are pickled
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(procs, fork, _install_call, (call,)) as pool:
+            slots = list(pool.map(_call_in_worker, range(total)))
+    else:
+        slots = [call(i) for i in range(total)]
     for i, slot in enumerate(slots):
         if isinstance(slot, _NUMERICAL_FAILURES):
             _log.warning("dropped replicate %d (stream key seed=%d, index=%d): %r",
@@ -399,69 +398,33 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# glibc's mallopt(3) parameters and the values a run's replicates run under
+# glibc's mallopt(3) parameters and the values replicates run under
 # (32 MiB is the largest mmap threshold glibc takes on 64-bit)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 32 << 20
 
-# A run trims on exit only a free heap top above this.  Runs of small
-# replicates leave up to about 150 KiB, depending on where import-time
-# objects landed (past glibc's default of 128 KiB); runs of large ones leave
-# megabytes.
-_EXIT_TRIM_THRESHOLD = 512 << 10
 
-
-class _Mallinfo2(ctypes.Structure):
-    # glibc's struct mallinfo2 (glibc 2.33 on): ten size_t counters
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
-        "uordblks", "fordblks", "keepcost")]
+def _glibc_malloc():
+    """glibc's ``mallopt`` (ints in and out, ctypes' default), or None without one."""
+    try:
+        return ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return None
 
 
 @functools.cache
-def _glibc_malloc():
-    """glibc's ``(mallopt, malloc_trim, mallinfo2)``, or None where the
-    process has no such symbols."""
-    try:
-        libc = ctypes.CDLL(None)
-        mallopt, trim, info = libc.mallopt, libc.malloc_trim, libc.mallinfo2
-    except (OSError, TypeError, AttributeError):
-        return None
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
-    info.argtypes, info.restype = (), _Mallinfo2
-    return mallopt, trim, info
-
-
-@contextlib.contextmanager
-def _replicate_heap():
-    """Let each replicate reuse the heap the one before it freed, and hand
-    that heap back to the system on exit.
-
-    By default glibc serves an array of more than its mmap threshold with
-    fresh pages and unmaps them when it is freed, and returns a free heap top
-    past its trim threshold to the kernel, so every replicate of a large
-    channel faults its pages in again.  On entry this sets the mmap threshold
-    to 32 MiB and the trim threshold to 64 MiB, so arrays of up to 32 MiB come
-    from the heap and up to 64 MiB of free heap top stays with the process.
-    On exit, raised or not, ``malloc_trim(0)`` hands the free heap back if
-    its free top exceeds 512 KiB; a smaller top is all that a run of small
-    replicates leaves, and trimming it would only unmap pages the next run
-    faults in again.  The settings hold for the rest of the process,
-    forked workers inherit them, and setting ``M_MMAP_THRESHOLD`` turns off
-    glibc's dynamic mmap threshold (mallopt(3)).  Where glibc's ``mallopt``,
-    ``malloc_trim`` or ``mallinfo2`` is missing, or ``mallopt`` refuses the
-    value (musl's stub returns 0), it does nothing.  Nothing it changes
-    reaches a computed value."""
-    mallopt, trim, info = _glibc_malloc() or (None, None, None)
-    active = mallopt is not None and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) != 0
-    if active:
+def _tune_heap() -> None:
+    """Let each replicate reuse the heap the one before it freed, for the
+    rest of the process.  glibc's defaults unmap an array past the mmap
+    threshold and return a free heap top past the trim threshold, so each
+    replicate of a large channel would fault its pages in again.  Arrays of
+    up to 32 MiB now come from the heap and up to 64 MiB of free top stays;
+    forked workers inherit both, and a set mmap threshold is no longer
+    dynamic (mallopt(3)).  Where glibc's ``mallopt`` is missing or refuses
+    (musl's stub returns 0), nothing is set.  No computed value depends on it."""
+    mallopt = _glibc_malloc()
+    if mallopt is not None and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) != 0:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-    try:
-        yield
-    finally:
-        if active and info().keepcost > _EXIT_TRIM_THRESHOLD:
-            trim(0)
 
 
 _worker_call = None  # a forked worker's replicate closure

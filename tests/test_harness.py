@@ -1,12 +1,16 @@
 import argparse
 import concurrent.futures.process
 import dataclasses
+import itertools
 import json
 import logging
 import multiprocessing
 import os
-import types
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,6 @@ from bandspec import (
     AllReplicatesFailedError,
     ConfigError,
     ExperimentConfig,
-    RAYLEIGH,
     PivotError,
     derive_stream,
     eigenvalues,
@@ -1085,95 +1088,122 @@ class TestReplicateWorkers:
             run_experiment(config, jobs=2)
 
 
-def spy_malloc(calls, mallopt_result=1, keepcost=64 << 20):
-    """A stand-in for glibc's ``(mallopt, malloc_trim, mallinfo2)`` that records
-    each call to the first two, with ``keepcost`` bytes of free heap top."""
+def spy_malloc(calls, mallopt_result=1):
+    """A stand-in for the lookup of glibc's ``mallopt`` that records the lookup
+    and each ``mallopt`` call; a ``mallopt_result`` of None is a failed lookup."""
     def mallopt(param, value):
         calls.append(("mallopt", param, value))
         return mallopt_result
 
-    def malloc_trim(pad):
-        calls.append(("malloc_trim", pad))
-        return 1
+    def lookup():
+        calls.append("lookup")
+        return None if mallopt_result is None else mallopt
+    return lookup
 
-    return lambda: (mallopt, malloc_trim, lambda: types.SimpleNamespace(keepcost=keepcost))
+
+glibc_only = pytest.mark.skipif(harness._glibc_malloc() is None, reason="no glibc mallopt")
+
+# the allocator calls of a process's first run, in order
+TUNE_CALLS = [("mallopt", -3, 32 << 20), ("mallopt", -1, 64 << 20)]
+
+# one run of CI's N = 65536 moments config: 8 MB of channel, Gram blocks and
+# scratch arrays per replicate
+LARGE_MOMENTS = {"kind": "moments", "replications": 3, "seed": 4,
+                 "channel": {"n_cells": 65536, "alpha": 0.5, "fading": "rayleigh"}}
 
 
-glibc_only = pytest.mark.skipif(harness._glibc_malloc() is None, reason="no glibc mallopt, malloc_trim, mallinfo2")
+def minor_faults(fn) -> int:
+    import resource
 
-# one run's calls into the allocator, in order
-RUN_MALLOC_CALLS = [("mallopt", -3, 32 << 20), ("mallopt", -1, 64 << 20), ("malloc_trim", 0)]
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fn()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
 class TestReplicateHeap:
+    @pytest.fixture(autouse=True)
+    def unset_heap(self):
+        # the thresholds are set once per process: forget that, so that each
+        # test's first run looks mallopt up again, and so does the next run
+        # after a test that put in a stand-in
+        harness._tune_heap.cache_clear()
+        yield
+        harness._tune_heap.cache_clear()
+
     @glibc_only
     def test_later_replicates_fault_no_pages(self):
         # each replicate frees about 8 MB of channel, Gram and scratch arrays,
         # which glibc's default thresholds handed back to the kernel, so every
         # replicate faulted 1888 pages in again
-        import resource
-
         worker = harness._gram_worker(wyner(65536, 1, 0.5, 0.5, "rayleigh"),
                                       lambda a: [trace_moment(a, p) for p in (1, 2, 3)])
-        faults = []
-        with harness._replicate_heap():
-            for r in range(5):
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                worker(derive_stream(0, r))
-                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        harness._tune_heap()
+        faults = [minor_faults(lambda: worker(derive_stream(0, r))) for r in range(5)]
         assert max(faults[1:]) <= 50, faults
-        # the megabytes the last replicate freed went back on exit
-        assert harness._glibc_malloc()[2]().keepcost <= 128 << 10
+
+    @glibc_only
+    def test_a_second_run_faults_no_pages(self, tmp_path):
+        # the heap a run freed stays with the process for the next run: a
+        # trim at the end of each run made the next one fault about 900 pages
+        config = ExperimentConfig.from_dict({**LARGE_MOMENTS, "out_dir": str(tmp_path / "out")})
+        faults = [minor_faults(lambda: run_experiment(config)) for _ in range(3)]
+        assert max(faults[1:]) <= 50, faults
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("mallopt_result,calls_made", [
+        (1, ["lookup", *TUNE_CALLS]), (None, ["lookup"]), (0, ["lookup", TUNE_CALLS[0]]),
+    ], ids=["set", "not found", "mallopt refuses"])
+    def test_allocator_set_once_per_process(self, tmp_path, monkeypatch, two_cpus, jobs,
+                                            mallopt_result, calls_made):
+        # three runs, one lookup; a refused threshold sets nothing else
+        calls = []
+        monkeypatch.setattr(harness, "_glibc_malloc", spy_malloc(calls, mallopt_result))
+        config = ExperimentConfig.from_dict(MULTI_GROUP["capacity_vs_N"](tmp_path))
+        for _ in range(3):
+            run_experiment(config, jobs=jobs)
+        assert calls == calls_made
 
     @pytest.mark.parametrize("lookup", ["not found", "mallopt refuses"])
-    def test_same_bytes_without_the_allocator_settings(self, tmp_path, monkeypatch, lookup):
-        def run(out):
-            config = ExperimentConfig.from_dict({**moments_config(tmp_path), "out_dir": str(out)})
-            return {path.name: path.read_bytes() for path in run_experiment(config).files}
+    def test_same_bytes_without_the_allocator_settings(self, tmp_path, lookup):
+        # the inactive side runs in a fresh process: in this one, the settings
+        # of any earlier run would still hold
+        def files(out):
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
-        active = run(tmp_path / "active")
-        calls = []
-        monkeypatch.setattr(harness, "_glibc_malloc",
-                            (lambda: None) if lookup == "not found" else spy_malloc(calls, 0))
-        assert run(tmp_path / "inactive") == active
-        # a refused threshold sets nothing else and trims nothing
-        assert calls == ([] if lookup == "not found" else [RUN_MALLOC_CALLS[0]])
+        data = moments_config(tmp_path)
+        run_experiment(ExperimentConfig.from_dict({**data, "out_dir": str(tmp_path / "active")}))
+        code = """
+import json, sys
+import bandspec as bs
+from bandspec import harness
+calls = []
+def refusing(param, value):
+    calls.append(param)
+    return 0
+harness._glibc_malloc = (lambda: None) if sys.argv[1] == "not found" else (lambda: refusing)
+bs.run_experiment(bs.ExperimentConfig.from_dict(json.loads(sys.argv[2])))
+print(calls)
+"""
+        src = Path(harness.__file__).resolve().parents[1]
+        inactive = {**data, "out_dir": str(tmp_path / "inactive")}
+        run = subprocess.run([sys.executable, "-c", code, lookup, json.dumps(inactive)],
+                             env={**os.environ, "PYTHONPATH": str(src)},
+                             capture_output=True, text=True, check=True)
+        # a refused threshold sets nothing else
+        assert run.stdout.strip() == ("[]" if lookup == "not found" else "[-3]")
+        assert files(tmp_path / "inactive") == files(tmp_path / "active")
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("keepcost,trimmed", [
-        (128 << 10, False), (512 << 10, False), ((512 << 10) + 1, True)])
-    def test_one_trim_per_run(self, tmp_path, monkeypatch, two_cpus, jobs, keepcost, trimmed):
-        # a free heap top of at most 512 KiB, all that a run of small
-        # replicates leaves (past glibc's default 128 KiB), is kept
-        calls = []
-        monkeypatch.setattr(harness, "_glibc_malloc", spy_malloc(calls, keepcost=keepcost))
-        run_experiment(ExperimentConfig.from_dict(MULTI_GROUP["capacity_vs_N"](tmp_path)), jobs=jobs)
-        assert calls == RUN_MALLOC_CALLS[:3 if trimmed else 2]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_trim_when_a_group_fails(self, tmp_path, monkeypatch, two_cpus, jobs):
-        def flaky(a, rho):
-            if a.n == 12:
-                raise PivotError("forced failure")
-            return log_ldl_shifted(a, rho)
+def readme_formula_flags() -> dict:
+    """Each row of README's ``closed-form`` table: formula -> its flags."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("|"),
+                               lines[lines.index("| `--formula` | flags | rows |") + 2:])
+    return {cells[1].strip(" `"): re.findall(r"--[a-z0-9-]+", cells[2])
+            for cells in (row.split("|") for row in rows)}
 
-        calls = []
-        monkeypatch.setattr(harness, "_glibc_malloc", spy_malloc(calls))
-        monkeypatch.setattr(harness, "log_ldl_shifted", flaky)
-        config = ExperimentConfig.from_dict(MULTI_GROUP["capacity_vs_N"](tmp_path))
-        with pytest.raises(AllReplicatesFailedError):
-            run_experiment(config, jobs=jobs)
-        assert calls == RUN_MALLOC_CALLS
 
-    def test_trim_when_a_replicate_raises(self, monkeypatch):
-        def broken(rng):
-            raise KeyError("not a numerical failure")
-
-        calls = []
-        monkeypatch.setattr(harness, "_glibc_malloc", spy_malloc(calls))
-        with pytest.raises(KeyError):
-            harness._replicate_map(0, 1, [broken], 2)
-        assert calls == RUN_MALLOC_CALLS
+README_FORMULA_FLAGS = readme_formula_flags()
 
 
 class TestCli:
@@ -1238,12 +1268,13 @@ class TestCli:
         values = dict(line.split(",") for line in lines[1:])
         assert float(values["M2"]) == pytest.approx(4.5)
 
-    # formula -> (its flags, the closed_forms rows they must print)
+    # formula -> (every flag of its README row, each away from its default,
+    # and the closed_forms rows they must print)
     CLOSED_FORMS = {
         "wyner-nonfading": (["--power", "10", "--alpha", "0.5"], lambda: [
             ("capacity_nats", closed_forms.wyner_capacity_nonfading(10.0, 0.5))]),
-        "wyner-large-k": (["--power", "10", "--alpha", "0.5", "--mu", "0.3"], lambda: [
-            ("capacity_nats", closed_forms.wyner_capacity_large_k(10.0, 0.5, 1.0, 0.3))]),
+        "wyner-large-k": (["--power", "10", "--alpha", "0.5", "--m2", "2", "--mu", "0.3"], lambda: [
+            ("capacity_nats", closed_forms.wyner_capacity_large_k(10.0, 0.5, 2.0, 0.3))]),
         # the symmetric uplink of --k, --alpha and --fading-a (default rayleigh)
         "limiting-moments": (["--k", "2", "--alpha", "0.3", "--fading-a", "rician:nu=0.3+0.4j,s2=0.5"],
                              lambda: zip(("M1", "M2", "M3"), closed_forms.walk_moments(
@@ -1253,18 +1284,19 @@ class TestCli:
             ("pdf", closed_forms.narula_stationary_pdf(3.0, 5.0))]),
         "narula-capacity": (["--pbar", "5"], lambda: [
             ("capacity_nats", closed_forms.narula_capacity(5.0))]),
-        "low-snr": (["--k", "2", "--alpha", "0.5"], lambda: zip(
-            ("eb_n0_min", "s0"), closed_forms.low_snr_params(wyner(3, 2, 0.5, 0.5, RAYLEIGH)))),
+        "low-snr": (["--k", "2", "--alpha", "0.5", "--fading-a", "rician:nu=0.8,s2=0.36"], lambda: zip(
+            ("eb_n0_min", "s0"), closed_forms.low_snr_params(wyner(3, 2, 0.5, 0.5, rician(0.8, 0.36))))),
         "high-snr": (["--fading-a", "rician:nu=0.8,s2=0.36", "--fading-b", "rayleigh"],
                      lambda: zip(("s_inf", "l_inf"), closed_forms.high_snr_params(
                          parse_spec_tag("rician:nu=0.8,s2=0.36"), parse_spec_tag("rayleigh")))),
-        "mp-cdf": (["--x", "1.5", "--k", "2"], lambda: [
-            ("cdf", closed_forms.marchenko_pastur_cdf(1.5, 2, 1.0))]),
+        "mp-cdf": (["--x", "1.5", "--k", "2", "--sigma2", "3"], lambda: [
+            ("cdf", closed_forms.marchenko_pastur_cdf(1.5, 2, 3.0))]),
     }
 
-    @pytest.mark.parametrize("formula", list(CLOSED_FORMS))
+    @pytest.mark.parametrize("formula", list(README_FORMULA_FLAGS))
     def test_closed_form_prints_exact_values(self, capsys, formula):
         flags, expected = self.CLOSED_FORMS[formula]
+        assert sorted(flags[::2]) == sorted(README_FORMULA_FLAGS[formula])
         assert main(["closed-form", "--formula", formula, *flags]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["quantity,value"] + [
@@ -1290,6 +1322,31 @@ class TestCli:
         assert main(["closed-form", "--formula", *flags]) == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("formula", list(README_FORMULA_FLAGS))
+    def test_closed_form_reads_only_its_readme_flags(self, capsys, formula):
+        (sub,) = [a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        flags = [flag for a in sub.choices["closed-form"]._actions for flag in a.option_strings
+                 if flag not in ("-h", "--help", "--formula")]
+        for flag in set(flags) - set(README_FORMULA_FLAGS[formula]):
+            value = "rayleigh" if flag.startswith("--fading") else "2"
+            assert main(["closed-form", "--formula", formula, flag, value]) == 2, flag
+            assert f"does not read {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,unread", [
+        # each printed its formula's answer and exited 0
+        (["low-snr", "--m2", "4", "--alpha", "0.5"], "--m2"),
+        (["wyner-nonfading", "--pbar", "7", "--fading-a", "nope"], "--pbar, --fading-a"),
+        (["high-snr", "--k", "2"], "--k"),
+        (["mp-cdf", "--alpha", "nan"], "--alpha"),
+    ], ids=["low-snr --m2", "wyner-nonfading --pbar --fading-a", "high-snr --k", "mp-cdf --alpha"])
+    def test_closed_form_unread_flag_exits_2(self, capsys, flags, unread):
+        # as a config field that its kind does not read
+        assert main(["closed-form", "--formula", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {flags[0]} does not read {unread}: leave it out\n"
         assert captured.out == ""
 
     def test_all_replicates_failing_exits_3(self, tmp_path, monkeypatch, capsys):
@@ -1456,4 +1513,4 @@ class TestDeclarations:
         (sub,) = [a for a in cli._build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)]
         (formula,) = [a for a in sub.choices["closed-form"]._actions if a.dest == "formula"]
-        assert list(formula.choices) == list(cli._FORMULAS)
+        assert list(formula.choices) == list(cli._FORMULAS) == list(README_FORMULA_FLAGS)
