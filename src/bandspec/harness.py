@@ -223,6 +223,12 @@ def _int(value) -> int:
     return int(value)
 
 
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
 def _float(value) -> float:
     if isinstance(value, (bool, str)):
         raise ValueError(f"{value!r} is not a number")
@@ -281,7 +287,7 @@ def _channel_to_dict(channel: ChannelParams) -> dict:
 
 # field type (as annotated) -> converter from its JSON value
 _CONVERTERS = {
-    "str": str,
+    "str": _str,
     "int": _int,
     "tuple[float, ...]": _list_of(_float),
     "tuple[int, ...]": _list_of(_int),
@@ -568,9 +574,10 @@ def _run_extreme_snr(config, replicate):
     worker = _gram_worker(params, _shannon(params, config.low_p + config.high_p))
     (replicates,) = replicate([worker], config.replications)
     mean, _ = _mean_se(replicates)
-    eb_est, s0_est = fit_low_snr_params(config.low_p, mean[:2])
-    s_inf_est, l_inf_est = fit_high_snr_params(config.high_p, mean[2:])
-    l_inf_ext = fit_high_snr_offset_extrapolated(config.high_p, mean[2:])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a channel with no signal: C = 0
+        eb_est, s0_est = fit_low_snr_params(config.low_p, mean[:2])
+        s_inf_est, l_inf_est = fit_high_snr_params(config.high_p, mean[2:])
+        l_inf_ext = fit_high_snr_offset_extrapolated(config.high_p, mean[2:])
     refs = _extreme_snr_reference(params)
     quantities = [
         ("eb_n0_min", eb_est, refs[0]),

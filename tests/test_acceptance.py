@@ -153,7 +153,7 @@ def test_c4_limiting_moments_at_paper_scale(tmp_path):
 
 @pytest.mark.scale
 def test_c4_three_law_channel_at_paper_scale(tmp_path):
-    # CI's moments-k2 channel: K = 2 on diagonals {-2, 0, 1}, one law each,
+    # test_jobs_do_not_change_bytes's channel: K = 2 on diagonals {-2, 0, 1}, one law each,
     # the Rician with a complex mean, against its walk-sum reference
     config = bs.ExperimentConfig.from_dict({
         "kind": "moments", "replications": 4, "seed": 13, "out_dir": str(tmp_path),

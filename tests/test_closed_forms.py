@@ -295,7 +295,7 @@ def _channel(n, k, diagonals):
     return ChannelParams(n, k, tuple(DiagonalSpec(o, g, law) for o, g, law in diagonals))
 
 
-# CI's K = 2 three-law channel on {-2, 0, 1}, Rician with a complex mean
+# the harness tests' K = 2 three-law channel on {-2, 0, 1}, Rician with a complex mean
 THREE_LAWS = ((-2, 0.5, RAYLEIGH), (0, 1.0, UNIFORM_PHASE), (1, 0.7, rician(0.3 + 0.4j, 0.5)))
 LAWS = [DETERMINISTIC, RAYLEIGH, UNIFORM_PHASE, rician(0.3 + 0.4j, 0.5), rician(-0.6 + 0.2j, 0.3),
         rician(0.8, 0.36)]

@@ -258,6 +258,10 @@ INVALID_PATCHES = [
     ({"kind": "capacity_vs_N", "n_grid": [8.5]}, "bad n_grid: 8.5 is not an integer"),
     ({"channel": {"n_cells": 32.5, "alpha": 0.5}}, "bad channel: 32.5 is not an integer"),
     *((patch, message) for _, patch, message in INVALID_CONFIGS),
+    # converted with str: a null out_dir wrote ./None/moments.csv and exited 0
+    ({"out_dir": None}, "bad out_dir: None is not a string"),
+    ({"out_dir": 5}, "bad out_dir: 5 is not a string"),
+    ({"kind": None}, "bad kind: None is not a string"),
 ]
 INVALID_COMMANDS = [
     ("spectrum", {"histogram_bins": 0}, "histogram_bins must be >= 1"),
@@ -280,6 +284,10 @@ def taps(*taps, k=1):
 
 
 RICIAN = "rician:nu=0.8,s2=0.36"
+# K = 2 on diagonals {-2, 0, 1}, one law each, the Rician with a complex mean
+THREE_LAWS = [{"offset": -2, "gain": 0.5, "fading": "rayleigh"},
+              {"offset": 0, "gain": 1.0, "fading": "uniform-phase"},
+              {"offset": 1, "gain": 0.7, "fading": "rician:nu=0.3+0.4j,s2=0.5"}]
 # which reference columns are finite ("T") for each channel shape: capacity_vs_P
 # at one power; moments p = 1, 2, 3; extreme_snr eb_n0_min, s0, s_inf, l_inf and
 # l_inf_extrapolated.  The capacity needs the symmetric uplink (gains alpha, 1,
@@ -310,6 +318,8 @@ REFERENCE_SHAPES = {
                                  "F", "TTT", "TTFFF"),
     "offsets-minus-2-0": (taps((-2, 1.0, "rayleigh"), (0, 1.0, "rayleigh")), "F", "TTT", "TTFFF"),
     "offsets-1-2": (taps((1, 1.0, "rayleigh"), (2, 1.0, "rayleigh")), "F", "TTT", "TTFFF"),
+    # every C = 0: the extreme-SNR fits divided by zero and warned
+    "no-signal": (taps((0, 0.0, "rayleigh")), "F", "TTT", "FFFFF"),
 }
 
 
@@ -327,7 +337,7 @@ def test_finite_reference_columns_by_channel_shape(tmp_path, shape):
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_rician_s0_reference_is_the_monte_carlo_slope(tmp_path, k):
+def test_rician_s0_reference_is_the_monte_carlo_slope(tmp_path, capsys, k):
     # E h = nu != 0 at alpha 0.5: the kurtosis formula wrote 1.114 (K = 1) and
     # 1.431 (K = 2), 10-20% above the slope that the Gram matrices have
     channel = three_diagonal(0.5, RICIAN, k=k)
@@ -345,6 +355,13 @@ def test_rician_s0_reference_is_the_monte_carlo_slope(tmp_path, k):
     leave_one_out = s0((traces.sum(axis=0) - traces) / (len(traces) - 1))
     se = np.sqrt((len(traces) - 1) * np.var(leave_one_out))
     assert abs(reference - s0(traces.mean(axis=0))) <= 4 * se
+    # and closed-form prints it, K = 1 by default
+    k_flag = ["--k", "2"] if k == 2 else []
+    assert main(["closed-form", "--formula", "low-snr", "--fading-a", RICIAN, "--alpha", "0.5",
+                 *k_flag]) == 0
+    printed = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+    assert printed["s0"] == output.text(reference)
+    assert printed["s0"].startswith({1: "1.0115", 2: "1.1890"}[k])
 
 
 class TestStreams:
@@ -698,18 +715,32 @@ class TestRunExperiment:
         for fa, fb in zip(out_a.files, out_b.files):
             assert fa.read_bytes() == fb.read_bytes()
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
+    def test_jobs_do_not_change_bytes(self, tmp_path, monkeypatch):
         spectrum = spectrum_config(tmp_path, replications=6)
-        spectrum["channel"]["fading"] = "rayleigh"
+        spectrum["channel"].update(n_cells=64, fading="rayleigh")
+        # bandwidth-2 transforms at four powers, from one stacked banded Cholesky per replicate
+        capacity_k2 = {"kind": "capacity_vs_P", "p_grid": [0.1, 1.0, 10.0, 100.0],
+                       "replications": 4, "seed": 6, "channel": {
+                           "n_cells": 64, "users_per_cell": 2, "alpha": 0.5, "fading": "rayleigh"}}
+        # Gram sums that end in a partial row block at N = 20000; at N = 8193, one
+        # row past a block, the matrix end cuts the first block's halo to that row
+        moments_k2 = {"kind": "moments", "replications": 3, "seed": 8, "channel": {
+            "n_cells": 20000, "users_per_cell": 2, "diagonals": THREE_LAWS}}
+        moments_8193 = {**moments_k2, "channel": {**moments_k2["channel"], "n_cells": 8193}}
         # and runs of several groups each: three N, three chains, two alphas
-        for data in (spectrum, *(make(tmp_path) for make in MULTI_GROUP.values())):
-            out_a = run_experiment(ExperimentConfig.from_dict(
-                {**data, "out_dir": str(tmp_path / data["kind"] / "a")}), jobs=1)
-            out_b = run_experiment(ExperimentConfig.from_dict(
-                {**data, "out_dir": str(tmp_path / data["kind"] / "b")}), jobs=4)
+        multi_group = [make(tmp_path) for make in MULTI_GROUP.values()]
+        # three workers on any host, so the pool forks even with one usable CPU
+        usable_cpus(monkeypatch, 3)
+        for i, data in enumerate([spectrum, capacity_k2, *multi_group, LARGE_MOMENTS,
+                                  moments_k2, moments_8193]):
+            out_a, out_b = (run_experiment(ExperimentConfig.from_dict(
+                {**data, "out_dir": str(tmp_path / str(i) / str(jobs))}), jobs, emit_gnuplot=True)
+                for jobs in (1, 3))
             assert [f.name for f in out_a.files] == [f.name for f in out_b.files]
             for fa, fb in zip(out_a.files, out_b.files):
                 assert fa.read_bytes() == fb.read_bytes()
+                # every moments row has its walk-sum reference
+                assert fa.name != "moments.csv" or b"nan" not in fa.read_bytes()
 
     def test_capacity_grid_row_count(self, tmp_path):
         config = ExperimentConfig.from_dict({
@@ -1106,8 +1137,8 @@ glibc_only = pytest.mark.skipif(harness._glibc_malloc() is None, reason="no glib
 # the allocator calls of a process's first run, in order
 TUNE_CALLS = [("mallopt", -3, 32 << 20), ("mallopt", -1, 64 << 20)]
 
-# one run of CI's N = 65536 moments config: 8 MB of channel, Gram blocks and
-# scratch arrays per replicate
+# the N = 65536 moments config of test_jobs_do_not_change_bytes: 8 MB of
+# channel, Gram blocks and scratch arrays per replicate
 LARGE_MOMENTS = {"kind": "moments", "replications": 3, "seed": 4,
                  "channel": {"n_cells": 65536, "alpha": 0.5, "fading": "rayleigh"}}
 
@@ -1341,7 +1372,9 @@ class TestCli:
         (["wyner-nonfading", "--pbar", "7", "--fading-a", "nope"], "--pbar, --fading-a"),
         (["high-snr", "--k", "2"], "--k"),
         (["mp-cdf", "--alpha", "nan"], "--alpha"),
-    ], ids=["low-snr --m2", "wyner-nonfading --pbar --fading-a", "high-snr --k", "mp-cdf --alpha"])
+        (["wyner-nonfading", "--pbar", "7"], "--pbar"),
+    ], ids=["low-snr --m2", "wyner-nonfading --pbar --fading-a", "high-snr --k", "mp-cdf --alpha",
+            "wyner-nonfading --pbar"])
     def test_closed_form_unread_flag_exits_2(self, capsys, flags, unread):
         # as a config field that its kind does not read
         assert main(["closed-form", "--formula", *flags]) == 2
@@ -1433,6 +1466,42 @@ class TestCli:
             warnings.simplefilter("error", RuntimeWarning)
             output = run_experiment(ExperimentConfig.from_dict(data))
         assert all(0 < r.estimate <= 1 for r in output.results)
+        assert all(b"nan" not in f.read_bytes() for f in output.files)
+
+    def test_power_profile_at_65536_under_a_2gb_cap(self, tmp_path):
+        # python -m bandspec.cli as a process whose address space is capped at
+        # 2 GB: the gaps and the profile file are looked up along the band, where
+        # a dense lcm x lcm*K grid at N = 65536 would take 32 GiB
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+        def run(n_grid):
+            out = tmp_path / "-".join(map(str, n_grid))
+            path = out.with_suffix(".json")
+            path.write_text(json.dumps(
+                {**power_profile_config(tmp_path), "n_grid": n_grid, "out_dir": str(out)}))
+            src = Path(harness.__file__).resolve().parents[1]
+            done = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "bandspec.cli",
+                 "power-profile", str(path)], env={**os.environ, "PYTHONPATH": str(src)},
+                preexec_fn=cap, capture_output=True, text=True)
+            return done.returncode, done.stderr, out
+
+        def rows(path):
+            return [line.split(",") for line in path.read_text().splitlines()[4:]]
+
+        code, err, out = run([16, 65536])
+        assert code == 0, err
+        assert [row[1] for row in rows(out / "power_profile.csv")] == ["0.75", "0.75"]
+        code, err, out = run([65536])
+        assert code == 0, err
+        assert len(rows(out / "profile_n65536.csv")) == 65536 + 2 * 65535
+        # a config error's exit code passes through sys.exit, and nothing is written
+        code, err, out = run([1, 2])
+        assert code == 2 and err.startswith("config error: power_profile channel: "), err
+        assert not out.exists()
 
     def test_failing_chain_exits_3(self, tmp_path, capsys, caplog):
         # the second chain's tap powers overflow; it used to end in a traceback
